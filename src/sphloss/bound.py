@@ -16,12 +16,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .losses import (
-    LossGrad,
+    LossParams,
     SphericalStats,
     _as_logits,
     _check_target,
+    _spherical_loss_grad,
+    batch_loss_grad,
     log_softmax_loss,
-    summary_stats,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -66,19 +67,24 @@ def optimal_alpha(s: float, D: int, xi: float) -> float:
     return s / D + (D - 2.0) / (4.0 * D * lambda_xi(xi))
 
 
-def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float:
-    """The shared-xi, optimal-alpha upper bound on -log softmax(o)_c,
-    evaluated from the spherical statistics alone."""
-    lam = lambda_xi(xi)
+def _bound_value(s, q, o_c, D: int, xi, lam, l1pe_xi):
+    """The shared-xi, optimal-alpha bound on -log softmax(o)_c, given
+    lam = lambda(xi) and l1pe_xi = log(1 + e^xi); floats or (n,) arrays."""
     return (
         -((D - 2.0) ** 2) / (16.0 * D * lam)
         - 0.5 * D * xi
         - D * lam * xi * xi
-        + D * log1pexp(xi)
+        + D * l1pe_xi
         + s / D
         + (q - s * s / D) * lam
         - o_c
     )
+
+
+def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float:
+    """The shared-xi, optimal-alpha upper bound on -log softmax(o)_c,
+    evaluated from the spherical statistics alone."""
+    return _bound_value(s, q, o_c, D, xi, lambda_xi(xi), log1pexp(xi))
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,8 @@ def optimize_xi(stats: SphericalStats, D: int) -> float:
         raise ValueError("D must be >= 2")
     s, q, o_c = stats.s, stats.q, stats.o_c
 
-    def f(xi: float) -> float:
-        return bound_from_stats(s, q, o_c, D, xi)
+    def f(xi: float) -> float:  # bound_from_stats, one call shallower
+        return _bound_value(s, q, o_c, D, xi, lambda_xi(xi), log1pexp(xi))
 
     xi_max = 10.0 + math.sqrt(max(q, 0.0))
     xi_star = golden_section_minimize(f, 0.0, xi_max, tol=1e-10)
@@ -169,84 +175,74 @@ def spherical_bound_loss(o, c: int, xi: XiParam = XiParam()) -> BoundLoss:
     """
     o = _as_logits(o)
     c = _check_target(o, c)
-    D = o.shape[0]
-    stats = summary_stats(o, c)
-    fallback = False
-    if xi.mode == "per_example_optimized":
-        try:
-            xi_val = optimize_xi(stats, D)
-            if not math.isfinite(bound_from_stats(stats.s, stats.q, stats.o_c, D, xi_val)):
-                raise FloatingPointError("non-finite bound at optimized xi")
-        except (FloatingPointError, ValueError, OverflowError):
-            xi_val, fallback = 1.0, True
-    else:
-        xi_val = xi.xi
-
-    lam = lambda_xi(xi_val)
-    loss = bound_from_stats(stats.s, stats.q, stats.o_c, D, xi_val)
-    partials = (1.0 / D - 2.0 * stats.s * lam / D, lam, -1.0)
-    grad = np.full_like(o, partials[0]) + 2.0 * lam * o
-    grad[c] += partials[2]
+    xis, fallback = select_xis(
+        np.array([o.sum()]), np.array([o @ o]), o.shape[0],
+        xi=xi.xi, optimize=xi.mode == "per_example_optimized",
+    )
+    xi_used = float(xis[0])
+    res = _spherical_loss_grad(spherical_bound_entry, o, c, LossParams(xi=xi_used))
     true_loss = log_softmax_loss(o, c).loss
     return BoundLoss(
-        loss=float(loss),
-        grad_o=grad,
-        partials=partials,
-        bound=BoundValue(bound=float(loss), true_loss=true_loss, gap=float(loss - true_loss)),
-        xi_used=float(xi_val),
-        xi_fallback=fallback,
+        loss=res.loss,
+        grad_o=res.grad_o,
+        partials=res.partials,
+        bound=BoundValue(bound=res.loss, true_loss=true_loss, gap=res.loss - true_loss),
+        xi_used=xi_used,
+        xi_fallback=bool(fallback[0]),
     )
 
 
 # ---------------------------------------------------------------------------
-# Batch forms for the trainer.
+# Batch forms: the loss's registry entry and its partials-only form.
 # ---------------------------------------------------------------------------
 
 
-def _batch_xis(s: np.ndarray, q: np.ndarray, D: int, *, xi: float, optimize: bool):
-    if not optimize:
-        return np.full(s.shape[0], float(xi))
-    out = np.empty(s.shape[0])
-    for i in range(s.shape[0]):
-        out[i] = optimize_xi(SphericalStats(s=float(s[i]), q=float(q[i]), o_c=0.0), D)
-    return out
-
-
-def batch_bound_partials(s, q, D: int, *, xi: float = 1.0, optimize: bool = False):
-    """(dL/ds, dL/dq, dL/do_c) arrays for the bound loss over a batch.
+def select_xis(s: np.ndarray, q: np.ndarray, D: int, *, xi: float, optimize: bool):
+    """The xi of each row: ``xi`` itself, or the row's bound minimizer.
 
     The bound's xi-optimum does not depend on o_c (o_c enters linearly), so
-    the per-example optimization needs only (s, q).
+    the search needs only (s, q).  A row whose search fails or gives a
+    non-finite bound falls back to xi = 1.  Returns (xis, fallback mask).
     """
-    s = np.asarray(s, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    xis = _batch_xis(s, q, D, xi=xi, optimize=optimize)
+    n = s.shape[0]
+    fallback = np.zeros(n, dtype=bool)
+    if not optimize:
+        return np.full(n, float(xi)), fallback
+    xis = np.empty(n)
+    for i, (si, qi) in enumerate(zip(s.tolist(), q.tolist())):
+        try:
+            x = optimize_xi(SphericalStats(s=si, q=qi, o_c=0.0), D)
+            if not math.isfinite(bound_from_stats(si, qi, 0.0, D, x)):
+                raise FloatingPointError("non-finite bound at optimized xi")
+        except (FloatingPointError, ValueError, OverflowError):
+            x, fallback[i] = 1.0, True
+        xis[i] = x
+    return xis, fallback
+
+
+def _bound_partials(s, xis, D: int):
     lams = np.array([lambda_xi(x) for x in xis])
     return 1.0 / D - 2.0 * s * lams / D, lams, np.full(s.shape[0], -1.0)
 
 
+def spherical_bound_entry(s, q, o_c, D: int, p: LossParams, optimize: bool = False):
+    """Registry entry of the bound loss: (value, a, bq, g) over (n,) arrays,
+    with bq = lambda(xi)."""
+    xis, _ = select_xis(s, q, D, xi=p.xi, optimize=optimize)
+    a, lams, g = _bound_partials(s, xis, D)
+    return _bound_value(s, q, o_c, D, xis, lams, np.logaddexp(0.0, xis)), a, lams, g
+
+
+def batch_bound_partials(s, q, D: int, *, xi: float = 1.0, optimize: bool = False):
+    """(dL/ds, dL/dq, dL/do_c) arrays for the bound loss over a batch,
+    without its value."""
+    s = np.asarray(s, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    xis, _ = select_xis(s, q, D, xi=xi, optimize=optimize)
+    return _bound_partials(s, xis, D)
+
+
 def batch_bound_loss_grad(O, y, *, xi: float = 1.0, optimize: bool = False):
     """Per-example bound losses and dense gradients for a batch."""
-    O = np.asarray(O, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n, D = O.shape
-    rows = np.arange(n)
-    s = O.sum(axis=1)
-    q = (O * O).sum(axis=1)
-    oc = O[rows, y]
-    xis = _batch_xis(s, q, D, xi=xi, optimize=optimize)
-    lams = np.array([lambda_xi(x) for x in xis])
-    l1pe = np.logaddexp(0.0, xis)
-    losses = (
-        -((D - 2.0) ** 2) / (16.0 * D * lams)
-        - 0.5 * D * xis
-        - D * lams * xis * xis
-        + D * l1pe
-        + s / D
-        + (q - s * s / D) * lams
-        - oc
-    )
-    a = 1.0 / D - 2.0 * s * lams / D
-    grad = a[:, None] + 2.0 * lams[:, None] * O
-    grad[rows, y] -= 1.0
-    return losses, grad
+    kind = "spherical_bound_optimized" if optimize else "spherical_bound_fixed"
+    return batch_loss_grad(kind, O, y, xi=xi)

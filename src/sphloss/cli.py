@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,27 +33,35 @@ GRADCHECK_LOSSES = (
 
 
 def _loss_grad_fns(name: str, eps: float, xi: float):
-    """(loss_value_fn, analytic_grad_fn) pair for gradcheck."""
-    if name == "log_softmax":
-        return (lambda o, c: losses.log_softmax_loss(o, c).loss,
-                lambda o, c: losses.log_softmax_loss(o, c).grad_o)
-    if name == "log_softmax_abs":
-        return (lambda o, c: losses.log_softmax_abs_loss(o, c).loss,
-                lambda o, c: losses.log_softmax_abs_loss(o, c).grad_o)
-    if name == "mse":
-        return (lambda o, c: losses.mse_loss(o, c).loss,
-                lambda o, c: losses.mse_loss(o, c).grad_o)
-    if name == "log_spherical":
-        return (lambda o, c: losses.log_spherical_softmax_loss(o, c, eps).loss,
-                lambda o, c: losses.log_spherical_softmax_loss(o, c, eps).grad_o)
-    if name == "log_taylor":
-        return (lambda o, c: losses.log_taylor_softmax_loss(o, c).loss,
-                lambda o, c: losses.log_taylor_softmax_loss(o, c).grad_o)
-    if name == "spherical_bound":
-        xp = bound.XiParam(xi=xi, mode="fixed")
-        return (lambda o, c: bound.spherical_bound_loss(o, c, xp).loss,
-                lambda o, c: bound.spherical_bound_loss(o, c, xp).grad_o)
-    raise KeyError(name)
+    """(batch_loss_fn, analytic_grad_fn) pair for gradcheck.
+
+    ``batch_loss_fn(O, y)`` gives the losses of the rows of O through the
+    loss-only batch path; ``analytic_grad_fn(o, c)`` is the per-example
+    loss's gradient.
+    """
+    kind, example = {
+        "log_softmax": ("log_softmax", losses.log_softmax_loss),
+        "log_softmax_abs": ("log_softmax_abs", losses.log_softmax_abs_loss),
+        "mse": ("mse", losses.mse_loss),
+        "log_spherical": ("log_spherical",
+                          partial(losses.log_spherical_softmax_loss, eps=eps)),
+        "log_taylor": ("log_taylor", losses.log_taylor_softmax_loss),
+        "spherical_bound": ("spherical_bound_fixed",
+                            partial(bound.spherical_bound_loss,
+                                    xi=bound.XiParam(xi=xi, mode="fixed"))),
+    }[name]
+    return (lambda O, y: losses.batch_loss(kind, O, y, eps=eps, xi=xi),
+            lambda o, c: example(o, c).grad_o)
+
+
+def _central_diff_grad(batch_loss_fn, o: np.ndarray, c: int,
+                       step: float = 1e-5) -> np.ndarray:
+    """``losses.finite_diff_grad`` with its 2D perturbed copies of o scored
+    in one batch call."""
+    D = o.shape[0]
+    E = step * np.eye(D)
+    L = batch_loss_fn(np.concatenate([o + E, o - E]), np.full(2 * D, c))
+    return (L[:D] - L[D:]) / (2.0 * step)
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -71,7 +81,7 @@ def gradcheck_trials(name: str, D: int, trials: int, seed: int,
                 break
         c = int(rng.integers(D))
         analytic = grad_fn(o, c)
-        numeric = losses.finite_diff_grad(lambda v: loss_fn(v, c), o, c)
+        numeric = _central_diff_grad(loss_fn, o, c)
         yield t, max_rel_err(analytic, numeric)
 
 
@@ -183,6 +193,12 @@ def cmd_train(args) -> int:
             return 2
         k, v = setting.split("=", 1)
         config.apply_setting(cfg_dict, k.strip(), v.strip())
+    try:
+        tc = trainer.TrainConfig(**{f.name: cfg_dict[f.name]
+                                    for f in dataclasses.fields(trainer.TrainConfig)})
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -199,20 +215,12 @@ def cmd_train(args) -> int:
     spec = trainer.MLPSpec(input_dim=input_dim,
                            hidden_dims=tuple(cfg_dict["hidden_dims"]),
                            output_dim=D)
-    seeds = [cfg_dict["seed"] + i for i in range(args.seeds)]
+    seeds = [tc.seed + i for i in range(args.seeds)]
     results = []
     for seed in seeds:
-        tc = trainer.TrainConfig(
-            loss_kind=cfg_dict["loss_kind"], initial_lr=cfg_dict["initial_lr"],
-            momentum=cfg_dict["momentum"], batch_size=cfg_dict["batch_size"],
-            patience=cfg_dict["patience"],
-            lr_decay_factor=cfg_dict["lr_decay_factor"],
-            max_epochs=cfg_dict["max_epochs"], seed=seed, eps=cfg_dict["eps"],
-            xi=cfg_dict["xi"], output_layer=cfg_dict["output_layer"],
-            prior_bias_init=cfg_dict["prior_bias_init"],
-        )
         csv_path = out_dir / f"epochs_seed{seed}.csv"
-        m = trainer.train(spec, tc, splits_np, csv_path=str(csv_path))
+        m = trainer.train(spec, dataclasses.replace(tc, seed=seed), splits_np,
+                          csv_path=str(csv_path))
         (out_dir / f"run_seed{seed}.txt").write_text(
             trainer.format_run_record(m) + "\n")
         if m.diverged:

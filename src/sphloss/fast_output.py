@@ -41,6 +41,15 @@ class StepPartials:
     h: np.ndarray
 
 
+def _dense_sgd_step(W: np.ndarray, h: np.ndarray, p: StepPartials, lr: float):
+    """W <- W - lr*(a*1h' + 2*bq*Whh' + g*e_c h') in place, O(D*d)."""
+    Wh = W @ h
+    # simultaneous update: all three terms use the pre-step W
+    W -= lr * p.a * h[None, :]
+    W -= (2.0 * lr * p.bq) * np.outer(Wh, h)
+    W[p.c] -= lr * p.g * h
+
+
 class DenseOutputLayer:
     """Naive dense output layer; every update touches all D*d weights."""
 
@@ -62,12 +71,7 @@ class DenseOutputLayer:
         return SphericalStats(s=float(o.sum()), q=float(o @ o), o_c=float(o[c]))
 
     def sgd_step(self, p: StepPartials, lr: float):
-        h = self._check_h(p.h)
-        Wh = self.W @ h
-        # simultaneous update: all three terms use the pre-step W
-        self.W -= lr * p.a * h[None, :]
-        self.W -= (2.0 * lr * p.bq) * np.outer(Wh, h)
-        self.W[p.c] -= lr * p.g * h
+        _dense_sgd_step(self.W, self._check_h(p.h), p, lr)
 
     def row(self, c: int) -> np.ndarray:
         return self.W[c].copy()
@@ -167,9 +171,12 @@ class FactoredOutputLayer:
         hh = float(h @ h)
         denom = 1.0 - beta * hh
         if abs(denom) < 1e-12:
-            # the mixer update I - beta*hh' is (numerically) singular; fall
-            # back to applying this one step densely after a rebase
-            self._dense_fallback_step(p, lr)
+            # the mixer update I - beta*hh' is (numerically) singular: fold
+            # the representation into the core and apply this one step there
+            self.rebase()
+            _dense_sgd_step(self.core, h, p, lr)
+            self.gram = self.core.T @ self.core
+            self.colsum = self.core.sum(axis=0)
             return
 
         # --- cache recurrences (use pre-step quantities) ---------------
@@ -221,24 +228,6 @@ class FactoredOutputLayer:
         if cond_est > self.cond_threshold:
             return True
         return len(self.corrections) > max(1.0, self.corrections_frac * self.D)
-
-    def _dense_fallback_step(self, p: StepPartials, lr: float):
-        self.rebase()
-        dense = DenseOutputLayer(self.core)
-        dense.sgd_step(p, lr)
-        fresh = FactoredOutputLayer(
-            dense.W,
-            cond_threshold=self.cond_threshold,
-            corrections_frac=self.corrections_frac,
-        )
-        self.core = fresh.core
-        self.mixer = fresh.mixer
-        self.mixer_inv = fresh.mixer_inv
-        self.offset = fresh.offset
-        self.corrections = fresh.corrections
-        self.gram = fresh.gram
-        self.colsum = fresh.colsum
-        self.rebase_count += 1
 
     def rebase(self):
         """Fold mixer, offset and row corrections back into the core.

@@ -3,14 +3,16 @@
 Every loss here returns both its value and an exact analytic gradient with
 respect to the pre-activations o.  The losses that depend on o only through
 the summary statistics s = sum(o), q = ||o||^2 and the target coordinate o_c
-additionally expose the partial derivatives (dL/ds, dL/dq, dL/do_c), which is
-what makes output-size-independent weight updates possible (see
-``sphloss.fast_output``).
+form the spherical family: each is defined once, as an entry of
+``SPHERICAL_LOSSES`` that maps (s, q, o_c, D) to the loss value and the
+partial derivatives (dL/ds, dL/dq, dL/do_c).  Those partials are what make
+output-size-independent weight updates possible (see ``sphloss.fast_output``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -134,13 +136,7 @@ def mse_loss(o, c: int, y_c: float = 1.0) -> LossGrad:
 
     In family form: q - 2*o_c*y_c + y_c^2, with partials (0, 1, -2*y_c).
     """
-    o = _as_logits(o)
-    c = _check_target(o, c)
-    st = summary_stats(o, c, y_c)
-    loss = st.q - 2.0 * st.o_c * y_c + y_c ** 2
-    grad = 2.0 * o
-    grad[c] -= 2.0 * y_c
-    return LossGrad(loss=float(loss), grad_o=grad, partials=(0.0, 1.0, -2.0 * y_c))
+    return _spherical_loss_grad(_mse, o, c, LossParams(y_c=y_c))
 
 
 def quadratic_normalizer(o, p: QuadraticNormalizerParams) -> np.ndarray:
@@ -180,19 +176,7 @@ def log_spherical_softmax_loss(o, c: int, eps: float = DEFAULT_EPS) -> LossGrad:
     dL/do_c = 2*o_c/(q + D*eps) - 2*o_c/(o_c^2 + eps)
     dL/do_k = 2*o_k/(q + D*eps)   for k != c
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    o = _as_logits(o)
-    c = _check_target(o, c)
-    D = o.shape[0]
-    q = float(o @ o)
-    den = q + D * eps
-    num_c = o[c] ** 2 + eps
-    loss = np.log(den) - np.log(num_c)
-    grad = 2.0 * o / den
-    grad[c] -= 2.0 * o[c] / num_c
-    partials = (0.0, 1.0 / den, -2.0 * float(o[c]) / num_c)
-    return LossGrad(loss=float(loss), grad_o=grad, partials=partials)
+    return _spherical_loss_grad(_log_spherical, o, c, LossParams(eps=eps))
 
 
 def taylor_softmax(o) -> np.ndarray:
@@ -213,19 +197,7 @@ def log_taylor_softmax_loss(o, c: int) -> LossGrad:
     dL/do_c = (1+o_c)/Z - (1+o_c)/(1+o_c+o_c^2/2)
     dL/do_k = (1+o_k)/Z   for k != c
     """
-    o = _as_logits(o)
-    c = _check_target(o, c)
-    D = o.shape[0]
-    s = float(o.sum())
-    q = float(o @ o)
-    Z = D + s + 0.5 * q
-    num_c = 1.0 + o[c] + 0.5 * o[c] ** 2
-    loss = np.log(Z) - np.log(num_c)
-    grad = (1.0 + o) / Z
-    grad[c] -= (1.0 + o[c]) / num_c
-    # target-coordinate split: the (1+o_c)/Z part lives in the s/q partials
-    partials = (1.0 / Z, 0.5 / Z, -(1.0 + float(o[c])) / num_c)
-    return LossGrad(loss=float(loss), grad_o=grad, partials=partials)
+    return _spherical_loss_grad(_log_taylor, o, c, LossParams())
 
 
 def grad_from_partials(partials: Partials, o, c: int) -> np.ndarray:
@@ -260,19 +232,78 @@ def finite_diff_grad(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized batch forms used by the trainer. Same math as the per-example
-# contract functions above, over an (n, D) matrix of pre-activations.
+# The spherical family.  Each member is defined once, as an entry
+# (s, q, o_c, D, params) -> (value, a, bq, g) over (n,) arrays, where
+# a = dL/ds, bq = dL/dq and g = dL/do_c.  The per-example losses above, the
+# batch forms below and the factored trainer all derive from these entries.
 # ---------------------------------------------------------------------------
 
-LOSS_KINDS = (
-    "log_softmax",
-    "log_softmax_abs",
-    "mse",
-    "log_spherical",
-    "log_taylor",
-    "spherical_bound_fixed",
-    "spherical_bound_optimized",
-)
+
+@dataclass(frozen=True)
+class LossParams:
+    """Loss hyperparameters; each entry reads only its own."""
+
+    eps: float = DEFAULT_EPS  # log_spherical stabilizer
+    xi: float = 1.0  # bound variational parameter (start value when optimized)
+    y_c: float = 1.0  # mse target value
+
+
+def _mse(s, q, o_c, D, p: LossParams):
+    n = q.shape[0]
+    value = q - 2.0 * o_c * p.y_c + p.y_c ** 2
+    return value, np.zeros(n), np.ones(n), np.full(n, -2.0 * p.y_c)
+
+
+def _log_spherical(s, q, o_c, D, p: LossParams):
+    if not p.eps > 0:
+        raise ValueError("eps must be > 0")
+    den = q + D * p.eps
+    num_c = o_c * o_c + p.eps
+    value = np.log(den) - np.log(num_c)
+    return value, np.zeros(q.shape[0]), 1.0 / den, -2.0 * o_c / num_c
+
+
+def _log_taylor(s, q, o_c, D, p: LossParams):
+    Z = D + s + 0.5 * q
+    num_c = 1.0 + o_c + 0.5 * o_c * o_c
+    # target-coordinate split: the (1+o_c)/Z part lives in the s/q partials
+    return np.log(Z) - np.log(num_c), 1.0 / Z, 0.5 / Z, -(1.0 + o_c) / num_c
+
+
+def _spherical_bound(s, q, o_c, D, p: LossParams, optimize: bool = False):
+    from . import bound  # bound builds on this module
+
+    return bound.spherical_bound_entry(s, q, o_c, D, p, optimize=optimize)
+
+
+SPHERICAL_LOSSES = {
+    "mse": _mse,
+    "log_spherical": _log_spherical,
+    "log_taylor": _log_taylor,
+    "spherical_bound_fixed": _spherical_bound,
+    "spherical_bound_optimized": partial(_spherical_bound, optimize=True),
+}
+
+LOSS_KINDS = ("log_softmax", "log_softmax_abs", *SPHERICAL_LOSSES)
+
+
+def _spherical_loss_grad(entry, o, c: int, params: LossParams) -> LossGrad:
+    """The n = 1 case of a registry entry, with its dense gradient."""
+    o = _as_logits(o)
+    c = _check_target(o, c)
+    value, *partials = entry(
+        np.array([o.sum()]), np.array([o @ o]), o[c:c + 1], o.shape[0], params
+    )
+    partials = tuple(float(x[0]) for x in partials)
+    return LossGrad(
+        loss=float(value[0]), grad_o=grad_from_partials(partials, o, c), partials=partials
+    )
+
+
+# ---------------------------------------------------------------------------
+# Vectorized batch forms used by the trainer, over an (n, D) matrix of
+# pre-activations.
+# ---------------------------------------------------------------------------
 
 
 def _batch_check(O: np.ndarray, y: np.ndarray):
@@ -283,6 +314,14 @@ def _batch_check(O: np.ndarray, y: np.ndarray):
     return O, y
 
 
+def _batch_spherical(kind: str, O, y, eps: float, xi: float):
+    """A registry entry evaluated on the rows' (s, q, o_c)."""
+    s = O.sum(axis=1)
+    q = np.einsum("ij,ij->i", O, O)
+    o_c = O[np.arange(O.shape[0]), y]
+    return SPHERICAL_LOSSES[kind](s, q, o_c, O.shape[1], LossParams(eps=eps, xi=xi))
+
+
 def batch_log_softmax(O: np.ndarray) -> np.ndarray:
     Z = O - O.max(axis=1, keepdims=True)
     return Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
@@ -291,12 +330,17 @@ def batch_log_softmax(O: np.ndarray) -> np.ndarray:
 def batch_loss_grad(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0):
     """Per-example losses and the dense gradient matrix for a batch.
 
-    Returns (losses (n,), grad (n, D)). The two bound kinds are handled in
-    ``sphloss.bound`` and dispatched from here to keep a single entry point.
+    Returns (losses (n,), grad (n, D)).  A spherical loss's gradient is
+    a*1 + 2*bq*o + g*e_c from its registry entry.
     """
     O, y = _batch_check(O, y)
-    n, D = O.shape
-    rows = np.arange(n)
+    rows = np.arange(O.shape[0])
+    if kind in SPHERICAL_LOSSES:
+        losses, a, bq, g = _batch_spherical(kind, O, y, eps, xi)
+        grad = O * (2.0 * bq)[:, None]
+        grad += a[:, None]
+        grad[rows, y] += g
+        return losses, grad
     if kind == "log_softmax":
         logp = batch_log_softmax(O)
         losses = -logp[rows, y]
@@ -304,79 +348,25 @@ def batch_loss_grad(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.
         grad[rows, y] -= 1.0
         return losses, grad
     if kind == "log_softmax_abs":
-        A = np.abs(O)
-        logp = batch_log_softmax(A)
+        logp = batch_log_softmax(np.abs(O))
         losses = -logp[rows, y]
         grad = np.exp(logp)
         grad[rows, y] -= 1.0
         grad *= np.sign(O)
         return losses, grad
-    if kind == "mse":
-        q = (O * O).sum(axis=1)
-        oc = O[rows, y]
-        losses = q - 2.0 * oc + 1.0
-        grad = 2.0 * O
-        grad[rows, y] -= 2.0
-        return losses, grad
-    if kind == "log_spherical":
-        if not eps > 0:
-            raise ValueError("eps must be > 0")
-        q = (O * O).sum(axis=1)
-        den = q + D * eps
-        oc = O[rows, y]
-        numc = oc * oc + eps
-        losses = np.log(den) - np.log(numc)
-        grad = 2.0 * O / den[:, None]
-        grad[rows, y] -= 2.0 * oc / numc
-        return losses, grad
-    if kind == "log_taylor":
-        num = 1.0 + O + 0.5 * O * O
-        Z = num.sum(axis=1)
-        numc = num[rows, y]
-        losses = np.log(Z) - np.log(numc)
-        grad = (1.0 + O) / Z[:, None]
-        grad[rows, y] -= (1.0 + O[rows, y]) / numc
-        return losses, grad
-    if kind in ("spherical_bound_fixed", "spherical_bound_optimized"):
-        from . import bound
-
-        return bound.batch_bound_loss_grad(
-            O, y, xi=xi, optimize=(kind == "spherical_bound_optimized")
-        )
     raise ValueError(f"unknown loss kind: {kind!r}")
 
 
-def batch_partials(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0):
-    """(dL/ds, dL/dq, dL/do_c) per example, for losses in the spherical family.
-
-    Returns three (n,) arrays. Raises for the two non-spherical kinds.
-    """
+def batch_loss(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0) -> np.ndarray:
+    """Per-example losses for a batch, without forming the (n, D) gradient."""
     O, y = _batch_check(O, y)
-    n, D = O.shape
-    rows = np.arange(n)
-    if kind == "mse":
-        zeros = np.zeros(n)
-        return zeros, np.ones(n), np.full(n, -2.0)
-    if kind == "log_spherical":
-        q = (O * O).sum(axis=1)
-        den = q + D * eps
-        oc = O[rows, y]
-        return np.zeros(n), 1.0 / den, -2.0 * oc / (oc * oc + eps)
-    if kind == "log_taylor":
-        s = O.sum(axis=1)
-        q = (O * O).sum(axis=1)
-        Z = D + s + 0.5 * q
-        oc = O[rows, y]
-        return 1.0 / Z, 0.5 / Z, -(1.0 + oc) / (1.0 + oc + 0.5 * oc * oc)
-    if kind in ("spherical_bound_fixed", "spherical_bound_optimized"):
-        from . import bound
-
-        s = O.sum(axis=1)
-        q = (O * O).sum(axis=1)
-        return bound.batch_bound_partials(
-            s, q, D, xi=xi, optimize=(kind == "spherical_bound_optimized")
-        )
-    raise ValueError(f"loss kind {kind!r} is not in the spherical family")
+    if kind in SPHERICAL_LOSSES:
+        return _batch_spherical(kind, O, y, eps, xi)[0]
+    if kind == "log_softmax":
+        return -batch_log_softmax(O)[np.arange(O.shape[0]), y]
+    if kind == "log_softmax_abs":
+        return -batch_log_softmax(np.abs(O))[np.arange(O.shape[0]), y]
+    raise ValueError(f"unknown loss kind: {kind!r}")
 
 
 def batch_scores(kind: str, O, *, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -393,18 +383,18 @@ def batch_scores(kind: str, O, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     raise ValueError(f"unknown loss kind: {kind!r}")
 
 
+# kinds whose negll is another kind's loss: the bounds model a softmax output
+NEGLL_KIND = {
+    "spherical_bound_fixed": "log_softmax",
+    "spherical_bound_optimized": "log_softmax",
+}
+
+
 def batch_negll(kind: str, O, y, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Per-example negative log-likelihood under the loss's own normalizer.
 
-    MSE reports the squared error itself (its "loss" column convention);
-    the bound losses report the true log-softmax negll since they model a
-    softmax output.
+    This is the loss itself, except that MSE reports the squared error (its
+    "loss" column convention) and the bound losses report the true
+    log-softmax negll (``NEGLL_KIND``).
     """
-    O, y = _batch_check(O, y)
-    if kind == "mse":
-        losses, _ = batch_loss_grad("mse", O, y)
-        return losses
-    if kind in ("spherical_bound_fixed", "spherical_bound_optimized"):
-        kind = "log_softmax"
-    losses, _ = batch_loss_grad(kind, O, y, eps=eps)
-    return losses
+    return batch_loss(NEGLL_KIND.get(kind, kind), O, y, eps=eps)

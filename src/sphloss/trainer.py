@@ -59,10 +59,7 @@ class TrainConfig:
             raise ValueError("lr_decay_factor must be in (0, 1)")
         if self.output_layer not in ("dense", "factored"):
             raise ValueError(f"unknown output layer {self.output_layer!r}")
-        if self.output_layer == "factored" and self.loss_kind in (
-            "log_softmax",
-            "log_softmax_abs",
-        ):
+        if self.output_layer == "factored" and self.loss_kind not in losses.SPHERICAL_LOSSES:
             raise ValueError(
                 "the factored output layer requires a spherical-family loss"
             )
@@ -112,9 +109,10 @@ def output_init(
     b = ln(p/min p) + 1 (positive, so |b| = b and softmax is translation
     invariant); spherical b = sqrt(p) (the eps term leaves a residual
     <= D*eps); Taylor b = -1 + sqrt(2*beta*p - 1) with beta = 1/(2*min p),
-    the smallest beta with all radicands >= 0 (note this parks the
-    min-frequency class at the zero-gradient point o = -1, so it suits
-    evaluation of an untrained prior model better than training); MSE b = p.
+    the smallest beta with all radicands >= 0, computed as p/min p - 1 so
+    the minimum's radicand is exactly 0 (note this parks the min-frequency
+    class at the zero-gradient point o = -1, so it suits evaluation of an
+    untrained prior model better than training); MSE b = p.
     """
     W = np.zeros((D, d))
     if class_freqs is None:
@@ -138,8 +136,7 @@ def output_init(
     elif loss_kind == "log_spherical":
         b = np.sqrt(p)
     elif loss_kind == "log_taylor":
-        beta = 1.0 / (2.0 * p.min())
-        b = -1.0 + np.sqrt(2.0 * beta * p - 1.0)
+        b = -1.0 + np.sqrt(p / p.min() - 1.0)
     elif loss_kind == "mse":
         b = p.copy()
     else:
@@ -192,40 +189,25 @@ class MLP:
         for p, s in zip(self.params(), state):
             p[...] = s
 
+    def hidden(self, X: np.ndarray) -> List[np.ndarray]:
+        """Activations of the input and of every hidden layer, input first."""
+        hs = [np.asarray(X, dtype=np.float64)]
+        for W, b in zip(self.Ws[:-1], self.bs[:-1]):
+            hs.append(np.maximum(hs[-1] @ W.T + b, 0.0))
+        return hs
+
     def forward(self, X: np.ndarray):
         """Returns (logits, hidden activations including the input)."""
-        hs = [np.asarray(X, dtype=np.float64)]
-        h = hs[0]
-        for W, b in zip(self.Ws[:-1], self.bs[:-1]):
-            h = np.maximum(h @ W.T + b, 0.0)
-            hs.append(h)
-        logits = h @ self.Ws[-1].T + self.bs[-1]
-        return logits, hs
-
-    def hidden(self, X: np.ndarray) -> np.ndarray:
-        """Last hidden activation (the input itself with no hidden layers)."""
-        h = np.asarray(X, dtype=np.float64)
-        for W, b in zip(self.Ws[:-1], self.bs[:-1]):
-            h = np.maximum(h @ W.T + b, 0.0)
-        return h
+        hs = self.hidden(X)
+        return hs[-1] @ self.Ws[-1].T + self.bs[-1], hs
 
     def backward(self, hs: List[np.ndarray], dO: np.ndarray):
         """Parameter gradients given d(mean loss)/d(logits).
 
         Returns (dWs, dbs) aligned with self.Ws / self.bs.
         """
-        dWs = [None] * len(self.Ws)
-        dbs = [None] * len(self.bs)
-        dWs[-1] = dO.T @ hs[-1]
-        dbs[-1] = dO.sum(axis=0)
-        dh = dO @ self.Ws[-1]
-        for i in range(len(self.Ws) - 2, -1, -1):
-            dz = dh * (hs[i + 1] > 0.0)
-            dWs[i] = dz.T @ hs[i]
-            dbs[i] = dz.sum(axis=0)
-            if i > 0:
-                dh = dz @ self.Ws[i]
-        return dWs, dbs
+        dWs, dbs = self.backward_hidden_from_dh(hs, dO @ self.Ws[-1])
+        return [*dWs, dO.T @ hs[-1]], [*dbs, dO.sum(axis=0)]
 
     def backward_hidden_from_dh(self, hs: List[np.ndarray], dh: np.ndarray):
         """Hidden-layer gradients given d(mean loss)/d(last hidden)."""
@@ -259,9 +241,12 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
             O, _ = model.forward(Xb)
         else:
             O = model(Xb)
-        losses_b, _ = losses.batch_loss_grad(loss_kind, O, yb, eps=eps, xi=xi)
-        loss_sum += losses_b.sum()
-        negll_sum += losses.batch_negll(loss_kind, O, yb, eps=eps).sum()
+        own = losses.batch_loss(loss_kind, O, yb, eps=eps, xi=xi)
+        loss_sum += own.sum()
+        if loss_kind in losses.NEGLL_KIND:
+            negll_sum += losses.batch_negll(loss_kind, O, yb, eps=eps).sum()
+        else:
+            negll_sum += own.sum()
         scores = losses.batch_scores(loss_kind, O)
         err += int((scores.argmax(axis=1) != yb).sum())
         k = min(10, scores.shape[1])
@@ -285,81 +270,31 @@ def _train_batch_factored(model: MLP, layer: FactoredOutputLayer, Xb, yb,
                           cfg: TrainConfig, lr: float, vels):
     """Hidden layers: batch Nesterov step.  Output layer: plain SGD as m
     sequential exact rank-structured updates with lr/m scaling."""
-    hs = [Xb]
-    h = Xb
-    for W, b in zip(model.Ws[:-1], model.bs[:-1]):
-        h = np.maximum(h @ W.T + b, 0.0)
-        hs.append(h)
-    m, d = h.shape
+    hs = model.hidden(Xb)
+    m, d = hs[-1].shape
     # bias folded into the layer as a constant-1 appended feature
-    H = np.concatenate([h, np.ones((m, 1))], axis=1)
+    H = np.concatenate([hs[-1], np.ones((m, 1))], axis=1)
     stats = [layer.forward_stats(H[i], int(yb[i])) for i in range(m)]
     s = np.array([st.s for st in stats])
     q = np.array([st.q for st in stats])
-    oc = np.array([st.o_c for st in stats])
-    O_stats = np.stack([s, q, oc], axis=1)
-    a, bq, g = _partials_from_stats(cfg, O_stats, layer.D)
-    loss = float(_loss_from_stats(cfg, O_stats, layer.D).mean())
+    o_c = np.array([st.o_c for st in stats])
+    loss, a, bq, g = losses.SPHERICAL_LOSSES[cfg.loss_kind](
+        s, q, o_c, layer.D, losses.LossParams(eps=cfg.eps, xi=cfg.xi)
+    )
+    steps = [StepPartials(a=float(a[i]), bq=float(bq[i]), g=float(g[i]),
+                          c=int(yb[i]), h=H[i]) for i in range(m)]
 
     # hidden gradient uses the pre-update output weights (batch semantics)
-    dH = np.empty((m, d))
-    for i in range(m):
-        p = StepPartials(a=float(a[i]), bq=float(bq[i]), g=float(g[i]),
-                         c=int(yb[i]), h=H[i])
-        dH[i] = layer.backward_h(p)[:d]
     if model.Ws[:-1]:
+        dH = np.stack([layer.backward_h(p)[:d] for p in steps])
         dWs, dbs = model.backward_hidden_from_dh(hs, dH / m)
         hidden_params = [*model.Ws[:-1], *model.bs[:-1]]
         for p, v, gr in zip(hidden_params, vels, [*dWs, *dbs]):
             nesterov_step(p, v, gr, lr, cfg.momentum)
 
-    for i in range(m):
-        p = StepPartials(a=float(a[i]), bq=float(bq[i]), g=float(g[i]),
-                         c=int(yb[i]), h=H[i])
+    for p in steps:
         layer.sgd_step(p, lr / m)
-    return loss
-
-
-def _partials_from_stats(cfg: TrainConfig, stats: np.ndarray, D: int):
-    """(a, bq, g) arrays from stacked (s, q, o_c) rows."""
-    s, q, oc = stats[:, 0], stats[:, 1], stats[:, 2]
-    kind = cfg.loss_kind
-    n = s.shape[0]
-    if kind == "mse":
-        return np.zeros(n), np.ones(n), np.full(n, -2.0)
-    if kind == "log_spherical":
-        den = q + D * cfg.eps
-        return np.zeros(n), 1.0 / den, -2.0 * oc / (oc * oc + cfg.eps)
-    if kind == "log_taylor":
-        Z = D + s + 0.5 * q
-        return 1.0 / Z, 0.5 / Z, -(1.0 + oc) / (1.0 + oc + 0.5 * oc * oc)
-    if kind in ("spherical_bound_fixed", "spherical_bound_optimized"):
-        from . import bound
-
-        return bound.batch_bound_partials(
-            s, q, D, xi=cfg.xi, optimize=(kind == "spherical_bound_optimized")
-        )
-    raise ValueError(f"loss kind {kind!r} has no spherical partials")
-
-
-def _loss_from_stats(cfg: TrainConfig, stats: np.ndarray, D: int) -> np.ndarray:
-    s, q, oc = stats[:, 0], stats[:, 1], stats[:, 2]
-    kind = cfg.loss_kind
-    if kind == "mse":
-        return q - 2.0 * oc + 1.0
-    if kind == "log_spherical":
-        return np.log(q + D * cfg.eps) - np.log(oc * oc + cfg.eps)
-    if kind == "log_taylor":
-        return np.log(D + s + 0.5 * q) - np.log(1.0 + oc + 0.5 * oc * oc)
-    if kind in ("spherical_bound_fixed", "spherical_bound_optimized"):
-        from . import bound
-
-        optimize = kind == "spherical_bound_optimized"
-        xis = bound._batch_xis(s, q, D, xi=cfg.xi, optimize=optimize)
-        return np.array(
-            [bound.bound_from_stats(s[i], q[i], oc[i], D, xis[i]) for i in range(len(s))]
-        )
-    raise ValueError(f"loss kind {kind!r} has no spherical-stats form")
+    return float(loss.mean())
 
 
 def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = None,

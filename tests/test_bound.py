@@ -14,7 +14,13 @@ from sphloss.bound import (
     optimize_xi,
     spherical_bound_loss,
 )
-from sphloss.losses import finite_diff_grad, log_softmax_loss, logsumexp, summary_stats
+from sphloss.losses import (
+    SphericalStats,
+    finite_diff_grad,
+    log_softmax_loss,
+    logsumexp,
+    summary_stats,
+)
 
 from conftest import max_rel_err
 
@@ -193,6 +199,16 @@ class TestOptimizeXi:
 
 
 class TestBatchForms:
+    def test_optimized_xi_falls_back_on_nonfinite_stats(self):
+        s = np.array([0.5, np.nan, 1.0])
+        q = np.array([2.0, 1.0, np.inf])
+        xis, fallback = bound.select_xis(s, q, 10, xi=3.0, optimize=True)
+        assert fallback.tolist() == [False, True, True]
+        assert xis[1] == xis[2] == 1.0
+        assert xis[0] == optimize_xi(SphericalStats(s=0.5, q=2.0, o_c=0.0), 10)
+        a, bq, g = bound.batch_bound_partials(s, q, 10, optimize=True)
+        assert bq[1] == bq[2] == lambda_xi(1.0)
+
     def test_batch_matches_per_example(self):
         rng = np.random.default_rng(11)
         O = rng.uniform(-3, 3, size=(6, 9))

@@ -146,6 +146,17 @@ class TestTrain:
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings", [
+        ["--set", "loss_kind=bogus"],
+        ["--set", "output_layer=factored"],  # with the default log_softmax
+    ])
+    def test_invalid_train_config_exits_2_before_io(self, tmp_path, capsys, settings):
+        out_dir = tmp_path / "x"
+        rc = run(["train", "--out-dir", str(out_dir), *FAST_TRAIN, *settings])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (out_dir / "effective_config.txt").exists()
+
     def test_malformed_set_exits_2(self, tmp_path, capsys):
         rc = run(["train", "--out-dir", str(tmp_path / "x"), "--set", "oops"])
         assert rc == 2

@@ -128,6 +128,7 @@ class TestSgdStep:
         fac.sgd_step(p, lr=lr)
         den.sgd_step(p, lr=lr)
         assert rel_fro(fac.materialize().W, den.W) < 1e-10
+        assert fac.rebase_count == 1
 
 
 class TestRowAndMaterialize:
@@ -279,9 +280,12 @@ class TestComplexity:
 class TestLossEquivalence:
     @pytest.mark.parametrize("loss_kind", ["mse", "log_spherical", "log_taylor"])
     def test_trajectory_matches_dense(self, loss_kind):
-        from sphloss.trainer import TrainConfig, _loss_from_stats, _partials_from_stats
+        from sphloss.losses import SPHERICAL_LOSSES, LossParams
+        from sphloss.trainer import TrainConfig
 
         cfg = TrainConfig(loss_kind=loss_kind, output_layer="factored")
+        entry = SPHERICAL_LOSSES[loss_kind]
+        params = LossParams(eps=cfg.eps, xi=cfg.xi)
         rng = np.random.default_rng(17)
         D, d, lr = 50, 8, 0.05
         W0 = rng.normal(scale=0.1, size=(D, d))
@@ -291,9 +295,10 @@ class TestLossEquivalence:
             h = rng.normal(size=d)
             c = int(rng.integers(D))
             st = fac.forward_stats(h, c)
-            stats = np.array([[st.s, st.q, st.o_c]])
-            a, bq, g = _partials_from_stats(cfg, stats, D)
-            fac_loss = float(_loss_from_stats(cfg, stats, D)[0])
+            value, a, bq, g = entry(
+                np.array([st.s]), np.array([st.q]), np.array([st.o_c]), D, params
+            )
+            fac_loss = float(value[0])
 
             o_dense = den.W @ h
             losses, grads = batch_loss_grad(

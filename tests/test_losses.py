@@ -332,6 +332,47 @@ class TestGradFromPartials:
             assert max_rel_err(rebuilt, r.grad_o) < 1e-12
 
 
+class TestBatchForms:
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    def test_loss_only_path_matches_loss_grad(self, kind):
+        rng = np.random.default_rng(18)
+        O = rng.uniform(-3, 3, size=(7, 11))
+        y = rng.integers(0, 11, size=7)
+        expected, _ = losses.batch_loss_grad(kind, O, y, eps=0.05, xi=0.7)
+        np.testing.assert_array_equal(losses.batch_loss(kind, O, y, eps=0.05, xi=0.7),
+                                      expected)
+
+    @pytest.mark.parametrize(
+        "kind,fn",
+        [
+            ("mse", mse_loss),
+            ("log_spherical", lambda o, c: log_spherical_softmax_loss(o, c, 0.05)),
+            ("log_taylor", log_taylor_softmax_loss),
+        ],
+        ids=["mse", "log_spherical", "log_taylor"],
+    )
+    def test_batch_rows_match_per_example(self, kind, fn):
+        rng = np.random.default_rng(19)
+        O = rng.uniform(-3, 3, size=(9, 13))
+        y = rng.integers(0, 13, size=9)
+        losses_b, grad_b = losses.batch_loss_grad(kind, O, y, eps=0.05)
+        for i in range(9):
+            r = fn(O[i], int(y[i]))
+            assert losses_b[i] == pytest.approx(r.loss, rel=1e-12)
+            assert max_rel_err(grad_b[i], r.grad_o) < 1e-12
+
+    def test_registry_is_the_spherical_family(self):
+        assert set(losses.SPHERICAL_LOSSES) == (
+            set(losses.LOSS_KINDS) - {"log_softmax", "log_softmax_abs"})
+
+    def test_unknown_kind_rejected(self):
+        O, y = np.zeros((2, 3)), np.array([0, 1])
+        with pytest.raises(ValueError):
+            losses.batch_loss("mystery", O, y)
+        with pytest.raises(ValueError):
+            losses.batch_loss_grad("mystery", O, y)
+
+
 class TestFiniteDiffGrad:
     def test_exact_on_quadratic(self):
         rng = np.random.default_rng(14)

@@ -94,6 +94,16 @@ class TestOutputInit:
         num = 1.0 + b + 0.5 * b * b
         np.testing.assert_allclose(num / num.sum(), p, atol=1e-12)
 
+    def test_taylor_min_frequency_classes_finite(self):
+        # 2*beta*p - 1 used to round to -1.1e-16 at the minimum frequency
+        c = np.array([12, 24, 17, 12, 44])
+        p = c / c.sum()
+        _, b = output_init(5, 3, p, "log_taylor")
+        assert np.all(np.isfinite(b))
+        assert b[0] == b[3] == -1.0
+        num = 1.0 + b + 0.5 * b * b
+        np.testing.assert_allclose(num / num.sum(), p, atol=1e-12)
+
     def test_zero_frequency_floored(self):
         p = np.array([0.7, 0.3, 0.0])
         _, b = output_init(3, 2, p, "log_softmax", n_examples=100)

@@ -28,26 +28,20 @@ from .losses import (
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def lambda_xi(xi: float) -> float:
-    """lambda(xi) = (sigmoid(xi) - 1/2) / (2*xi), with the xi -> 0 limit 1/8.
+def lambda_xi(xi):
+    """lambda(xi) = (sigmoid(xi) - 1/2) / (2*xi) = tanh(xi/2) / (4*xi), with
+    the xi -> 0 limit 1/8.
 
-    Even, positive, decreasing in |xi|.  Near zero the closed form loses
-    precision to cancellation, so the second-order series 1/8 - xi^2/192
-    is used for |xi| < 1e-4.
+    Elementwise over an array; a float gives a float.  Even, positive,
+    decreasing in |xi|.  The second-order series 1/8 - xi^2/192 is used for
+    |xi| < 1e-4, where the closed form approaches 0/0.
     """
-    xi = float(xi)
-    if not math.isfinite(xi):
+    x = np.abs(np.asarray(xi, dtype=np.float64))  # |.| keeps evenness exact
+    if not np.isfinite(x).all():
         raise ValueError("xi must be finite")
-    x = abs(xi)  # even by definition; |.| keeps evenness exact in floats
-    if x < 1e-4:
-        return 0.125 - x * x / 192.0
-    sig = 1.0 / (1.0 + math.exp(-x))
-    return (sig - 0.5) / (2.0 * x)
-
-
-def log1pexp(x: float) -> float:
-    """log(1 + e^x) without overflow."""
-    return float(np.logaddexp(0.0, x))
+    xc = np.maximum(x, 1e-4)
+    lam = np.where(x < 1e-4, 0.125 - x * x / 192.0, np.tanh(0.5 * xc) / (4.0 * xc))
+    return float(lam) if lam.ndim == 0 else lam
 
 
 def bouchard_lse_bound_general(o, alpha: float, xis) -> float:
@@ -56,9 +50,8 @@ def bouchard_lse_bound_general(o, alpha: float, xis) -> float:
     xis = np.asarray(xis, dtype=np.float64)
     if xis.shape != o.shape:
         raise ValueError("xis must have one entry per coordinate of o")
-    lam = np.array([lambda_xi(x) for x in xis])
     t = o - alpha
-    terms = (t - xis) / 2.0 + lam * (t * t - xis * xis) + np.logaddexp(0.0, xis)
+    terms = (t - xis) / 2.0 + lambda_xi(xis) * (t * t - xis * xis) + np.logaddexp(0.0, xis)
     return float(alpha + terms.sum())
 
 
@@ -67,24 +60,19 @@ def optimal_alpha(s: float, D: int, xi: float) -> float:
     return s / D + (D - 2.0) / (4.0 * D * lambda_xi(xi))
 
 
-def _bound_value(s, q, o_c, D: int, xi, lam, l1pe_xi):
-    """The shared-xi, optimal-alpha bound on -log softmax(o)_c, given
-    lam = lambda(xi) and l1pe_xi = log(1 + e^xi); floats or (n,) arrays."""
+def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float:
+    """The shared-xi, optimal-alpha upper bound on -log softmax(o)_c,
+    evaluated from the spherical statistics alone; elementwise over arrays."""
+    lam = lambda_xi(xi)
     return (
         -((D - 2.0) ** 2) / (16.0 * D * lam)
         - 0.5 * D * xi
         - D * lam * xi * xi
-        + D * l1pe_xi
+        + D * np.logaddexp(0.0, xi)
         + s / D
         + (q - s * s / D) * lam
         - o_c
     )
-
-
-def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float:
-    """The shared-xi, optimal-alpha upper bound on -log softmax(o)_c,
-    evaluated from the spherical statistics alone."""
-    return _bound_value(s, q, o_c, D, xi, lambda_xi(xi), log1pexp(xi))
 
 
 @dataclass(frozen=True)
@@ -118,52 +106,68 @@ class BoundLoss:
     xi_fallback: bool = False
 
 
-def golden_section_minimize(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Golden-section search for the minimizer of a unimodal f on [a, b]."""
-    if b < a:
-        a, b = b, a
+def golden_section_minimize(f, a, b, tol: float = 1e-10):
+    """Golden-section search for the minimizer of a unimodal f on [a, b].
+
+    Elementwise: ``a`` and ``b`` may be arrays, and ``f`` maps an array of
+    points to an array of values.  Each element stops once its own bracket
+    is no wider than ``tol``, or no longer shrinks at float resolution, so
+    its result does not depend on the other elements.  Floats give a float.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a, b = np.minimum(a, b), np.maximum(a, b)
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    width = b - a
+    live = width > tol
+    while live.any():
+        left = live & (fc < fd)  # the minimizer is in [a, d]
+        right = live & ~left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        fx = f(x)
+        # left: (c, d) <- (x, c); right: (c, d) <- (d, x)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live &= (b - a > tol) & (b - a < width)
+        width = b - a
+    mid = 0.5 * (a + b)
+    return float(mid) if mid.ndim == 0 else mid
+
+
+def _minimize_xi(s, q, D: int):
+    """The xi >= 0 minimizing the bound, for each element of the (n,)
+    arrays s and q: one elementwise golden-section search.
+
+    The bound is even in xi and linear in o_c, so its minimizer depends on
+    (s, q) alone and can be taken >= 0.  At the optimal alpha,
+
+        d(bound)/d(xi) = lambda'(xi) * [Q + (D-2)^2 / (16 D lambda^2) - D xi^2]
+
+    with Q = q - s^2/D >= 0.  Since lambda' < 0 and 4 xi lambda = tanh(xi/2),
+    its sign is that of h(xi) = xi^2 (1 - r^2 / tanh^2(xi/2)) - Q/D, with
+    r = (D-2)/D.  h is negative while tanh(xi/2) < r and increasing after,
+    so it changes sign once: the bound is unimodal in xi and golden section
+    needs no restarts.  For xi >= ln(4D), tanh^2(xi/2) - r^2 >= 1/D, so
+    h >= 0 once also xi >= sqrt(Q); the bracket [0, ln(4D) + sqrt(q)] thus
+    holds the minimizer.
+    """
+    hi = np.log(4.0 * D) + np.sqrt(np.maximum(q, 0.0))
+    return golden_section_minimize(
+        lambda xi: bound_from_stats(s, q, 0.0, D, xi), np.zeros_like(hi), hi
+    )
 
 
 def optimize_xi(stats: SphericalStats, D: int) -> float:
-    """Per-example xi minimizing the bound for fixed (s, q, o_c).
-
-    The bound is even in xi, so the search is restricted to xi >= 0 on
-    [0, 10 + sqrt(q)].  If the golden-section result is beaten by any of a
-    coarse multi-start grid (non-unimodal behavior), the grid winner's
-    local refinement is used instead.
-    """
+    """Per-example xi minimizing the bound for fixed (s, q, o_c): the n = 1
+    case of the batch search."""
     if D < 2:
         raise ValueError("D must be >= 2")
-    s, q, o_c = stats.s, stats.q, stats.o_c
-
-    def f(xi: float) -> float:  # bound_from_stats, one call shallower
-        return _bound_value(s, q, o_c, D, xi, lambda_xi(xi), log1pexp(xi))
-
-    xi_max = 10.0 + math.sqrt(max(q, 0.0))
-    xi_star = golden_section_minimize(f, 0.0, xi_max, tol=1e-10)
-    best_xi, best_val = xi_star, f(xi_star)
-    for start in (0.0, 1.0, 4.0, xi_max):
-        v = f(start)
-        if v < best_val - 1e-12:
-            lo = max(0.0, start - xi_max / 4.0)
-            hi = min(xi_max, start + xi_max / 4.0)
-            cand = golden_section_minimize(f, lo, hi, tol=1e-10)
-            if f(cand) < best_val:
-                best_xi, best_val = cand, f(cand)
-    return float(best_xi)
+    return float(_minimize_xi(np.array([stats.s]), np.array([stats.q]), D)[0])
 
 
 def spherical_bound_loss(o, c: int, xi: XiParam = XiParam()) -> BoundLoss:
@@ -200,28 +204,25 @@ def spherical_bound_loss(o, c: int, xi: XiParam = XiParam()) -> BoundLoss:
 def select_xis(s: np.ndarray, q: np.ndarray, D: int, *, xi: float, optimize: bool):
     """The xi of each row: ``xi`` itself, or the row's bound minimizer.
 
-    The bound's xi-optimum does not depend on o_c (o_c enters linearly), so
-    the search needs only (s, q).  A row whose search fails or gives a
-    non-finite bound falls back to xi = 1.  Returns (xis, fallback mask).
+    One search runs over the rows with finite (s, q).  The other rows, and
+    the rows whose bound is non-finite at the found xi, fall back to xi = 1.
+    Returns (xis, fallback mask).
     """
     n = s.shape[0]
-    fallback = np.zeros(n, dtype=bool)
     if not optimize:
-        return np.full(n, float(xi)), fallback
-    xis = np.empty(n)
-    for i, (si, qi) in enumerate(zip(s.tolist(), q.tolist())):
-        try:
-            x = optimize_xi(SphericalStats(s=si, q=qi, o_c=0.0), D)
-            if not math.isfinite(bound_from_stats(si, qi, 0.0, D, x)):
-                raise FloatingPointError("non-finite bound at optimized xi")
-        except (FloatingPointError, ValueError, OverflowError):
-            x, fallback[i] = 1.0, True
-        xis[i] = x
-    return xis, fallback
+        return np.full(n, float(xi)), np.zeros(n, dtype=bool)
+    ok = np.isfinite(s) & np.isfinite(q)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the mask
+        found = _minimize_xi(s[ok], q[ok], D)
+        good = np.isfinite(bound_from_stats(s[ok], q[ok], 0.0, D, found))
+    xis = np.ones(n)
+    xis[ok] = np.where(good, found, 1.0)
+    ok[ok] = good
+    return xis, ~ok
 
 
 def _bound_partials(s, xis, D: int):
-    lams = np.array([lambda_xi(x) for x in xis])
+    lams = lambda_xi(xis)
     return 1.0 / D - 2.0 * s * lams / D, lams, np.full(s.shape[0], -1.0)
 
 
@@ -230,7 +231,7 @@ def spherical_bound_entry(s, q, o_c, D: int, p: LossParams, optimize: bool = Fal
     with bq = lambda(xi)."""
     xis, _ = select_xis(s, q, D, xi=p.xi, optimize=optimize)
     a, lams, g = _bound_partials(s, xis, D)
-    return _bound_value(s, q, o_c, D, xis, lams, np.logaddexp(0.0, xis)), a, lams, g
+    return bound_from_stats(s, q, o_c, D, xis), a, lams, g
 
 
 def batch_bound_partials(s, q, D: int, *, xi: float = 1.0, optimize: bool = False):

@@ -6,11 +6,11 @@ Unknown keys are rejected so typos fail before a run starts.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Dict, List
 
-from . import losses
+from . import trainer
 
-# key -> (type, default)
 _bool = lambda s: str(s).strip().lower() in ("1", "true", "yes", "on")
 
 
@@ -21,20 +21,13 @@ def _int_list(s) -> tuple:
     return tuple(int(x) for x in s.split(","))
 
 
+# TrainConfig field annotation -> converter of its config value
+_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _bool}
+
+# key -> (converter, default)
 KNOWN_KEYS = {
-    # training
-    "loss_kind": (str, "log_softmax"),
-    "initial_lr": (float, 0.1),
-    "momentum": (float, 0.9),
-    "batch_size": (int, 200),
-    "patience": (int, 5),
-    "lr_decay_factor": (float, 0.5),
-    "max_epochs": (int, 50),
-    "seed": (int, 0),
-    "eps": (float, losses.DEFAULT_EPS),
-    "xi": (float, 1.0),
-    "output_layer": (str, "dense"),
-    "prior_bias_init": (_bool, False),
+    # training: the TrainConfig fields and defaults
+    **{f.name: (_CONVERTERS[f.type], f.default) for f in fields(trainer.TrainConfig)},
     # model
     "hidden_dims": (_int_list, (500, 500)),
     # dataset

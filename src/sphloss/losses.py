@@ -113,22 +113,20 @@ def log_softmax_loss(o, c: int) -> LossGrad:
 
     Not a member of the spherical family, so no partials are returned.
     """
-    o = _as_logits(o)
-    c = _check_target(o, c)
-    p = softmax(o)
-    loss = logsumexp(o) - o[c]
-    grad = p.copy()
-    grad[c] -= 1.0
-    return LossGrad(loss=float(loss), grad_o=grad)
+    return _baseline_loss_grad("log_softmax", o, c)
 
 
 def log_softmax_abs_loss(o, c: int) -> LossGrad:
     """log-softmax applied to |o|; subgradient 0 is used at o_i = 0."""
+    return _baseline_loss_grad("log_softmax_abs", o, c)
+
+
+def _baseline_loss_grad(kind: str, o, c: int) -> LossGrad:
+    """The n = 1 case of a log-softmax baseline's batch form."""
     o = _as_logits(o)
     c = _check_target(o, c)
-    inner = log_softmax_loss(np.abs(o), c)
-    grad = inner.grad_o * np.sign(o)
-    return LossGrad(loss=inner.loss, grad_o=grad)
+    losses, grad = batch_loss_grad(kind, o[None], np.array([c]))
+    return LossGrad(loss=float(losses[0]), grad_o=grad[0])
 
 
 def mse_loss(o, c: int, y_c: float = 1.0) -> LossGrad:
@@ -284,7 +282,8 @@ SPHERICAL_LOSSES = {
     "spherical_bound_optimized": partial(_spherical_bound, optimize=True),
 }
 
-LOSS_KINDS = ("log_softmax", "log_softmax_abs", *SPHERICAL_LOSSES)
+_BASELINES = ("log_softmax", "log_softmax_abs")
+LOSS_KINDS = (*_BASELINES, *SPHERICAL_LOSSES)
 
 
 def _spherical_loss_grad(entry, o, c: int, params: LossParams) -> LossGrad:
@@ -306,25 +305,43 @@ def _spherical_loss_grad(entry, o, c: int, params: LossParams) -> LossGrad:
 # ---------------------------------------------------------------------------
 
 
-def _batch_check(O: np.ndarray, y: np.ndarray):
+def batch_log_softmax(O: np.ndarray) -> np.ndarray:
+    Z = O - O.max(axis=1, keepdims=True)
+    return Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+
+
+def _batch(kind: str, O, y, eps: float, xi: float, with_grad: bool):
+    """(losses (n,), dense gradient (n, D) or None): the one body of the
+    batch forms."""
     O = np.asarray(O, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if O.ndim != 2 or y.ndim != 1 or O.shape[0] != y.shape[0]:
         raise ValueError("O must be (n, D) and y (n,)")
-    return O, y
-
-
-def _batch_spherical(kind: str, O, y, eps: float, xi: float):
-    """A registry entry evaluated on the rows' (s, q, o_c)."""
-    s = O.sum(axis=1)
-    q = np.einsum("ij,ij->i", O, O)
-    o_c = O[np.arange(O.shape[0]), y]
-    return SPHERICAL_LOSSES[kind](s, q, o_c, O.shape[1], LossParams(eps=eps, xi=xi))
-
-
-def batch_log_softmax(O: np.ndarray) -> np.ndarray:
-    Z = O - O.max(axis=1, keepdims=True)
-    return Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+    rows = np.arange(O.shape[0])
+    if kind in SPHERICAL_LOSSES:
+        # the registry entry on the rows' (s, q, o_c)
+        losses, a, bq, g = SPHERICAL_LOSSES[kind](
+            O.sum(axis=1), np.einsum("ij,ij->i", O, O), O[rows, y], O.shape[1],
+            LossParams(eps=eps, xi=xi),
+        )
+        if not with_grad:
+            return losses, None
+        grad = O * (2.0 * bq)[:, None]
+        grad += a[:, None]
+        grad[rows, y] += g
+        return losses, grad
+    if kind not in _BASELINES:
+        raise ValueError(f"unknown loss kind: {kind!r}")
+    # log_softmax_abs is the log-softmax of |O|, with subgradient 0 at O = 0
+    logp = batch_log_softmax(np.abs(O) if kind == "log_softmax_abs" else O)
+    losses = -logp[rows, y]
+    if not with_grad:
+        return losses, None
+    grad = np.exp(logp)
+    grad[rows, y] -= 1.0
+    if kind == "log_softmax_abs":
+        grad *= np.sign(O)
+    return losses, grad
 
 
 def batch_loss_grad(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0):
@@ -333,40 +350,12 @@ def batch_loss_grad(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.
     Returns (losses (n,), grad (n, D)).  A spherical loss's gradient is
     a*1 + 2*bq*o + g*e_c from its registry entry.
     """
-    O, y = _batch_check(O, y)
-    rows = np.arange(O.shape[0])
-    if kind in SPHERICAL_LOSSES:
-        losses, a, bq, g = _batch_spherical(kind, O, y, eps, xi)
-        grad = O * (2.0 * bq)[:, None]
-        grad += a[:, None]
-        grad[rows, y] += g
-        return losses, grad
-    if kind == "log_softmax":
-        logp = batch_log_softmax(O)
-        losses = -logp[rows, y]
-        grad = np.exp(logp)
-        grad[rows, y] -= 1.0
-        return losses, grad
-    if kind == "log_softmax_abs":
-        logp = batch_log_softmax(np.abs(O))
-        losses = -logp[rows, y]
-        grad = np.exp(logp)
-        grad[rows, y] -= 1.0
-        grad *= np.sign(O)
-        return losses, grad
-    raise ValueError(f"unknown loss kind: {kind!r}")
+    return _batch(kind, O, y, eps, xi, with_grad=True)
 
 
 def batch_loss(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0) -> np.ndarray:
     """Per-example losses for a batch, without forming the (n, D) gradient."""
-    O, y = _batch_check(O, y)
-    if kind in SPHERICAL_LOSSES:
-        return _batch_spherical(kind, O, y, eps, xi)[0]
-    if kind == "log_softmax":
-        return -batch_log_softmax(O)[np.arange(O.shape[0]), y]
-    if kind == "log_softmax_abs":
-        return -batch_log_softmax(np.abs(O))[np.arange(O.shape[0]), y]
-    raise ValueError(f"unknown loss kind: {kind!r}")
+    return _batch(kind, O, y, eps, xi, with_grad=False)[0]
 
 
 def batch_scores(kind: str, O, *, eps: float = DEFAULT_EPS) -> np.ndarray:

@@ -206,7 +206,9 @@ class MLP:
 
         Returns (dWs, dbs) aligned with self.Ws / self.bs.
         """
-        dWs, dbs = self.backward_hidden_from_dh(hs, dO @ self.Ws[-1])
+        dWs, dbs = [], []
+        if self.Ws[:-1]:
+            dWs, dbs = self.backward_hidden_from_dh(hs, dO @ self.Ws[-1])
         return [*dWs, dO.T @ hs[-1]], [*dbs, dO.sum(axis=0)]
 
     def backward_hidden_from_dh(self, hs: List[np.ndarray], dh: np.ndarray):

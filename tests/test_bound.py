@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphloss import bound
 from sphloss.bound import (
@@ -36,8 +38,11 @@ class TestLambdaXi:
 
     def test_even(self):
         rng = np.random.default_rng(0)
-        for xi in rng.uniform(-20, 20, size=100):
+        xs = rng.uniform(-20, 20, size=100)
+        for xi in xs:
             assert lambda_xi(xi) == lambda_xi(-xi)
+        np.testing.assert_array_equal(lambda_xi(xs), lambda_xi(-xs))
+        assert lambda_xi(xs).tolist() == [lambda_xi(x) for x in xs]
 
     def test_continuous_across_zero(self):
         assert abs(lambda_xi(1e-5) - 0.125) < 1e-9
@@ -45,12 +50,15 @@ class TestLambdaXi:
     def test_positive_decreasing(self):
         xs = np.linspace(0.0, 30.0, 200)
         vals = [lambda_xi(x) for x in xs]
+        assert lambda_xi(xs).tolist() == vals
         assert all(v > 0 for v in vals)
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             lambda_xi(float("nan"))
+        with pytest.raises(ValueError):
+            lambda_xi(np.array([1.0, np.inf]))
 
 
 class TestGeneralBound:
@@ -193,6 +201,31 @@ class TestOptimizeXi:
                 fixed = spherical_bound_loss(o, c, XiParam(xi=xi)).loss
                 assert opt <= fixed + 1e-8
 
+    def test_bracket_holds_minimizer_at_large_D(self):
+        # zero logits, as from a zero-initialized output layer: xi* = ln(D - 1)
+        D = 100_000
+        xi_star = optimize_xi(SphericalStats(s=0.0, q=0.0, o_c=0.0), D)
+        assert xi_star > 11.5
+        grid = np.linspace(0.0, 30.0, 3001)
+        best = bound_from_stats(0.0, 0.0, 0.0, D, xi_star)
+        assert np.all(best <= bound_from_stats(0.0, 0.0, 0.0, D, grid))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 10, 2000, 100_000, 1_000_000]),
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+        st.one_of(st.just(0.0), st.floats(-6.0, 20.0).map(lambda e: 10.0 ** e)),
+    )
+    def test_search_beats_grid(self, D, s, Q):
+        # Q up to 1e20 also covers brackets that stop shrinking at float
+        # resolution before their width reaches the tolerance
+        q = Q + s * s / D
+        xi_star = optimize_xi(SphericalStats(s=s, q=q, o_c=0.0), D)
+        grid = bound_from_stats(s, q, 0.0, D,
+                                np.linspace(0.0, math.log(4 * D) + math.sqrt(q), 200))
+        best = bound_from_stats(s, q, 0.0, D, xi_star)
+        assert np.all(best <= grid + 1e-9 * np.abs(grid))
+
     def test_rejects_small_D(self):
         with pytest.raises(ValueError):
             optimize_xi(summary_stats(np.zeros(2), 0), 1)
@@ -200,12 +233,13 @@ class TestOptimizeXi:
 
 class TestBatchForms:
     def test_optimized_xi_falls_back_on_nonfinite_stats(self):
-        s = np.array([0.5, np.nan, 1.0])
-        q = np.array([2.0, 1.0, np.inf])
+        s = np.array([0.5, np.nan, 1.0, 0.0, -3.0, 40.0, 1e-8])
+        q = np.array([2.0, 1.0, np.inf, 0.0, 9.5, 1e4, 1e-12])
         xis, fallback = bound.select_xis(s, q, 10, xi=3.0, optimize=True)
-        assert fallback.tolist() == [False, True, True]
+        assert fallback.tolist() == [False, True, True, False, False, False, False]
         assert xis[1] == xis[2] == 1.0
-        assert xis[0] == optimize_xi(SphericalStats(s=0.5, q=2.0, o_c=0.0), 10)
+        for i in (0, 3, 4, 5, 6):
+            assert xis[i] == optimize_xi(SphericalStats(s=s[i], q=q[i], o_c=0.0), 10)
         a, bq, g = bound.batch_bound_partials(s, q, 10, optimize=True)
         assert bq[1] == bq[2] == lambda_xi(1.0)
 

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sphloss import cli, config
+from sphloss.trainer import TrainConfig
 
 
 def run(argv):
@@ -193,6 +196,12 @@ class TestConfigModule:
     def test_defaults_complete(self):
         cfg = config.default_config()
         assert set(cfg) == set(config.KNOWN_KEYS)
+
+    def test_training_defaults_match_train_config(self):
+        expected = dataclasses.asdict(TrainConfig())
+        cfg = config.default_config()
+        assert {k: cfg[k] for k in expected} == expected
+        assert config.KNOWN_KEYS["prior_bias_init"][0]("yes") is True
 
     def test_dump_load_round_trip(self, tmp_path):
         cfg = config.default_config()

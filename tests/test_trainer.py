@@ -137,8 +137,13 @@ class TestForwardBackward:
         model.Ws[-1][...] = rng.normal(size=(4, 3))
         model.bs[-1][...] = rng.normal(size=4)
         X = rng.normal(size=(6, 3))
-        O, _ = model.forward(X)
+        O, hs = model.forward(X)
         np.testing.assert_allclose(O, X @ model.Ws[-1].T + model.bs[-1])
+        dO = rng.normal(size=(6, 4))
+        dWs, dbs = model.backward(hs, dO)
+        assert len(dWs) == len(dbs) == 1
+        np.testing.assert_allclose(dWs[0], dO.T @ X)
+        np.testing.assert_allclose(dbs[0], dO.sum(axis=0))
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_end_to_end_gradient(self, loss_kind):

@@ -1,18 +1,23 @@
 """Output layers over D classes for spherical losses.
 
 ``FactoredOutputLayer`` never materializes the D x d weight matrix during
-training: because a spherical loss's gradient over the pre-activations is
-a*1 + 2*bq*o + g*e_c, the SGD update of W is a rank-structured matrix
-(a*1h' + 2*bq*Whh' + g*e_c h') that can be absorbed into an implicit
-representation in O(d^2) arithmetic per example, independent of D.
+training.  A spherical loss's gradient over the pre-activations of example
+i is a_i*1 + 2*bq_i*o_i + g_i*e_{c_i}, so the SGD step of W over a
+minibatch whose hidden vectors are the rows of H (m x d),
 
-Representation:  W = (core + 1 u' + sum_c e_c r_c') @ A
+    W <- W - lr * sum_i (a_i 1h_i' + 2*bq_i W h_i h_i' + g_i e_{c_i} h_i'),
+
+is a rank-structured update that is absorbed into an implicit
+representation in O(m*d^2 + m^2*d) arithmetic, independent of D.  A single
+example is the m = 1 case.
+
+Representation:  W = (core + 1 u') @ A
 with cached Gram matrix Q = W'W and column sums v = W'1 maintained by exact
-O(d^2) recurrences.  The row offsets u and r_c live in pre-mixer
-coordinates so that the mixer update A <- A(I - 2*lr*bq*hh') never has to
-touch them (keeping the step cost independent of how many rows have been
-corrected); converting a new correction into those coordinates uses the
-maintained inverse of A.
+recurrences.  The W h h' terms go into the mixer, A <- A(I - H'BH) with
+B = diag(2*lr*bq).  The 1h' and e_c h' terms go into the offset u and into
+rows of ``core``, in pre-mixer coordinates, which the maintained inverse of
+A gives; that inverse is updated by the Woodbury identity through the
+m x m matrix K = I - B H H'.  A rebase folds u and A into ``core``.
 
 ``DenseOutputLayer`` is the naive O(D*d) reference the factored layer is
 tested against in lockstep.
@@ -21,8 +26,8 @@ tested against in lockstep.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -31,23 +36,56 @@ from .losses import SphericalStats
 
 @dataclass(frozen=True)
 class StepPartials:
-    """One example's spherical-loss partials: a = dL/ds, bq = dL/dq,
-    g = dL/do_c, with its target class and hidden vector."""
+    """Spherical-loss partials a = dL/ds, bq = dL/dq, g = dL/do_c with the
+    target classes c and hidden vectors h: (m,) arrays and an (m, d) h for
+    a minibatch, or scalars and a (d,) h for one example."""
 
-    a: float
-    bq: float
-    g: float
-    c: int
+    a: float | np.ndarray
+    bq: float | np.ndarray
+    g: float | np.ndarray
+    c: int | np.ndarray
     h: np.ndarray
 
 
-def _dense_sgd_step(W: np.ndarray, h: np.ndarray, p: StepPartials, lr: float):
-    """W <- W - lr*(a*1h' + 2*bq*Whh' + g*e_c h') in place, O(D*d)."""
-    Wh = W @ h
-    # simultaneous update: all three terms use the pre-step W
-    W -= lr * p.a * h[None, :]
-    W -= (2.0 * lr * p.bq) * np.outer(Wh, h)
-    W[p.c] -= lr * p.g * h
+def _as_batch(h, c, D: int, d: int):
+    """(H (m, d), c (m,), one): a (d,) h with a scalar c is the m = 1 batch."""
+    H = np.asarray(h, dtype=np.float64)
+    one = H.ndim == 1
+    if one:
+        H = H[None, :]
+    if H.ndim != 2 or H.shape[1] != d:
+        raise ValueError(f"h must have shape ({d},) or (m, {d}), got {np.shape(h)}")
+    c = np.asarray(c)
+    if c.shape != (() if one else (H.shape[0],)):
+        raise ValueError(f"c must match h's {H.shape[0]} rows, got shape {c.shape}")
+    c = c.astype(np.int64).reshape(-1)
+    if np.any((c < 0) | (c >= D)):
+        raise ValueError(f"class index out of range for {D} classes")
+    return H, c, one
+
+
+def _as_partials(p: StepPartials, D: int, d: int):
+    """(H, c, a, bq, g, one) of ``p``, each partial an (m,) array."""
+    H, c, one = _as_batch(p.h, p.c, D, d)
+    a, bq, g = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (p.a, p.bq, p.g))
+    if not a.shape == bq.shape == g.shape == c.shape:
+        raise ValueError("a, bq and g must match h's rows")
+    return H, c, a, bq, g, one
+
+
+def _stats(s, q, o_c, one: bool) -> SphericalStats:
+    if one:
+        return SphericalStats(s=float(s[0]), q=float(q[0]), o_c=float(o_c[0]))
+    return SphericalStats(s=s, q=q, o_c=o_c)
+
+
+def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
+    """W <- W - lr*sum_i(a_i 1h_i' + 2*bq_i Wh_ih_i' + g_i e_{c_i}h_i') in
+    place, O(D*d*m)."""
+    WH = W @ H.T  # simultaneous update: every term uses the pre-step W
+    W -= lr * (a @ H)
+    W -= WH @ ((2.0 * lr * bq)[:, None] * H)
+    np.add.at(W, c, -(lr * g)[:, None] * H)
 
 
 class DenseOutputLayer:
@@ -65,40 +103,38 @@ class DenseOutputLayer:
     def shape(self):
         return self.W.shape
 
-    def forward_stats(self, h: np.ndarray, c: int) -> SphericalStats:
-        h = self._check_h(h)
-        o = self.W @ h
-        return SphericalStats(s=float(o.sum()), q=float(o @ o), o_c=float(o[c]))
+    def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
+        H, c, one = _as_batch(h, c, *self.W.shape)
+        O = H @ self.W.T
+        return _stats(O.sum(axis=1), np.einsum("ij,ij->i", O, O),
+                      O[np.arange(len(c)), c], one)
+
+    def backward_h(self, p: StepPartials) -> np.ndarray:
+        """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h."""
+        H, c, a, bq, g, one = _as_partials(p, *self.W.shape)
+        grad_o = (2.0 * bq)[:, None] * (H @ self.W.T) + a[:, None]
+        grad_o[np.arange(len(c)), c] += g
+        out = grad_o @ self.W
+        return out[0] if one else out
 
     def sgd_step(self, p: StepPartials, lr: float):
-        _dense_sgd_step(self.W, self._check_h(p.h), p, lr)
+        _dense_sgd_step(self.W, *_as_partials(p, *self.W.shape)[:5], lr)
 
     def row(self, c: int) -> np.ndarray:
         return self.W[c].copy()
 
-    def _check_h(self, h) -> np.ndarray:
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.W.shape[1],):
-            raise ValueError(f"h must have shape ({self.W.shape[1]},), got {h.shape}")
-        return h
-
 
 class FactoredOutputLayer:
-    """Implicit D x d output weight matrix with O(d^2)-per-example exact
-    spherical-loss SGD updates and O(d^2) loss statistics.
+    """Implicit D x d output weight matrix with exact spherical-loss
+    minibatch SGD updates in O(m*d^2) and loss statistics in O(d^2) per
+    example.
 
-    ``op_count`` counts the arithmetic done by ``forward_stats`` and
-    ``sgd_step`` (array element operations); it deliberately excludes
-    rebases, which are amortized O(D*d^2) maintenance.
+    ``op_count`` counts the arithmetic done by ``forward_stats``,
+    ``backward_h`` and ``sgd_step`` (array element operations); it
+    deliberately excludes rebases, which are amortized O(D*d^2) maintenance.
     """
 
-    def __init__(
-        self,
-        W0: np.ndarray,
-        *,
-        cond_threshold: float = 1e8,
-        corrections_frac: float = 0.25,
-    ):
+    def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8):
         W0 = np.asarray(W0, dtype=np.float64)
         if W0.ndim != 2:
             raise ValueError("W0 must be a (D, d) matrix")
@@ -109,11 +145,9 @@ class FactoredOutputLayer:
         self.mixer = np.eye(self.d)
         self.mixer_inv = np.eye(self.d)
         self.offset = np.zeros(self.d)
-        self.corrections: Dict[int, np.ndarray] = {}
         self.gram = W0.T @ W0
         self.colsum = W0.sum(axis=0)
         self.cond_threshold = float(cond_threshold)
-        self.corrections_frac = float(corrections_frac)
         self.op_count = 0
         self.rebase_count = 0
 
@@ -129,136 +163,99 @@ class FactoredOutputLayer:
         """Row c of the represented matrix, in O(d^2)."""
         if not 0 <= c < self.D:
             raise ValueError(f"class index {c} out of range")
-        inner = self.core[c] + self.offset
-        r = self.corrections.get(c)
-        if r is not None:
-            inner = inner + r
-        self.op_count += self.d * self.d + 2 * self.d
-        return inner @ self.mixer
+        return self._rows(np.array([c]))[0]
 
-    def forward_stats(self, h: np.ndarray, c: int) -> SphericalStats:
-        """(s, q, o_c) of o = Wh from the caches, never forming o."""
-        h = self._check_h(h)
-        s = float(self.colsum @ h)
-        qh = self.gram @ h
-        q = float(h @ qh)
-        o_c = float(self.row(c) @ h)
-        self.op_count += self.d * self.d + 3 * self.d
-        return SphericalStats(s=s, q=max(q, 0.0), o_c=o_c)
+    def _rows(self, c: np.ndarray) -> np.ndarray:
+        """Rows c of the represented matrix, (m, d)."""
+        self.op_count += len(c) * (self.d * self.d + self.d)
+        return (self.core[c] + self.offset) @ self.mixer
+
+    def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
+        """(s, q, o_c) of o = Wh for each row of h, from the caches, never
+        forming o."""
+        H, c, one = _as_batch(h, c, self.D, self.d)
+        s = H @ self.colsum
+        q = np.einsum("ij,ij->i", H @ self.gram, H)
+        o_c = np.einsum("ij,ij->i", self._rows(c), H)
+        self.op_count += len(c) * (self.d * self.d + 4 * self.d)
+        return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
-        """dL/dh = W' (a*1 + 2*bq*Wh + g*e_c) in O(d^2)."""
-        h = self._check_h(p.h)
-        out = p.a * self.colsum + 2.0 * p.bq * (self.gram @ h) + p.g * self.row(p.c)
-        self.op_count += self.d * self.d + 4 * self.d
-        return out
+        """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h, in O(d^2)
+        per row."""
+        H, c, a, bq, g, one = _as_partials(p, self.D, self.d)
+        out = (np.outer(a, self.colsum) + (2.0 * bq)[:, None] * (H @ self.gram)
+               + g[:, None] * self._rows(c))
+        self.op_count += len(c) * (self.d * self.d + 5 * self.d)
+        return out[0] if one else out
 
     def sgd_step(self, p: StepPartials, lr: float):
-        """Apply W <- W - lr*(a*1h' + 2*bq*Whh' + g*e_c h') implicitly.
+        """Apply W <- W - lr*sum_i(a_i 1h_i' + 2*bq_i Wh_ih_i' + g_i e_{c_i}h_i')
+        implicitly, as one update.
 
         Matches DenseOutputLayer.sgd_step (simultaneous update) exactly in
-        exact arithmetic.
+        exact arithmetic, repeated classes included.
         """
-        h = self._check_h(p.h)
-        a, bq, g, c = float(p.a), float(p.bq), float(p.g), int(p.c)
-        if not 0 <= c < self.D:
-            raise ValueError(f"class index {c} out of range")
-        if a == 0.0 and bq == 0.0 and g == 0.0:
-            return
-
-        d, D = self.d, self.D
+        H, c, a, bq, g, _ = _as_partials(p, self.D, self.d)
+        (m, d), D = H.shape, self.D
         beta = 2.0 * lr * bq
-        hh = float(h @ h)
-        denom = 1.0 - beta * hh
-        if abs(denom) < 1e-12:
-            # the mixer update I - beta*hh' is (numerically) singular: fold
-            # the representation into the core and apply this one step there
+        BH = beta[:, None] * H
+        # (I - H'BH)^-1 = I + H' K^-1 BH; det K = det(I - H'BH)
+        K = np.eye(m) - BH @ H.T
+        try:
+            K_inv = np.linalg.inv(K)
+        except np.linalg.LinAlgError:
+            K_inv = None
+        if K_inv is None or not np.abs(K_inv).max() < 1e12:
+            # the mixer update I - H'BH is (numerically) singular: fold the
+            # representation into the core and apply this one step there
             self.rebase()
-            _dense_sgd_step(self.core, h, p, lr)
+            _dense_sgd_step(self.core, H, c, a, bq, g, lr)
             self.gram = self.core.T @ self.core
             self.colsum = self.core.sum(axis=0)
             return
 
         # --- cache recurrences (use pre-step quantities) ---------------
-        w_c = self.row(c)
-        v = self.colsum
-        Q = self.gram
-        t = Q @ h
-        hQh = float(h @ t)
-        # M Q M with M = I - beta*hh'
-        Qn = Q - beta * (np.outer(t, h) + np.outer(h, t)) + (beta * beta * hQh) * np.outer(h, h)
-        wz = (lr * a) * v + (lr * g) * w_c      # W'z, z = lr*a*1 + lr*g*e_c
-        Mwz = wz - beta * float(h @ wz) * h
-        ztz = lr * lr * (a * a * D + 2.0 * a * g + g * g)
-        Qn -= np.outer(Mwz, h) + np.outer(h, Mwz)
-        Qn += ztz * np.outer(h, h)
-        self.gram = Qn
-        self.colsum = v - beta * float(h @ v) * h - lr * (a * D + g) * h
-        self.op_count += 7 * d * d + 8 * d
+        # W_new = W M - Z H with M = I - H'BH and Z = lr(1a' + E_c diag g)
+        Q, v = self.gram, self.colsum
+        T = Q @ H.T
+        WZ = lr * (np.outer(v, a) + self._rows(c).T * g)
+        P = WZ - H.T @ (BH @ WZ)  # M W'Z
+        ZZ = lr * lr * (D * np.outer(a, a) + np.outer(a, g) + np.outer(g, a)
+                        + np.outer(g, g) * (c[:, None] == c[None, :]))
+        C = np.outer(beta, beta) * (H @ T) + ZZ
+        XH = (T * beta + P - 0.5 * (H.T @ C)) @ H
+        self.gram = Q - XH - XH.T
+        self.colsum = v - H.T @ (BH @ v + lr * (D * a + g))
 
         # --- representation update --------------------------------------
-        if beta != 0.0:
-            Ah = self.mixer @ h
-            self.mixer = self.mixer - beta * np.outer(Ah, h)
-            hAinv = h @ self.mixer_inv
-            self.mixer_inv = self.mixer_inv + (beta / denom) * np.outer(h, hAinv)
-            self.op_count += 4 * d * d
-        if a != 0.0 or g != 0.0:
-            ht = h @ self.mixer_inv  # A_new^{-T} h
-            self.op_count += d * d
-            if a != 0.0:
-                self.offset = self.offset - (lr * a) * ht
-                self.op_count += 2 * d
-            if g != 0.0:
-                r = self.corrections.get(c)
-                if r is None:
-                    self.corrections[c] = -(lr * g) * ht
-                else:
-                    self.corrections[c] = r - (lr * g) * ht
-                self.op_count += 2 * d
+        self.mixer = self.mixer - (self.mixer @ H.T) @ BH
+        self.mixer_inv = self.mixer_inv + H.T @ (K_inv @ (BH @ self.mixer_inv))
+        G = H @ self.mixer_inv  # the step's rows in new pre-mixer coordinates
+        self.offset = self.offset - lr * (a @ G)
+        np.add.at(self.core, c, -(lr * g)[:, None] * G)
+        self.op_count += m * (7 * d * d + 6 * m * d + 10 * d) + 4 * d * d
 
-        if self._needs_rebase():
+        if np.linalg.norm(self.mixer) * np.linalg.norm(self.mixer_inv) > self.cond_threshold:
             self.rebase()
 
-    def _needs_rebase(self) -> bool:
-        cond_est = float(
-            np.linalg.norm(self.mixer) * np.linalg.norm(self.mixer_inv)
-        )
-        self.op_count += 2 * self.d * self.d
-        if cond_est > self.cond_threshold:
-            return True
-        return len(self.corrections) > max(1.0, self.corrections_frac * self.D)
-
     def rebase(self):
-        """Fold mixer, offset and row corrections back into the core.
+        """Fold the mixer and the offset back into the core.
 
         The represented matrix is unchanged; the caches are recomputed at
         full precision.  O(D*d^2).
         """
-        inner = self.core + self.offset[None, :]
-        for c, r in self.corrections.items():
-            inner[c] += r
-        self.core = inner @ self.mixer
+        self.core = (self.core + self.offset) @ self.mixer
         self.mixer = np.eye(self.d)
         self.mixer_inv = np.eye(self.d)
         self.offset = np.zeros(self.d)
-        self.corrections = {}
         self.gram = self.core.T @ self.core
         self.colsum = self.core.sum(axis=0)
         self.rebase_count += 1
 
     def materialize(self) -> DenseOutputLayer:
         """Dense copy of the represented matrix; for tests and export only."""
-        inner = self.core + self.offset[None, :]
-        for c, r in self.corrections.items():
-            inner[c] = inner[c] + r
-        return DenseOutputLayer(inner @ self.mixer)
-
-    def _check_h(self, h) -> np.ndarray:
-        h = np.asarray(h, dtype=np.float64)
-        if h.shape != (self.d,):
-            raise ValueError(f"h must have shape ({self.d},), got {h.shape}")
-        return h
+        return DenseOutputLayer((self.core + self.offset) @ self.mixer)
 
 
 def bench(

@@ -317,6 +317,8 @@ def _batch(kind: str, O, y, eps: float, xi: float, with_grad: bool):
     y = np.asarray(y, dtype=np.int64)
     if O.ndim != 2 or y.ndim != 1 or O.shape[0] != y.shape[0]:
         raise ValueError("O must be (n, D) and y (n,)")
+    if np.any((y < 0) | (y >= O.shape[1])):
+        raise ValueError(f"target index out of range for {O.shape[1]} classes")
     rows = np.arange(O.shape[0])
     if kind in SPHERICAL_LOSSES:
         # the registry entry on the rows' (s, q, o_c)

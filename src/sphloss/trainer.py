@@ -270,32 +270,26 @@ def _train_batch_dense(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
 
 def _train_batch_factored(model: MLP, layer: FactoredOutputLayer, Xb, yb,
                           cfg: TrainConfig, lr: float, vels):
-    """Hidden layers: batch Nesterov step.  Output layer: plain SGD as m
-    sequential exact rank-structured updates with lr/m scaling."""
+    """Hidden layers: batch Nesterov step.  Output layer: one exact plain
+    SGD step on the batch's mean loss."""
     hs = model.hidden(Xb)
     m, d = hs[-1].shape
     # bias folded into the layer as a constant-1 appended feature
     H = np.concatenate([hs[-1], np.ones((m, 1))], axis=1)
-    stats = [layer.forward_stats(H[i], int(yb[i])) for i in range(m)]
-    s = np.array([st.s for st in stats])
-    q = np.array([st.q for st in stats])
-    o_c = np.array([st.o_c for st in stats])
+    st = layer.forward_stats(H, yb)
     loss, a, bq, g = losses.SPHERICAL_LOSSES[cfg.loss_kind](
-        s, q, o_c, layer.D, losses.LossParams(eps=cfg.eps, xi=cfg.xi)
+        st.s, st.q, st.o_c, layer.D, losses.LossParams(eps=cfg.eps, xi=cfg.xi)
     )
-    steps = [StepPartials(a=float(a[i]), bq=float(bq[i]), g=float(g[i]),
-                          c=int(yb[i]), h=H[i]) for i in range(m)]
+    step = StepPartials(a=a, bq=bq, g=g, c=yb, h=H)
 
     # hidden gradient uses the pre-update output weights (batch semantics)
     if model.Ws[:-1]:
-        dH = np.stack([layer.backward_h(p)[:d] for p in steps])
-        dWs, dbs = model.backward_hidden_from_dh(hs, dH / m)
+        dWs, dbs = model.backward_hidden_from_dh(hs, layer.backward_h(step)[:, :d] / m)
         hidden_params = [*model.Ws[:-1], *model.bs[:-1]]
         for p, v, gr in zip(hidden_params, vels, [*dWs, *dbs]):
             nesterov_step(p, v, gr, lr, cfg.momentum)
 
-    for p in steps:
-        layer.sgd_step(p, lr / m)
+    layer.sgd_step(step, lr / m)
     return float(loss.mean())
 
 

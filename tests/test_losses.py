@@ -372,6 +372,17 @@ class TestBatchForms:
         with pytest.raises(ValueError):
             losses.batch_loss_grad("mystery", O, y)
 
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range_rejected(self, kind, label):
+        # -1 would otherwise index the last class, and 3 raise IndexError
+        O, y = np.array([[0.0, 1.0, 5.0]]), np.array([label])
+        for fn in (losses.batch_loss, losses.batch_loss_grad):
+            with pytest.raises(ValueError):
+                fn(kind, O, y)
+        with pytest.raises(ValueError):
+            losses.batch_negll(kind, O, y)
+
 
 class TestFiniteDiffGrad:
     def test_exact_on_quadratic(self):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sphloss.losses import batch_loss_grad, batch_scores
+from sphloss import data
+from sphloss.losses import SPHERICAL_LOSSES, batch_loss_grad, batch_scores
 from sphloss.trainer import (
     MLP,
     MLPSpec,
@@ -337,3 +338,28 @@ class TestTrain:
         (Xtr, ytr), _, _ = toy_binary
         _, train_err, _, _ = evaluate(metrics.model, Xtr, ytr, loss_kind)
         assert train_err <= 0.01
+
+    @pytest.mark.parametrize("loss_kind", sorted(SPHERICAL_LOSSES))
+    def test_factored_follows_dense_without_momentum(self, loss_kind):
+        # with momentum 0 both output layers take the plain minibatch SGD
+        # step, so the runs agree up to rounding; Zipf classes repeat
+        # within each batch of 50, and the prior biases move log_spherical
+        # off its zero-gradient point o = 0
+        ds = data.synthetic_categorical(D=30, input_dim=6, N=500, seed=1,
+                                        separation=2.0)
+        splits = tuple((s.features, s.labels) for s in
+                       data.random_split(ds, data.SplitSpec(300, 100, 100, seed=1)))
+        runs = {}
+        for layer in ("dense", "factored"):
+            cfg = TrainConfig(loss_kind=loss_kind, initial_lr=0.05, momentum=0.0,
+                              batch_size=50, max_epochs=4, seed=2,
+                              prior_bias_init=True, output_layer=layer)
+            runs[layer] = train(MLPSpec(6, (12,), 30), cfg, splits)
+        den, fac = runs["dense"], runs["factored"]
+        assert not den.diverged and len(fac.epochs) == len(den.epochs) == 4
+        for rf, rd in zip(fac.epochs, den.epochs):
+            assert (rf.epoch, rf.lr, rf.valid_error) == (rd.epoch, rd.lr, rd.valid_error)
+            assert rf.train_loss == pytest.approx(rd.train_loss, rel=1e-8)
+            assert rf.valid_loss == pytest.approx(rd.valid_loss, rel=1e-8)
+        for key in ("test_loss", "test_error", "test_negll", "top10_error"):
+            assert getattr(fac, key) == pytest.approx(getattr(den, key), rel=1e-8), key

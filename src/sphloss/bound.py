@@ -19,8 +19,7 @@ from .losses import (
     LossParams,
     SphericalStats,
     _as_logits,
-    _check_target,
-    _spherical_loss_grad,
+    _example_loss_grad,
     batch_loss_grad,
     log_softmax_loss,
 )
@@ -178,13 +177,12 @@ def spherical_bound_loss(o, c: int, xi: XiParam = XiParam()) -> BoundLoss:
     inner optimum makes d(bound)/d(xi) vanish).
     """
     o = _as_logits(o)
-    c = _check_target(o, c)
     xis, fallback = select_xis(
         np.array([o.sum()]), np.array([o @ o]), o.shape[0],
         xi=xi.xi, optimize=xi.mode == "per_example_optimized",
     )
     xi_used = float(xis[0])
-    res = _spherical_loss_grad(spherical_bound_entry, o, c, LossParams(xi=xi_used))
+    res = _example_loss_grad("spherical_bound_fixed", o, c, LossParams(xi=xi_used))
     true_loss = log_softmax_loss(o, c).loss
     return BoundLoss(
         loss=res.loss,

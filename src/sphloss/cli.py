@@ -15,7 +15,6 @@ import dataclasses
 import math
 import statistics
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,22 +35,12 @@ def _loss_grad_fns(name: str, eps: float, xi: float):
     """(batch_loss_fn, analytic_grad_fn) pair for gradcheck.
 
     ``batch_loss_fn(O, y)`` gives the losses of the rows of O through the
-    loss-only batch path; ``analytic_grad_fn(o, c)`` is the per-example
-    loss's gradient.
+    loss-only batch path; ``analytic_grad_fn(o, c)`` is the n = 1 row of
+    the batch gradient.
     """
-    kind, example = {
-        "log_softmax": ("log_softmax", losses.log_softmax_loss),
-        "log_softmax_abs": ("log_softmax_abs", losses.log_softmax_abs_loss),
-        "mse": ("mse", losses.mse_loss),
-        "log_spherical": ("log_spherical",
-                          partial(losses.log_spherical_softmax_loss, eps=eps)),
-        "log_taylor": ("log_taylor", losses.log_taylor_softmax_loss),
-        "spherical_bound": ("spherical_bound_fixed",
-                            partial(bound.spherical_bound_loss,
-                                    xi=bound.XiParam(xi=xi, mode="fixed"))),
-    }[name]
+    kind = "spherical_bound_fixed" if name == "spherical_bound" else name
     return (lambda O, y: losses.batch_loss(kind, O, y, eps=eps, xi=xi),
-            lambda o, c: example(o, c).grad_o)
+            lambda o, c: losses.batch_loss_grad(kind, o[None], [c], eps=eps, xi=xi)[1][0])
 
 
 def _central_diff_grad(batch_loss_fn, o: np.ndarray, c: int,
@@ -71,13 +60,14 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def gradcheck_trials(name: str, D: int, trials: int, seed: int,
                      eps: float, xi: float, tol: float = 1e-5):
-    """Yield (trial, err) rows; abs-loss samples avoid |o_i| < 1e-3 kinks."""
+    """Yield (trial, err) rows; samples avoid |o_i| < 1e-3, where the
+    central difference would straddle the kink of a loss of |o|."""
     loss_fn, grad_fn = _loss_grad_fns(name, eps, xi)
     rng = np.random.default_rng(seed)
     for t in range(trials):
         while True:
             o = rng.uniform(-3.0, 3.0, size=D)
-            if name != "log_softmax_abs" or np.abs(o).min() >= 1e-3:
+            if np.abs(o).min() >= 1e-3:
                 break
         c = int(rng.integers(D))
         analytic = grad_fn(o, c)
@@ -92,12 +82,11 @@ def cmd_gradcheck(args) -> int:
             print(f"error: unknown loss {name!r}; choose from "
                   f"{', '.join(GRADCHECK_LOSSES)} or 'all'", file=sys.stderr)
             return 2
-    dims = [int(x) for x in args.dims.split(",")]
     rows = []
     worst = ("", 0, -1.0)
     ok = True
     for name in names:
-        for D in dims:
+        for D in args.dims:
             for t, err in gradcheck_trials(name, D, args.trials, args.seed,
                                            args.eps, args.xi):
                 rows.append((name, D, t, err))
@@ -122,11 +111,10 @@ def cmd_bound_eval(args) -> int:
     if args.train_probe:
         return _bound_train_probe(args)
     rng = np.random.default_rng(args.seed)
-    dims = [int(x) for x in args.dims.split(",")]
     rows = []
     gaps = []
     for _ in range(args.samples):
-        D = dims[int(rng.integers(len(dims)))]
+        D = args.dims[int(rng.integers(len(args.dims)))]
         o = rng.uniform(-3.0, 3.0, size=D)
         c = int(rng.integers(D))
         if args.xi_mode == "optimized":
@@ -283,8 +271,7 @@ def _load_splits(cfg):
 
 
 def cmd_bench(args) -> int:
-    D_list = [int(x) for x in args.D_list.split(",")]
-    rows = fast_output.bench(D_list=D_list, d=args.d, steps=args.steps,
+    rows = fast_output.bench(D_list=args.D_list, d=args.d, steps=args.steps,
                              seed=args.seed)
     out = _open_out(args.output)
     w = csv.writer(out)
@@ -307,14 +294,34 @@ def _close_out(f):
         f.close()
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= ``minimum``, so that a bad count or size
+    is a usage error (exit 2) before any output is written."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _int_list_at_least(minimum: int):
+    """argparse type: comma-separated integers, each >= ``minimum``."""
+    parse = _int_at_least(minimum)
+    return lambda text: [parse(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sphloss")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     g.add_argument("--loss", default="all")
-    g.add_argument("--dims", default="2,10,1000")
-    g.add_argument("--trials", type=int, default=100)
+    g.add_argument("--dims", type=_int_list_at_least(2), default="2,10,1000")
+    g.add_argument("--trials", type=_int_at_least(1), default=100)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--eps", type=float, default=losses.DEFAULT_EPS)
     g.add_argument("--xi", type=float, default=1.0)
@@ -322,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gradcheck)
 
     b = sub.add_parser("bound-eval", help="bound validity/tightness report")
-    b.add_argument("--samples", type=int, default=1000)
-    b.add_argument("--dims", default="2,10,100")
+    b.add_argument("--samples", type=_int_at_least(1), default=1000)
+    b.add_argument("--dims", type=_int_list_at_least(2), default="2,10,100")
     b.add_argument("--xi-mode", choices=("fixed", "optimized"), default="fixed")
     b.add_argument("--xi", type=float, default=1.0)
     b.add_argument("--seed", type=int, default=0)
@@ -333,16 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="training runs")
     t.add_argument("--config", default=None)
-    t.add_argument("--seeds", type=int, default=1)
+    t.add_argument("--seeds", type=_int_at_least(1), default=1)
     t.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
     t.add_argument("--out-dir", default="sphloss_out")
     t.set_defaults(fn=cmd_train)
 
     n = sub.add_parser("bench", help="output-layer per-step latency")
-    n.add_argument("--D-list", default="1000,10000,100000")
-    n.add_argument("--d", type=int, default=128)
-    n.add_argument("--steps", type=int, default=200)
+    n.add_argument("--D-list", type=_int_list_at_least(1), default="1000,10000,100000")
+    n.add_argument("--d", type=_int_at_least(1), default=128)
+    n.add_argument("--steps", type=_int_at_least(1), default=200)
     n.add_argument("--seed", type=int, default=0)
     n.add_argument("--output", default="-")
     n.set_defaults(fn=cmd_bench)

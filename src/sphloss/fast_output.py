@@ -31,7 +31,7 @@ from typing import List
 
 import numpy as np
 
-from .losses import SphericalStats
+from .losses import SphericalStats, _as_labels
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,7 @@ def _as_batch(h, c, D: int, d: int):
     c = np.asarray(c)
     if c.shape != (() if one else (H.shape[0],)):
         raise ValueError(f"c must match h's {H.shape[0]} rows, got shape {c.shape}")
-    c = c.astype(np.int64).reshape(-1)
-    if np.any((c < 0) | (c >= D)):
-        raise ValueError(f"class index out of range for {D} classes")
-    return H, c, one
+    return H, _as_labels(c, D).reshape(-1), one
 
 
 def _as_partials(p: StepPartials, D: int, d: int):

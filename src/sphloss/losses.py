@@ -3,10 +3,12 @@
 Every loss here returns both its value and an exact analytic gradient with
 respect to the pre-activations o.  The losses that depend on o only through
 the summary statistics s = sum(o), q = ||o||^2 and the target coordinate o_c
-form the spherical family: each is defined once, as an entry of
-``SPHERICAL_LOSSES`` that maps (s, q, o_c, D) to the loss value and the
-partial derivatives (dL/ds, dL/dq, dL/do_c).  Those partials are what make
-output-size-independent weight updates possible (see ``sphloss.fast_output``).
+form the spherical family: each is defined once, as an entry that maps
+(s, q, o_c, D) to the loss value and the partial derivatives (dL/ds, dL/dq,
+dL/do_c).  Those partials are what make output-size-independent weight
+updates possible (see ``sphloss.fast_output``).  ``LOSSES`` holds one
+record per loss kind: its entry (None for the log-softmax baselines), its
+class scores, its prior-bias map and the kind it reports as negll.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class SphericalStats:
     s: float
     q: float
     o_c: float
-    y_c: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,15 @@ class LossGrad:
     loss: float
     grad_o: np.ndarray
     partials: Optional[Partials] = None
+
+
+@dataclass(frozen=True)
+class LossParams:
+    """Loss hyperparameters; each entry reads only its own."""
+
+    eps: float = DEFAULT_EPS  # log_spherical stabilizer
+    xi: float = 1.0  # bound variational parameter (start value when optimized)
+    y_c: float = 1.0  # mse target value
 
 
 @dataclass(frozen=True)
@@ -81,18 +91,23 @@ def _as_logits(o) -> np.ndarray:
     return o
 
 
-def _check_target(o: np.ndarray, c: int) -> int:
-    c = int(c)
-    if not 0 <= c < o.shape[0]:
-        raise ValueError(f"target index {c} out of range for {o.shape[0]} classes")
-    return c
+def _as_labels(y, D: int) -> np.ndarray:
+    """``y`` as int64, or ValueError unless every label is an integer in
+    [0, D); a float label such as 1.7 is rejected, not truncated."""
+    y = np.asarray(y)
+    if y.dtype.kind not in "iuf" or (
+            y.dtype.kind == "f" and not np.all(np.isfinite(y) & (y == np.floor(y)))):
+        raise ValueError("class labels must be integers")
+    if np.any((y < 0) | (y >= D)):
+        raise ValueError(f"class index out of range for {D} classes")
+    return y.astype(np.int64)
 
 
-def summary_stats(o, c: int, y_c: float = 1.0) -> SphericalStats:
+def summary_stats(o, c: int) -> SphericalStats:
     """Compute (s, q, o_c) for a pre-activation vector and target index."""
     o = _as_logits(o)
-    c = _check_target(o, c)
-    return SphericalStats(s=float(o.sum()), q=float(o @ o), o_c=float(o[c]), y_c=y_c)
+    c = int(_as_labels(c, o.shape[0]))
+    return SphericalStats(s=float(o.sum()), q=float(o @ o), o_c=float(o[c]))
 
 
 def softmax(o) -> np.ndarray:
@@ -113,20 +128,12 @@ def log_softmax_loss(o, c: int) -> LossGrad:
 
     Not a member of the spherical family, so no partials are returned.
     """
-    return _baseline_loss_grad("log_softmax", o, c)
+    return _example_loss_grad("log_softmax", o, c)
 
 
 def log_softmax_abs_loss(o, c: int) -> LossGrad:
     """log-softmax applied to |o|; subgradient 0 is used at o_i = 0."""
-    return _baseline_loss_grad("log_softmax_abs", o, c)
-
-
-def _baseline_loss_grad(kind: str, o, c: int) -> LossGrad:
-    """The n = 1 case of a log-softmax baseline's batch form."""
-    o = _as_logits(o)
-    c = _check_target(o, c)
-    losses, grad = batch_loss_grad(kind, o[None], np.array([c]))
-    return LossGrad(loss=float(losses[0]), grad_o=grad[0])
+    return _example_loss_grad("log_softmax_abs", o, c)
 
 
 def mse_loss(o, c: int, y_c: float = 1.0) -> LossGrad:
@@ -134,7 +141,7 @@ def mse_loss(o, c: int, y_c: float = 1.0) -> LossGrad:
 
     In family form: q - 2*o_c*y_c + y_c^2, with partials (0, 1, -2*y_c).
     """
-    return _spherical_loss_grad(_mse, o, c, LossParams(y_c=y_c))
+    return _example_loss_grad("mse", o, c, LossParams(y_c=y_c))
 
 
 def quadratic_normalizer(o, p: QuadraticNormalizerParams) -> np.ndarray:
@@ -174,7 +181,7 @@ def log_spherical_softmax_loss(o, c: int, eps: float = DEFAULT_EPS) -> LossGrad:
     dL/do_c = 2*o_c/(q + D*eps) - 2*o_c/(o_c^2 + eps)
     dL/do_k = 2*o_k/(q + D*eps)   for k != c
     """
-    return _spherical_loss_grad(_log_spherical, o, c, LossParams(eps=eps))
+    return _example_loss_grad("log_spherical", o, c, LossParams(eps=eps))
 
 
 def taylor_softmax(o) -> np.ndarray:
@@ -195,13 +202,13 @@ def log_taylor_softmax_loss(o, c: int) -> LossGrad:
     dL/do_c = (1+o_c)/Z - (1+o_c)/(1+o_c+o_c^2/2)
     dL/do_k = (1+o_k)/Z   for k != c
     """
-    return _spherical_loss_grad(_log_taylor, o, c, LossParams())
+    return _example_loss_grad("log_taylor", o, c)
 
 
 def grad_from_partials(partials: Partials, o, c: int) -> np.ndarray:
     """Reconstruct the dense gradient (dL/ds)*1 + 2*(dL/dq)*o + (dL/do_c)*e_c."""
     o = _as_logits(o)
-    c = _check_target(o, c)
+    c = int(_as_labels(c, o.shape[0]))
     a, bq, g = partials
     grad = np.full_like(o, a) + 2.0 * bq * o
     grad[c] += g
@@ -237,15 +244,6 @@ def finite_diff_grad(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LossParams:
-    """Loss hyperparameters; each entry reads only its own."""
-
-    eps: float = DEFAULT_EPS  # log_spherical stabilizer
-    xi: float = 1.0  # bound variational parameter (start value when optimized)
-    y_c: float = 1.0  # mse target value
-
-
 def _mse(s, q, o_c, D, p: LossParams):
     n = q.shape[0]
     value = q - 2.0 * o_c * p.y_c + p.y_c ** 2
@@ -274,29 +272,66 @@ def _spherical_bound(s, q, o_c, D, p: LossParams, optimize: bool = False):
     return bound.spherical_bound_entry(s, q, o_c, D, p, optimize=optimize)
 
 
-SPHERICAL_LOSSES = {
-    "mse": _mse,
-    "log_spherical": _log_spherical,
-    "log_taylor": _log_taylor,
-    "spherical_bound_fixed": _spherical_bound,
-    "spherical_bound_optimized": partial(_spherical_bound, optimize=True),
+@dataclass(frozen=True)
+class LossKind:
+    """Everything the library knows about one loss kind."""
+
+    # the spherical-family entry; None for a log-softmax baseline, whose
+    # loss is the log-softmax of its scores
+    entry: Optional[Callable]
+    # pre-activations -> class scores that rank like the predicted probabilities
+    scores: Callable[[np.ndarray], np.ndarray]
+    # class frequencies p -> output biases whose predicted distribution is p
+    prior_bias: Callable[[np.ndarray], np.ndarray]
+    # the kind whose loss is reported as negll; None: the kind's own loss
+    negll: Optional[str] = None
+
+
+LOSSES = {
+    "log_softmax": LossKind(None, lambda O: O, np.log),
+    # strictly positive biases: |b| = b matches the softmax rule up to
+    # translation, and no coordinate sits on the |.| kink at zero
+    "log_softmax_abs": LossKind(
+        None, np.abs, lambda p: np.log(p) - np.log(p.min()) + 1.0),
+    "mse": LossKind(_mse, lambda O: O, np.copy),
+    # the eps term leaves a residual <= D*eps
+    "log_spherical": LossKind(_log_spherical, lambda O: O * O, np.sqrt),
+    # b = -1 + sqrt(2*beta*p - 1) with beta = 1/(2*min p), the smallest beta
+    # with all radicands >= 0, computed as p/min p - 1 so the minimum's
+    # radicand is exactly 0.  This parks the min-frequency class at the
+    # zero-gradient point o = -1, so it suits evaluation of an untrained
+    # prior model better than training.
+    "log_taylor": LossKind(_log_taylor, lambda O: 1.0 + O + 0.5 * O * O,
+                           lambda p: -1.0 + np.sqrt(p / p.min() - 1.0)),
+    # the bounds model a softmax output: its scores, biases and negll
+    "spherical_bound_fixed": LossKind(
+        _spherical_bound, lambda O: O, np.log, negll="log_softmax"),
+    "spherical_bound_optimized": LossKind(
+        partial(_spherical_bound, optimize=True), lambda O: O, np.log,
+        negll="log_softmax"),
 }
 
-_BASELINES = ("log_softmax", "log_softmax_abs")
-LOSS_KINDS = (*_BASELINES, *SPHERICAL_LOSSES)
+# import-time views for iteration; every lookup by kind reads LOSSES itself
+LOSS_KINDS = tuple(LOSSES)
+SPHERICAL_LOSSES = {k: r.entry for k, r in LOSSES.items() if r.entry is not None}
 
 
-def _spherical_loss_grad(entry, o, c: int, params: LossParams) -> LossGrad:
-    """The n = 1 case of a registry entry, with its dense gradient."""
-    o = _as_logits(o)
-    c = _check_target(o, c)
-    value, *partials = entry(
-        np.array([o.sum()]), np.array([o @ o]), o[c:c + 1], o.shape[0], params
-    )
-    partials = tuple(float(x[0]) for x in partials)
-    return LossGrad(
-        loss=float(value[0]), grad_o=grad_from_partials(partials, o, c), partials=partials
-    )
+def loss_record(kind: str) -> LossKind:
+    """The ``LOSSES`` record of ``kind``; ValueError for an unknown kind."""
+    try:
+        return LOSSES[kind]
+    except KeyError:
+        raise ValueError(f"unknown loss kind: {kind!r}") from None
+
+
+def _example_loss_grad(kind: str, o, c: int, params: LossParams = LossParams()) -> LossGrad:
+    """The n = 1 row of ``kind``'s batch form, with its dense gradient and,
+    for a spherical kind, its partials."""
+    losses, grad, partials = _batch(kind, _as_logits(o)[None], [c], params,
+                                    with_grad=True)
+    if partials is not None:
+        partials = tuple(float(x[0]) for x in partials)
+    return LossGrad(loss=float(losses[0]), grad_o=grad[0], partials=partials)
 
 
 # ---------------------------------------------------------------------------
@@ -310,40 +345,39 @@ def batch_log_softmax(O: np.ndarray) -> np.ndarray:
     return Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
 
 
-def _batch(kind: str, O, y, eps: float, xi: float, with_grad: bool):
-    """(losses (n,), dense gradient (n, D) or None): the one body of the
-    batch forms."""
+def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
+    """(losses (n,), dense gradient (n, D) or None, partials (a, bq, g) or
+    None): the one body of the batch and per-example forms."""
+    rec = loss_record(kind)
     O = np.asarray(O, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if O.ndim != 2 or y.ndim != 1 or O.shape[0] != y.shape[0]:
         raise ValueError("O must be (n, D) and y (n,)")
-    if np.any((y < 0) | (y >= O.shape[1])):
-        raise ValueError(f"target index out of range for {O.shape[1]} classes")
+    y = _as_labels(y, O.shape[1])
     rows = np.arange(O.shape[0])
-    if kind in SPHERICAL_LOSSES:
+    if rec.entry is not None:
         # the registry entry on the rows' (s, q, o_c)
-        losses, a, bq, g = SPHERICAL_LOSSES[kind](
-            O.sum(axis=1), np.einsum("ij,ij->i", O, O), O[rows, y], O.shape[1],
-            LossParams(eps=eps, xi=xi),
+        losses, *partials = rec.entry(
+            O.sum(axis=1), np.einsum("ij,ij->i", O, O), O[rows, y], O.shape[1], params
         )
         if not with_grad:
-            return losses, None
+            return losses, None, partials
+        a, bq, g = partials
         grad = O * (2.0 * bq)[:, None]
         grad += a[:, None]
         grad[rows, y] += g
-        return losses, grad
-    if kind not in _BASELINES:
-        raise ValueError(f"unknown loss kind: {kind!r}")
-    # log_softmax_abs is the log-softmax of |O|, with subgradient 0 at O = 0
-    logp = batch_log_softmax(np.abs(O) if kind == "log_softmax_abs" else O)
+        return losses, grad, partials
+    # a baseline: the log-softmax of its scores, O or |O|, where
+    # log_softmax_abs takes the subgradient 0 at O = 0
+    logp = batch_log_softmax(rec.scores(O))
     losses = -logp[rows, y]
     if not with_grad:
-        return losses, None
+        return losses, None, None
     grad = np.exp(logp)
     grad[rows, y] -= 1.0
     if kind == "log_softmax_abs":
         grad *= np.sign(O)
-    return losses, grad
+    return losses, grad, None
 
 
 def batch_loss_grad(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0):
@@ -352,33 +386,17 @@ def batch_loss_grad(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.
     Returns (losses (n,), grad (n, D)).  A spherical loss's gradient is
     a*1 + 2*bq*o + g*e_c from its registry entry.
     """
-    return _batch(kind, O, y, eps, xi, with_grad=True)
+    return _batch(kind, O, y, LossParams(eps=eps, xi=xi), with_grad=True)[:2]
 
 
 def batch_loss(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0) -> np.ndarray:
     """Per-example losses for a batch, without forming the (n, D) gradient."""
-    return _batch(kind, O, y, eps, xi, with_grad=False)[0]
+    return _batch(kind, O, y, LossParams(eps=eps, xi=xi), with_grad=False)[0]
 
 
-def batch_scores(kind: str, O, *, eps: float = DEFAULT_EPS) -> np.ndarray:
+def batch_scores(kind: str, O) -> np.ndarray:
     """Monotone class scores used for argmax / top-k evaluation."""
-    O = np.asarray(O, dtype=np.float64)
-    if kind in ("log_softmax", "mse", "spherical_bound_fixed", "spherical_bound_optimized"):
-        return O
-    if kind == "log_softmax_abs":
-        return np.abs(O)
-    if kind == "log_spherical":
-        return O * O
-    if kind == "log_taylor":
-        return 1.0 + O + 0.5 * O * O
-    raise ValueError(f"unknown loss kind: {kind!r}")
-
-
-# kinds whose negll is another kind's loss: the bounds model a softmax output
-NEGLL_KIND = {
-    "spherical_bound_fixed": "log_softmax",
-    "spherical_bound_optimized": "log_softmax",
-}
+    return loss_record(kind).scores(np.asarray(O, dtype=np.float64))
 
 
 def batch_negll(kind: str, O, y, *, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -386,6 +404,6 @@ def batch_negll(kind: str, O, y, *, eps: float = DEFAULT_EPS) -> np.ndarray:
 
     This is the loss itself, except that MSE reports the squared error (its
     "loss" column convention) and the bound losses report the true
-    log-softmax negll (``NEGLL_KIND``).
+    log-softmax negll (their record's ``negll``).
     """
-    return batch_loss(NEGLL_KIND.get(kind, kind), O, y, eps=eps)
+    return batch_loss(loss_record(kind).negll or kind, O, y, eps=eps)

@@ -47,8 +47,7 @@ class TrainConfig:
     prior_bias_init: bool = False
 
     def __post_init__(self):
-        if self.loss_kind not in losses.LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+        kind = losses.loss_record(self.loss_kind)
         if not self.initial_lr > 0:
             raise ValueError("initial_lr must be > 0")
         if not 0.0 <= self.momentum < 1.0:
@@ -59,7 +58,7 @@ class TrainConfig:
             raise ValueError("lr_decay_factor must be in (0, 1)")
         if self.output_layer not in ("dense", "factored"):
             raise ValueError(f"unknown output layer {self.output_layer!r}")
-        if self.output_layer == "factored" and self.loss_kind not in losses.SPHERICAL_LOSSES:
+        if self.output_layer == "factored" and kind.entry is None:
             raise ValueError(
                 "the factored output layer requires a spherical-family loss"
             )
@@ -103,17 +102,10 @@ def output_init(
     n_examples: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Zero output weights plus a bias making the initial predicted
-    distribution match ``class_freqs`` (uniform when None).
-
-    Inverse mappings per normalizer: softmax/bound b = ln p; abs variant
-    b = ln(p/min p) + 1 (positive, so |b| = b and softmax is translation
-    invariant); spherical b = sqrt(p) (the eps term leaves a residual
-    <= D*eps); Taylor b = -1 + sqrt(2*beta*p - 1) with beta = 1/(2*min p),
-    the smallest beta with all radicands >= 0, computed as p/min p - 1 so
-    the minimum's radicand is exactly 0 (note this parks the min-frequency
-    class at the zero-gradient point o = -1, so it suits evaluation of an
-    untrained prior model better than training); MSE b = p.
+    distribution match ``class_freqs`` (uniform when None), by the loss
+    kind's ``prior_bias`` map in ``losses.LOSSES``.
     """
+    prior_bias = losses.loss_record(loss_kind).prior_bias
     W = np.zeros((D, d))
     if class_freqs is None:
         p = np.full(D, 1.0 / D)
@@ -126,22 +118,7 @@ def output_init(
                 raise ValueError("zero-frequency class needs n_examples to floor")
             p[p == 0] = 1.0 / (10.0 * n_examples)
         p = p / p.sum()
-
-    if loss_kind in ("log_softmax", "spherical_bound_fixed", "spherical_bound_optimized"):
-        b = np.log(p)
-    elif loss_kind == "log_softmax_abs":
-        # strictly positive biases: |b| = b matches the softmax rule up to
-        # translation, and no coordinate sits on the |.| kink at zero
-        b = np.log(p) - np.log(p.min()) + 1.0
-    elif loss_kind == "log_spherical":
-        b = np.sqrt(p)
-    elif loss_kind == "log_taylor":
-        b = -1.0 + np.sqrt(p / p.min() - 1.0)
-    elif loss_kind == "mse":
-        b = p.copy()
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return W, b
+    return W, prior_bias(p)
 
 
 def nesterov_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
@@ -233,6 +210,7 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
     likelihood-based metric (MSE for the mse loss, by convention).
     """
     n = X.shape[0]
+    own_negll = losses.loss_record(loss_kind).negll is None
     negll_sum = 0.0
     loss_sum = 0.0
     err = 0
@@ -245,10 +223,8 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
             O = model(Xb)
         own = losses.batch_loss(loss_kind, O, yb, eps=eps, xi=xi)
         loss_sum += own.sum()
-        if loss_kind in losses.NEGLL_KIND:
-            negll_sum += losses.batch_negll(loss_kind, O, yb, eps=eps).sum()
-        else:
-            negll_sum += own.sum()
+        negll = own if own_negll else losses.batch_negll(loss_kind, O, yb, eps=eps)
+        negll_sum += negll.sum()
         scores = losses.batch_scores(loss_kind, O)
         err += int((scores.argmax(axis=1) != yb).sum())
         k = min(10, scores.shape[1])
@@ -277,7 +253,7 @@ def _train_batch_factored(model: MLP, layer: FactoredOutputLayer, Xb, yb,
     # bias folded into the layer as a constant-1 appended feature
     H = np.concatenate([hs[-1], np.ones((m, 1))], axis=1)
     st = layer.forward_stats(H, yb)
-    loss, a, bq, g = losses.SPHERICAL_LOSSES[cfg.loss_kind](
+    loss, a, bq, g = losses.loss_record(cfg.loss_kind).entry(
         st.s, st.q, st.o_c, layer.D, losses.LossParams(eps=cfg.eps, xi=cfg.xi)
     )
     step = StepPartials(a=a, bq=bq, g=g, c=yb, h=H)

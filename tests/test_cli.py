@@ -192,6 +192,28 @@ class TestBench:
         assert len(lines) == 5  # 2 impls x 2 sizes
 
 
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--trials", "0", "--dims", "2"],
+    ["gradcheck", "--dims", "abc"],
+    ["gradcheck", "--dims", "1"],
+    ["gradcheck", "--dims", "2,1.5"],
+    ["bound-eval", "--samples", "0"],
+    ["bound-eval", "--dims", "10,1"],
+    ["bench", "--steps", "0"],
+    ["bench", "--D-list", "100,0"],
+    ["bench", "--d", "0"],
+    ["train", "--seeds", "0"],
+])
+def test_bad_count_or_size_is_usage_error_before_io(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    dest = ["--out-dir", str(out)] if argv[0] == "train" else ["--output", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, *dest])
+    assert exc.value.code == 2
+    assert "expected an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestConfigModule:
     def test_defaults_complete(self):
         cfg = config.default_config()

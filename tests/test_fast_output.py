@@ -192,7 +192,7 @@ class TestSgdStep:
     def test_batch_class_out_of_range(self):
         layer = FactoredOutputLayer.zeros(10, 4)
         H = np.zeros((2, 4))
-        for c in ([0, 10], [-1, 0]):
+        for c in ([0, 10], [-1, 0], [0, 1.7]):
             p = StepPartials(a=np.zeros(2), bq=np.zeros(2), g=np.zeros(2), c=np.array(c), h=H)
             for call in (lambda: layer.forward_stats(H, np.array(c)),
                          lambda: layer.backward_h(p), lambda: layer.sgd_step(p, 0.1)):

@@ -51,6 +51,9 @@ class TestSummaryStats:
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             summary_stats([1.0, 2.0], 2)
+        for fn in (summary_stats, log_softmax_loss, log_taylor_softmax_loss):
+            with pytest.raises(ValueError):  # not truncated to class 1
+                fn([0.0, 0.0, 0.0], 1.7)
 
     @given(finite_vecs, st.integers(min_value=0, max_value=29))
     def test_invariants(self, vals, ci):
@@ -348,18 +351,29 @@ class TestBatchForms:
             ("mse", mse_loss),
             ("log_spherical", lambda o, c: log_spherical_softmax_loss(o, c, 0.05)),
             ("log_taylor", log_taylor_softmax_loss),
+            ("log_softmax", log_softmax_loss),
+            ("log_softmax_abs", log_softmax_abs_loss),
         ],
-        ids=["mse", "log_spherical", "log_taylor"],
+        ids=["mse", "log_spherical", "log_taylor", "log_softmax", "log_softmax_abs"],
     )
     def test_batch_rows_match_per_example(self, kind, fn):
         rng = np.random.default_rng(19)
         O = rng.uniform(-3, 3, size=(9, 13))
         y = rng.integers(0, 13, size=9)
         losses_b, grad_b = losses.batch_loss_grad(kind, O, y, eps=0.05)
+        entry = losses.SPHERICAL_LOSSES.get(kind)
+        if entry is not None:
+            _, *partials_b = entry(O.sum(axis=1), (O * O).sum(axis=1),
+                                   O[np.arange(9), y], 13, losses.LossParams(eps=0.05))
         for i in range(9):
             r = fn(O[i], int(y[i]))
             assert losses_b[i] == pytest.approx(r.loss, rel=1e-12)
             assert max_rel_err(grad_b[i], r.grad_o) < 1e-12
+            if entry is None:
+                assert r.partials is None
+            else:
+                np.testing.assert_allclose(r.partials, [x[i] for x in partials_b],
+                                           rtol=1e-12)
 
     def test_registry_is_the_spherical_family(self):
         assert set(losses.SPHERICAL_LOSSES) == (
@@ -371,11 +385,24 @@ class TestBatchForms:
             losses.batch_loss("mystery", O, y)
         with pytest.raises(ValueError):
             losses.batch_loss_grad("mystery", O, y)
+        with pytest.raises(ValueError):
+            losses.batch_scores("mystery", O)
+        with pytest.raises(ValueError):
+            losses.batch_negll("mystery", O, y)
 
     @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
-    @pytest.mark.parametrize("label", [-1, 3])
+    def test_scores_of_prior_bias_rank_like_prior(self, kind):
+        # each record's scores and prior-bias map belong to one normalizer
+        p = np.array([5.0, 30.0, 1.0, 20.0, 14.0, 25.0, 3.0]) / 98.0
+        b = losses.LOSSES[kind].prior_bias(p)
+        scores = losses.batch_scores(kind, b[None])[0]
+        np.testing.assert_array_equal(np.argsort(scores), np.argsort(p))
+
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    @pytest.mark.parametrize("label", [-1, 3, 1.7])
     def test_label_out_of_range_rejected(self, kind, label):
-        # -1 would otherwise index the last class, and 3 raise IndexError
+        # -1 would otherwise index the last class, 3 raise IndexError and
+        # 1.7 be truncated to class 1
         O, y = np.array([[0.0, 1.0, 5.0]]), np.array([label])
         for fn in (losses.batch_loss, losses.batch_loss_grad):
             with pytest.raises(ValueError):

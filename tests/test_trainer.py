@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from sphloss import data
+from sphloss import data, losses
 from sphloss.losses import SPHERICAL_LOSSES, batch_loss_grad, batch_scores
 from sphloss.trainer import (
     MLP,
@@ -111,6 +112,10 @@ class TestOutputInit:
         assert np.all(np.isfinite(b))
         with pytest.raises(ValueError):
             output_init(3, 2, p, "log_softmax")
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            output_init(3, 2, None, "mystery")
 
     def test_prior_entropy_softmax(self):
         # prior-initialized model scored on a frequency-matched stream
@@ -341,25 +346,38 @@ class TestTrain:
 
     @pytest.mark.parametrize("loss_kind", sorted(SPHERICAL_LOSSES))
     def test_factored_follows_dense_without_momentum(self, loss_kind):
-        # with momentum 0 both output layers take the plain minibatch SGD
-        # step, so the runs agree up to rounding; Zipf classes repeat
-        # within each batch of 50, and the prior biases move log_spherical
-        # off its zero-gradient point o = 0
-        ds = data.synthetic_categorical(D=30, input_dim=6, N=500, seed=1,
-                                        separation=2.0)
-        splits = tuple((s.features, s.labels) for s in
-                       data.random_split(ds, data.SplitSpec(300, 100, 100, seed=1)))
-        runs = {}
-        for layer in ("dense", "factored"):
-            cfg = TrainConfig(loss_kind=loss_kind, initial_lr=0.05, momentum=0.0,
-                              batch_size=50, max_epochs=4, seed=2,
-                              prior_bias_init=True, output_layer=layer)
-            runs[layer] = train(MLPSpec(6, (12,), 30), cfg, splits)
-        den, fac = runs["dense"], runs["factored"]
-        assert not den.diverged and len(fac.epochs) == len(den.epochs) == 4
-        for rf, rd in zip(fac.epochs, den.epochs):
-            assert (rf.epoch, rf.lr, rf.valid_error) == (rd.epoch, rd.lr, rd.valid_error)
-            assert rf.train_loss == pytest.approx(rd.train_loss, rel=1e-8)
-            assert rf.valid_loss == pytest.approx(rd.valid_loss, rel=1e-8)
-        for key in ("test_loss", "test_error", "test_negll", "top10_error"):
-            assert getattr(fac, key) == pytest.approx(getattr(den, key), rel=1e-8), key
+        assert_factored_follows_dense(loss_kind)
+
+    def test_new_kind_is_one_record(self, monkeypatch):
+        # adding a loss kind takes one LOSSES record: here twice the mse
+        # entry, which both output layers then train
+        def twice_mse(*args):
+            return tuple(2.0 * x for x in losses.LOSSES["mse"].entry(*args))
+        monkeypatch.setitem(losses.LOSSES, "twice_mse", dataclasses.replace(
+            losses.LOSSES["mse"], entry=twice_mse))
+        assert_factored_follows_dense("twice_mse")
+
+
+def assert_factored_follows_dense(loss_kind):
+    # with momentum 0 both output layers take the plain minibatch SGD
+    # step, so the runs agree up to rounding; Zipf classes repeat
+    # within each batch of 50, and the prior biases move log_spherical
+    # off its zero-gradient point o = 0
+    ds = data.synthetic_categorical(D=30, input_dim=6, N=500, seed=1,
+                                    separation=2.0)
+    splits = tuple((s.features, s.labels) for s in
+                   data.random_split(ds, data.SplitSpec(300, 100, 100, seed=1)))
+    runs = {}
+    for layer in ("dense", "factored"):
+        cfg = TrainConfig(loss_kind=loss_kind, initial_lr=0.05, momentum=0.0,
+                          batch_size=50, max_epochs=4, seed=2,
+                          prior_bias_init=True, output_layer=layer)
+        runs[layer] = train(MLPSpec(6, (12,), 30), cfg, splits)
+    den, fac = runs["dense"], runs["factored"]
+    assert not den.diverged and len(fac.epochs) == len(den.epochs) == 4
+    for rf, rd in zip(fac.epochs, den.epochs):
+        assert (rf.epoch, rf.lr, rf.valid_error) == (rd.epoch, rd.lr, rd.valid_error)
+        assert rf.train_loss == pytest.approx(rd.train_loss, rel=1e-8)
+        assert rf.valid_loss == pytest.approx(rd.valid_loss, rel=1e-8)
+    for key in ("test_loss", "test_error", "test_negll", "top10_error"):
+        assert getattr(fac, key) == pytest.approx(getattr(den, key), rel=1e-8), key

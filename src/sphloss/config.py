@@ -11,7 +11,15 @@ from typing import Dict, List
 
 from . import trainer
 
-_bool = lambda s: str(s).strip().lower() in ("1", "true", "yes", "on")
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _bool(s) -> bool:
+    try:
+        return _BOOLS[str(s).strip().lower()]
+    except KeyError:
+        raise ValueError("expected 1/0, true/false, yes/no or on/off") from None
 
 
 def _int_list(s) -> tuple:

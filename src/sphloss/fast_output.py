@@ -138,12 +138,7 @@ class FactoredOutputLayer:
         if not np.all(np.isfinite(W0)):
             raise ValueError("W0 must be finite")
         self.D, self.d = W0.shape
-        self.core = W0.copy()
-        self.mixer = np.eye(self.d)
-        self.mixer_inv = np.eye(self.d)
-        self.offset = np.zeros(self.d)
-        self.gram = W0.T @ W0
-        self.colsum = W0.sum(axis=0)
+        self._reset(W0.copy())
         self.cond_threshold = float(cond_threshold)
         self.op_count = 0
         self.rebase_count = 0
@@ -204,12 +199,13 @@ class FactoredOutputLayer:
         except np.linalg.LinAlgError:
             K_inv = None
         if K_inv is None or not np.abs(K_inv).max() < 1e12:
-            # the mixer update I - H'BH is (numerically) singular: fold the
-            # representation into the core and apply this one step there
-            self.rebase()
-            _dense_sgd_step(self.core, H, c, a, bq, g, lr)
-            self.gram = self.core.T @ self.core
-            self.colsum = self.core.sum(axis=0)
+            # the mixer update I - H'BH is (numerically) singular: apply this
+            # one step to the represented matrix and make that the core, a
+            # rebase with the step folded in
+            W = (self.core + self.offset) @ self.mixer
+            _dense_sgd_step(W, H, c, a, bq, g, lr)
+            self._reset(W)
+            self.rebase_count += 1
             return
 
         # --- cache recurrences (use pre-step quantities) ---------------
@@ -242,13 +238,18 @@ class FactoredOutputLayer:
         The represented matrix is unchanged; the caches are recomputed at
         full precision.  O(D*d^2).
         """
-        self.core = (self.core + self.offset) @ self.mixer
+        self._reset((self.core + self.offset) @ self.mixer)
+        self.rebase_count += 1
+
+    def _reset(self, W: np.ndarray):
+        """Represent W as the core itself, with the caches computed from it
+        at full precision; takes ownership of W.  O(D*d^2)."""
+        self.core = W
         self.mixer = np.eye(self.d)
         self.mixer_inv = np.eye(self.d)
         self.offset = np.zeros(self.d)
-        self.gram = self.core.T @ self.core
-        self.colsum = self.core.sum(axis=0)
-        self.rebase_count += 1
+        self.gram = W.T @ W
+        self.colsum = W.sum(axis=0)
 
     def materialize(self) -> DenseOutputLayer:
         """Dense copy of the represented matrix; for tests and export only."""

@@ -56,6 +56,10 @@ class TrainConfig:
             raise ValueError("batch_size, patience and max_epochs must be >= 1")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ValueError("lr_decay_factor must be in (0, 1)")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and > 0")
+        if not math.isfinite(self.xi):
+            raise ValueError("xi must be finite")
         if self.output_layer not in ("dense", "factored"):
             raise ValueError(f"unknown output layer {self.output_layer!r}")
         if self.output_layer == "factored" and kind.entry is None:
@@ -201,9 +205,12 @@ class MLP:
         return dWs, dbs
 
 
+# rows per evaluate block: bounds its (rows, D) temporaries
+EVAL_CHUNK = 8192
+
+
 def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
-             eps: float = losses.DEFAULT_EPS, xi: float = 1.0,
-             chunk: int = 8192):
+             eps: float = losses.DEFAULT_EPS, xi: float = 1.0):
     """(negll, error_rate, top10_error, own_loss) over a split.
 
     ``own_loss`` is the training loss evaluated on the split; negll is the
@@ -215,8 +222,8 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
     loss_sum = 0.0
     err = 0
     top10_err = 0
-    for lo in range(0, n, chunk):
-        Xb, yb = X[lo:lo + chunk], y[lo:lo + chunk]
+    for lo in range(0, n, EVAL_CHUNK):
+        Xb, yb = X[lo:lo + EVAL_CHUNK], y[lo:lo + EVAL_CHUNK]
         if isinstance(model, MLP):
             O, _ = model.forward(Xb)
         else:
@@ -286,7 +293,6 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
 
     factored_layer = None
     if cfg.output_layer == "factored":
-        d = spec.hidden_dims[-1] if spec.hidden_dims else spec.input_dim
         W0 = np.concatenate(
             [model.Ws[-1], model.bs[-1][:, None]], axis=1
         )

@@ -27,8 +27,10 @@ def test_criterion_1_gradient_suite():
         ("log_spherical", 0.0198),
         ("log_spherical", 1.0),
         ("log_taylor", None),
-        ("spherical_bound", None),
+        ("spherical_bound_fixed", None),
+        ("spherical_bound_optimized", None),
     ]
+    assert {name for name, _ in variants} == set(losses.LOSSES)
     worst = 0.0
     n_trials = 0
     for name, eps in variants:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sphloss import cli, config
+from sphloss import cli, config, losses
 from sphloss.trainer import TrainConfig
 
 
@@ -27,7 +27,8 @@ class TestGradcheck:
         assert "gradcheck OK" in capsys.readouterr().out
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "loss,D,trial,max_rel_err"
-        assert len(lines) == 1 + 6 * 2 * 5  # losses x dims x trials
+        assert len(lines) == 1 + 7 * 2 * 5  # losses x dims x trials
+        assert {line.split(",")[0] for line in lines[1:]} == set(losses.LOSSES)
         errs = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(errs) < 1e-5
 
@@ -39,9 +40,11 @@ class TestGradcheck:
         assert len(out.read_text().strip().splitlines()) == 4
 
     def test_unknown_loss_is_usage_error(self, capsys):
-        rc = run(["gradcheck", "--loss", "mystery"])
-        assert rc == 2
-        assert "unknown loss" in capsys.readouterr().err
+        # gradcheck takes the LOSSES names, as train does: no bare spherical_bound
+        for name in ("mystery", "spherical_bound"):
+            rc = run(["gradcheck", "--loss", name])
+            assert rc == 2
+            assert "unknown loss" in capsys.readouterr().err
 
     def test_broken_gradient_fails(self, tmp_path, monkeypatch, capsys):
         real = cli._loss_grad_fns
@@ -152,6 +155,12 @@ class TestTrain:
     @pytest.mark.parametrize("settings", [
         ["--set", "loss_kind=bogus"],
         ["--set", "output_layer=factored"],  # with the default log_softmax
+        ["--set", "loss_kind=log_spherical", "--set", "eps=0"],
+        ["--set", "loss_kind=spherical_bound_fixed", "--set", "xi=nan"],
+        ["--set", "hidden_dims=0"],
+        ["--set", "synth_D=1"],
+        ["--set", "dataset=foo"],
+        ["--set", "prior_bias_init=ture"],
     ])
     def test_invalid_train_config_exits_2_before_io(self, tmp_path, capsys, settings):
         out_dir = tmp_path / "x"
@@ -246,6 +255,8 @@ class TestConfigModule:
     def test_bad_value_rejected(self):
         with pytest.raises(config.ConfigError, match="bad value"):
             config.apply_setting(config.default_config(), "seed", "many")
+        with pytest.raises(config.ConfigError, match="bad value"):
+            config.apply_setting(config.default_config(), "prior_bias_init", "ture")
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sphloss import data, losses
+from sphloss import cli, data, losses
 from sphloss.losses import SPHERICAL_LOSSES, batch_loss_grad, batch_scores
 from sphloss.trainer import (
     MLP,
@@ -348,14 +348,16 @@ class TestTrain:
     def test_factored_follows_dense_without_momentum(self, loss_kind):
         assert_factored_follows_dense(loss_kind)
 
-    def test_new_kind_is_one_record(self, monkeypatch):
+    def test_new_kind_is_one_record(self, monkeypatch, tmp_path):
         # adding a loss kind takes one LOSSES record: here twice the mse
-        # entry, which both output layers then train
+        # entry, which both output layers then train and gradcheck checks
         def twice_mse(*args):
             return tuple(2.0 * x for x in losses.LOSSES["mse"].entry(*args))
         monkeypatch.setitem(losses.LOSSES, "twice_mse", dataclasses.replace(
             losses.LOSSES["mse"], entry=twice_mse))
         assert_factored_follows_dense("twice_mse")
+        assert cli.main(["gradcheck", "--loss", "twice_mse", "--dims", "2,10",
+                         "--trials", "3", "--output", str(tmp_path / "g.csv")]) == 0
 
 
 def assert_factored_follows_dense(loss_kind):

@@ -249,19 +249,17 @@ def _load_splits(cfg):
         train = data.load_mnist(cfg["mnist_train_images"], cfg["mnist_train_labels"])
         test = data.load_mnist(cfg["mnist_test_images"], cfg["mnist_test_labels"])
         if cfg["split"] == "official":
-            tr, va = data.random_split(
-                train,
-                data.SplitSpec(len(train) - cfg["valid_n"], cfg["valid_n"], 0,
-                               seed=cfg["split_seed"]),
-            )[:2]
-            parts = (tr, va, test)
+            pool, sizes = train, (len(train) - cfg["valid_n"], cfg["valid_n"], 0)
         else:
-            full = data.concat(train, test)
-            parts = data.random_split(
-                full,
-                data.SplitSpec(cfg["train_n"], cfg["valid_n"], cfg["test_n"],
-                               seed=cfg["split_seed"]),
-            )
+            pool = data.concat(train, test)
+            sizes = (cfg["train_n"], cfg["valid_n"], cfg["test_n"])
+        # the sizes come from config keys alone, so a bad one is a usage error
+        try:
+            parts = data.random_split(pool, data.SplitSpec(*sizes, seed=cfg["split_seed"]))
+        except ValueError as e:
+            raise config.ConfigError(f"mnist {cfg['split']} split: {e}") from None
+        if cfg["split"] == "official":
+            parts = (*parts[:2], test)
     else:
         raise config.ConfigError(f"unknown dataset {cfg['dataset']!r}")
     splits = tuple((p.features, p.labels) for p in parts)
@@ -306,6 +304,21 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _finite_float(positive: bool = False):
+    """argparse type: a finite float, > 0 when ``positive``, so that a bad
+    eps or xi is a usage error (exit 2) before any output is written."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not math.isfinite(value) or (positive and not value > 0):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number{' > 0' if positive else ''}, got {text}")
+        return value
+    return parse
+
+
 def _int_list_at_least(minimum: int):
     """argparse type: comma-separated integers, each >= ``minimum``."""
     parse = _int_at_least(minimum)
@@ -321,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dims", type=_int_list_at_least(2), default="2,10,1000")
     g.add_argument("--trials", type=_int_at_least(1), default=100)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--eps", type=float, default=losses.DEFAULT_EPS)
-    g.add_argument("--xi", type=float, default=1.0)
+    g.add_argument("--eps", type=_finite_float(positive=True), default=losses.DEFAULT_EPS)
+    g.add_argument("--xi", type=_finite_float(), default=1.0)
     g.add_argument("--output", default="-")
     g.set_defaults(fn=cmd_gradcheck)
 
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--samples", type=_int_at_least(1), default=1000)
     b.add_argument("--dims", type=_int_list_at_least(2), default="2,10,100")
     b.add_argument("--xi-mode", choices=("fixed", "optimized"), default="fixed")
-    b.add_argument("--xi", type=float, default=1.0)
+    b.add_argument("--xi", type=_finite_float(), default=1.0)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--train-probe", action="store_true")
     b.add_argument("--output", default="-")

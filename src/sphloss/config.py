@@ -22,6 +22,16 @@ def _bool(s) -> bool:
         raise ValueError("expected 1/0, true/false, yes/no or on/off") from None
 
 
+def _choice(*options: str):
+    """Converter accepting only ``options``."""
+    def convert(s) -> str:
+        s = str(s).strip()
+        if s not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return s
+    return convert
+
+
 def _int_list(s) -> tuple:
     s = str(s).strip()
     if not s:
@@ -44,7 +54,7 @@ KNOWN_KEYS = {
     "mnist_train_labels": (str, ""),
     "mnist_test_images": (str, ""),
     "mnist_test_labels": (str, ""),
-    "split": (str, "official"),  # "official" | "random"
+    "split": (_choice("official", "random"), "official"),
     "train_n": (int, 50000),
     "valid_n": (int, 10000),
     "test_n": (int, 10000),

@@ -107,6 +107,8 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
 
 def random_split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset, Dataset]:
     """Disjoint (train, valid, test) from a seeded shuffle."""
+    if min(spec.train_n, spec.valid_n, spec.test_n) < 0:
+        raise ValueError(f"split sizes must be >= 0, got {spec}")
     total = spec.train_n + spec.valid_n + spec.test_n
     if total > len(dataset):
         raise ValueError(f"split sizes sum to {total} > N={len(dataset)}")

@@ -19,6 +19,11 @@ rows of ``core``, in pre-mixer coordinates, which the maintained inverse of
 A gives; that inverse is updated by the Woodbury identity through the
 m x m matrix K = I - B H H'.  A rebase folds u and A into ``core``.
 
+Evaluation reads the same representation: ``logits`` gives H W' as
+(H A') core' + (H A' u) 1', and ``snapshot``/``restore`` copy and reinstate
+the arrays that define the layer, so training keeps its best state without
+forming W.  ``materialize`` builds W for tests and export only.
+
 ``DenseOutputLayer`` is the naive O(D*d) reference the factored layer is
 tested against in lockstep.
 """
@@ -250,6 +255,31 @@ class FactoredOutputLayer:
         self.offset = np.zeros(self.d)
         self.gram = W.T @ W
         self.colsum = W.sum(axis=0)
+
+    # the arrays that define the layer: the representation and its caches
+    _STATE = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum")
+
+    def logits(self, H: np.ndarray) -> np.ndarray:
+        """O = H W' for the rows of H, (n, D), as (H A') core' + (H A' u) 1':
+        O(n*d^2 + n*d*D) with no D x d temporary.  Evaluation, so not
+        counted in ``op_count``."""
+        H = np.asarray(H, dtype=np.float64)
+        if H.ndim != 2 or H.shape[1] != self.d:
+            raise ValueError(f"H must have shape (n, {self.d}), got {H.shape}")
+        G = H @ self.mixer.T
+        O = G @ self.core.T
+        O += (G @ self.offset)[:, None]
+        return O
+
+    def snapshot(self) -> dict:
+        """Copies of the arrays that define the layer; O(D*d), no product."""
+        return {name: getattr(self, name).copy() for name in self._STATE}
+
+    def restore(self, snapshot: dict):
+        """Return to the state of ``snapshot``, taking ownership of its
+        arrays: a snapshot is restored at most once."""
+        for name in self._STATE:
+            setattr(self, name, snapshot[name])
 
     def materialize(self) -> DenseOutputLayer:
         """Dense copy of the represented matrix; for tests and export only."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -79,6 +79,14 @@ class EpochRecord:
 
 @dataclass
 class RunMetrics:
+    """Per-epoch records and test metrics of one training run.
+
+    ``model`` is the trained model at its best-validation state, in a form
+    ``evaluate`` takes: the MLP for a dense run; for a factored run, the
+    predictor X -> logits through the factored layer
+    (``factored_predictor``), whose own representation holds that state.
+    """
+
     epochs: List[EpochRecord] = field(default_factory=list)
     test_loss: float = math.nan
     test_error: float = math.nan
@@ -88,7 +96,8 @@ class RunMetrics:
     best_epoch: int = -1
     diverged: bool = False
     diagnostic: str = ""
-    model: Optional["MLP"] = field(default=None, repr=False)
+    model: Optional[Union["MLP", Callable[[np.ndarray], np.ndarray]]] = field(
+        default=None, repr=False)
 
 
 def he_init(fan_in: int, size, rng: np.random.Generator) -> np.ndarray:
@@ -163,12 +172,8 @@ class MLP:
     def params(self) -> List[np.ndarray]:
         return [*self.Ws, *self.bs]
 
-    def get_state(self) -> List[np.ndarray]:
-        return [p.copy() for p in self.params()]
-
-    def set_state(self, state: Sequence[np.ndarray]):
-        for p, s in zip(self.params(), state):
-            p[...] = s
+    def hidden_params(self) -> List[np.ndarray]:
+        return [*self.Ws[:-1], *self.bs[:-1]]
 
     def hidden(self, X: np.ndarray) -> List[np.ndarray]:
         """Activations of the input and of every hidden layer, input first."""
@@ -209,10 +214,23 @@ class MLP:
 EVAL_CHUNK = 8192
 
 
+def _with_bias(h: np.ndarray) -> np.ndarray:
+    """Rows of h with the constant-1 feature into which the factored output
+    layer folds its bias."""
+    return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
+
+
+def factored_predictor(model: MLP, layer: FactoredOutputLayer):
+    """X -> logits of the MLP whose output layer is ``layer``, read through
+    the layer's representation without forming its D x d weights."""
+    return lambda X: layer.logits(_with_bias(model.hidden(X)[-1]))
+
+
 def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
              eps: float = losses.DEFAULT_EPS, xi: float = 1.0):
     """(negll, error_rate, top10_error, own_loss) over a split.
 
+    ``model`` is an MLP or a callable X -> logits.
     ``own_loss`` is the training loss evaluated on the split; negll is the
     likelihood-based metric (MSE for the mse loss, by convention).
     """
@@ -257,8 +275,7 @@ def _train_batch_factored(model: MLP, layer: FactoredOutputLayer, Xb, yb,
     SGD step on the batch's mean loss."""
     hs = model.hidden(Xb)
     m, d = hs[-1].shape
-    # bias folded into the layer as a constant-1 appended feature
-    H = np.concatenate([hs[-1], np.ones((m, 1))], axis=1)
+    H = _with_bias(hs[-1])
     st = layer.forward_stats(H, yb)
     loss, a, bq, g = losses.loss_record(cfg.loss_kind).entry(
         st.s, st.q, st.o_c, layer.D, losses.LossParams(eps=cfg.eps, xi=cfg.xi)
@@ -268,8 +285,7 @@ def _train_batch_factored(model: MLP, layer: FactoredOutputLayer, Xb, yb,
     # hidden gradient uses the pre-update output weights (batch semantics)
     if model.Ws[:-1]:
         dWs, dbs = model.backward_hidden_from_dh(hs, layer.backward_h(step)[:, :d] / m)
-        hidden_params = [*model.Ws[:-1], *model.bs[:-1]]
-        for p, v, gr in zip(hidden_params, vels, [*dWs, *dbs]):
+        for p, v, gr in zip(model.hidden_params(), vels, [*dWs, *dbs]):
             nesterov_step(p, v, gr, lr, cfg.momentum)
 
     layer.sgd_step(step, lr / m)
@@ -284,6 +300,10 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
     consecutive epochs; training stops after 10 halvings (lr below
     initial/2^10), at ``max_epochs``, or once ``error_target`` is reached
     on validation.  Test metrics come from the best-validation parameters.
+
+    A factored run never forms the output layer's D x d weights: it
+    evaluates through ``factored_predictor`` and keeps its best state as
+    the hidden parameters plus the layer's ``snapshot``.
     """
     (Xtr, ytr), (Xva, yva), (Xte, yte) = splits
     rng = np.random.default_rng(cfg.seed)
@@ -292,14 +312,17 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
                 prior_bias_init=cfg.prior_bias_init, n_examples=len(ytr))
 
     factored_layer = None
+    predictor = model
+    trained = model.params()
     if cfg.output_layer == "factored":
         W0 = np.concatenate(
             [model.Ws[-1], model.bs[-1][:, None]], axis=1
         )
         factored_layer = FactoredOutputLayer(W0)
-        vels = [np.zeros_like(p) for p in [*model.Ws[:-1], *model.bs[:-1]]]
-    else:
-        vels = [np.zeros_like(p) for p in model.params()]
+        predictor = factored_predictor(model, factored_layer)
+        # the MLP's own output weights stay at their initial values, unread
+        trained = model.hidden_params()
+    vels = [np.zeros_like(p) for p in trained]
 
     metrics = RunMetrics()
     best_err = math.inf
@@ -329,10 +352,8 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
             loss_acc += bl
             nb += 1
 
-        if factored_layer is not None:
-            _sync_factored(model, factored_layer)
         _, valid_error, _, valid_loss = evaluate(
-            model, Xva, yva, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
+            predictor, Xva, yva, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
         )
         rec = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_acc / max(nb, 1),
                           valid_loss=valid_loss, valid_error=valid_error)
@@ -341,7 +362,8 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
 
         if valid_error < best_err - 1e-12:
             best_err = valid_error
-            best_state = model.get_state()
+            best_state = ([p.copy() for p in trained],
+                          factored_layer.snapshot() if factored_layer is not None else None)
             metrics.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -355,9 +377,13 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
             break
 
     if best_state is not None:
-        model.set_state(best_state)
+        params, layer_state = best_state
+        for p, s in zip(trained, params):
+            p[...] = s
+        if layer_state is not None:
+            factored_layer.restore(layer_state)
     test_negll, test_error, top10_error, test_loss = evaluate(
-        model, Xte, yte, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
+        predictor, Xte, yte, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
     )
     metrics.test_negll = test_negll
     metrics.test_error = test_error
@@ -366,16 +392,8 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
 
     if csv_path is not None:
         write_epoch_csv(csv_path, metrics)
-    metrics.model = model
+    metrics.model = predictor
     return metrics
-
-
-def _sync_factored(model: MLP, layer: FactoredOutputLayer):
-    """Copy the factored layer's represented weights back into the MLP so
-    the shared evaluation path can run (O(D*d^2), once per epoch)."""
-    dense = layer.materialize()
-    model.Ws[-1][...] = dense.W[:, :-1]
-    model.bs[-1][...] = dense.W[:, -1]
 
 
 def write_epoch_csv(path: str, metrics: RunMetrics):

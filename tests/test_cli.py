@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -16,6 +17,22 @@ FAST_TRAIN = [
     "--set", "hidden_dims=8", "--set", "max_epochs=3", "--set", "batch_size=100",
     "--set", "initial_lr=0.05",
 ]
+
+
+def mnist_settings(tmp_path):
+    """--set arguments naming hand-made IDX files: 12 training and 4 test
+    rows of 2x2 images."""
+    rng = np.random.default_rng(0)
+    args = []
+    for split, n in (("train", 12), ("test", 4)):
+        images, labels = tmp_path / f"{split}_images.idx", tmp_path / f"{split}_labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, n, 2, 2)
+                           + rng.integers(0, 256, size=n * 4, dtype=np.uint8).tobytes())
+        labels.write_bytes(struct.pack(">II", 0x801, n)
+                           + rng.integers(0, 10, size=n, dtype=np.uint8).tobytes())
+        args += ["--set", f"mnist_{split}_images={images}",
+                 "--set", f"mnist_{split}_labels={labels}"]
+    return ["--set", "dataset=mnist", *args]
 
 
 class TestGradcheck:
@@ -161,6 +178,7 @@ class TestTrain:
         ["--set", "synth_D=1"],
         ["--set", "dataset=foo"],
         ["--set", "prior_bias_init=ture"],
+        ["--set", "split=bogus"],
     ])
     def test_invalid_train_config_exits_2_before_io(self, tmp_path, capsys, settings):
         out_dir = tmp_path / "x"
@@ -182,6 +200,34 @@ class TestTrain:
                   "--set", f"mnist_test_labels={tmp_path}/absent4"])
         assert rc == 1
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings", [
+        ["--set", "split=random", "--set", "train_n=10", "--set", "valid_n=5",
+         "--set", "test_n=5"],  # 20 rows asked of 16
+        ["--set", "split=official", "--set", "valid_n=13"],  # 12 training rows
+    ])
+    def test_oversized_mnist_split_exits_2_before_io(self, tmp_path, capsys, settings):
+        out_dir = tmp_path / "x"
+        rc = run(["train", "--out-dir", str(out_dir), *mnist_settings(tmp_path), *settings])
+        assert rc == 2
+        assert "split" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_fitting_mnist_split_trains(self, tmp_path):
+        out_dir = tmp_path / "x"
+        rc = run(["train", "--out-dir", str(out_dir), *mnist_settings(tmp_path),
+                  "--set", "split=random", "--set", "train_n=8", "--set", "valid_n=4",
+                  "--set", "test_n=4", "--set", "hidden_dims=4", "--set", "max_epochs=1",
+                  "--set", "batch_size=4"])
+        assert rc == 0
+        assert (out_dir / "run_seed0.txt").exists()
+
+    def test_malformed_mnist_file_exits_1(self, tmp_path, capsys):
+        settings = mnist_settings(tmp_path)
+        (tmp_path / "test_images.idx").write_bytes(b"\x00\x00\x08\x03")  # no sizes
+        rc = run(["train", "--out-dir", str(tmp_path / "x"), *settings])
+        assert rc == 1
+        assert "truncated header" in capsys.readouterr().err
 
     def test_factored_output_layer_runs(self, tmp_path):
         out_dir = tmp_path / "run"
@@ -220,6 +266,22 @@ def test_bad_count_or_size_is_usage_error_before_io(tmp_path, capsys, argv):
         run([*argv, *dest])
     assert exc.value.code == 2
     assert "expected an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--loss", "log_spherical", "--eps", "0"],
+    ["gradcheck", "--loss", "log_spherical", "--eps", "inf"],
+    ["gradcheck", "--loss", "spherical_bound_fixed", "--xi", "nan"],
+    ["bound-eval", "--xi", "nan"],
+    ["bound-eval", "--xi=-inf"],
+])
+def test_bad_eps_or_xi_is_usage_error_before_io(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "expected a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 

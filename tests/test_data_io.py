@@ -164,6 +164,8 @@ class TestRandomSplit:
     def test_oversized_split_rejected(self, ds):
         with pytest.raises(ValueError):
             random_split(ds, SplitSpec(1500, 400, 400, seed=0))
+        with pytest.raises(ValueError, match=">= 0"):
+            random_split(ds, SplitSpec(-10, 20, 0, seed=0))  # total fits, train_n < 0
 
 
 class TestSynthetic:

@@ -286,6 +286,56 @@ class TestRowAndMaterialize:
             layer.row(10)
 
 
+class TestLogitsAndSnapshot:
+    def test_logits_match_materialized_weights(self):
+        # after batches whose classes repeat, after a rebase and after the
+        # singular-K fallback (rows 0 and 1 share h with 2*lr*bq*h'h = 1/2)
+        rng = np.random.default_rng(30)
+        D, d, lr = 200, 6, 0.05
+        fac = FactoredOutputLayer(rng.normal(scale=0.1, size=(D, d)))
+        X = rng.normal(size=(25, d))
+
+        def assert_logits_exact():
+            W, ops = fac.materialize().W, fac.op_count
+            assert rel_fro(fac.logits(X), X @ W.T) < 1e-12
+            assert fac.op_count == ops  # evaluation is not counted
+
+        for _ in range(10):
+            fac.sgd_step(random_batch(rng, D, d, 8), lr=lr)
+        assert fac.rebase_count == 0 and not np.array_equal(fac.mixer, np.eye(d))
+        assert_logits_exact()
+        fac.rebase()
+        assert_logits_exact()
+        fac.sgd_step(random_batch(rng, D, d, 8), lr=lr)
+        h = np.zeros(d)
+        h[0] = 2.0
+        fac.sgd_step(StepPartials(a=np.array([0.2, -0.1]), bq=np.full(2, 1.0 / (16.0 * lr)),
+                                  g=np.array([-0.5, 0.7]), c=np.array([3, 3]),
+                                  h=np.stack([h, h])), lr=lr)
+        assert fac.rebase_count == 2
+        assert_logits_exact()
+        with pytest.raises(ValueError):
+            fac.logits(X[:, :-1])
+
+    def test_snapshot_survives_steps_and_restores_exactly(self):
+        rng = np.random.default_rng(31)
+        D, d = 100, 5
+        fac = FactoredOutputLayer(rng.normal(scale=0.1, size=(D, d)))
+        for _ in range(5):
+            fac.sgd_step(random_batch(rng, D, d, 6), lr=0.05)
+        snap = fac.snapshot()
+        kept = {k: v.copy() for k, v in snap.items()}
+        W, gram, colsum = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
+        for _ in range(5):
+            fac.sgd_step(random_batch(rng, D, d, 6), lr=0.05)
+        fac.rebase()
+        assert not np.array_equal(fac.materialize().W, W)
+        assert all(np.array_equal(snap[k], kept[k]) for k in kept)
+        fac.restore(snap)
+        assert np.array_equal(fac.materialize().W, W)
+        assert np.array_equal(fac.gram, gram) and np.array_equal(fac.colsum, colsum)
+
+
 class TestRebase:
     def test_idempotent(self):
         rng = np.random.default_rng(10)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sphloss import cli, data, losses
+from sphloss.fast_output import FactoredOutputLayer
 from sphloss.losses import SPHERICAL_LOSSES, batch_loss_grad, batch_scores
 from sphloss.trainer import (
     MLP,
@@ -309,6 +310,32 @@ class TestTrain:
         assert metrics.test_error == err
         assert metrics.test_loss == pytest.approx(own, rel=1e-12)
         assert metrics.test_negll == pytest.approx(negll, rel=1e-12)
+
+    def test_factored_early_stop_restores_best_epoch(self, toy_binary):
+        cfg = TrainConfig(loss_kind="log_taylor", initial_lr=0.1, max_epochs=15,
+                          seed=3, output_layer="factored")
+        metrics = train(MLPSpec(2, (8,), 2), cfg, toy_binary)
+        assert 1 <= metrics.best_epoch < metrics.epochs_run
+        _, (Xva, yva), (Xte, yte) = toy_binary
+        # the returned predictor is at the best epoch's state ...
+        best = metrics.epochs[metrics.best_epoch - 1]
+        _, valid_err, _, valid_loss = evaluate(metrics.model, Xva, yva, "log_taylor")
+        assert (valid_err, valid_loss) == (best.valid_error, best.valid_loss)
+        assert valid_loss != metrics.epochs[-1].valid_loss
+        # ... and re-evaluates to the reported test metrics
+        negll, err, top10, own = evaluate(metrics.model, Xte, yte, "log_taylor")
+        assert (metrics.test_negll, metrics.test_error, metrics.top10_error,
+                metrics.test_loss) == (negll, err, top10, own)
+
+    def test_factored_run_never_materializes(self, toy_binary, monkeypatch):
+        def refuse(self):
+            raise AssertionError("materialize called during training")
+        monkeypatch.setattr(FactoredOutputLayer, "materialize", refuse)
+        cfg = TrainConfig(loss_kind="log_taylor", initial_lr=0.1, max_epochs=15,
+                          seed=3, output_layer="factored")
+        metrics = train(MLPSpec(2, (8,), 2), cfg, toy_binary)
+        assert not metrics.diverged and metrics.epochs_run == 15
+        assert math.isfinite(metrics.test_negll)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_abort(self, toy_binary):

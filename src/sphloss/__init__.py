@@ -20,7 +20,6 @@ from .losses import (
     taylor_softmax,
 )
 from .bound import (
-    BoundValue,
     XiParam,
     bouchard_lse_bound_general,
     lambda_xi,

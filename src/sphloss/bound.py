@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -75,13 +75,6 @@ def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float
 
 
 @dataclass(frozen=True)
-class BoundValue:
-    bound: float
-    true_loss: Optional[float] = None
-    gap: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class XiParam:
     xi: float = 1.0
     mode: str = "fixed"  # "fixed" | "per_example_optimized"
@@ -95,12 +88,14 @@ class XiParam:
 
 @dataclass(frozen=True)
 class BoundLoss:
-    """Result of :func:`spherical_bound_loss`."""
+    """Result of :func:`spherical_bound_loss`: the bound ``loss`` on the
+    ``true_loss`` -log softmax(o)_c, and ``gap`` = loss - true_loss."""
 
     loss: float
     grad_o: np.ndarray
     partials: Tuple[float, float, float]
-    bound: BoundValue
+    true_loss: float
+    gap: float
     xi_used: float
     xi_fallback: bool = False
 
@@ -188,7 +183,8 @@ def spherical_bound_loss(o, c: int, xi: XiParam = XiParam()) -> BoundLoss:
         loss=res.loss,
         grad_o=res.grad_o,
         partials=res.partials,
-        bound=BoundValue(bound=res.loss, true_loss=true_loss, gap=res.loss - true_loss),
+        true_loss=true_loss,
+        gap=res.loss - true_loss,
         xi_used=xi_used,
         xi_fallback=bool(fallback[0]),
     )

@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Subcommands: gradcheck (finite-difference verification of every loss),
-bound-eval (upper-bound validity/tightness report and the bound-training
-probe), train (single or multi-seed training runs), bench (output-layer
-per-step latency).  Exit codes: 0 success, 1 assertion/quality failure,
-2 usage error.
+Three subcommands: gradcheck (finite-difference verification of every
+loss), bound-eval (upper-bound validity/tightness report and the
+bound-training probe) and train (single or multi-seed training runs).
+Exit codes: 0 success, 1 assertion/quality failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bound, config, data, fast_output, losses, trainer
+from . import bound, config, data, losses, trainer
 
 # largest relative error a gradient check accepts
 GRADCHECK_TOL = 1e-5
@@ -101,6 +100,10 @@ def cmd_gradcheck(args) -> int:
 def cmd_bound_eval(args) -> int:
     if args.train_probe:
         return _bound_train_probe(args)
+    if args.xi_mode == "optimized":
+        xp = bound.XiParam(mode="per_example_optimized")
+    else:
+        xp = bound.XiParam(xi=args.xi, mode="fixed")
     rng = np.random.default_rng(args.seed)
     rows = []
     gaps = []
@@ -108,13 +111,9 @@ def cmd_bound_eval(args) -> int:
         D = args.dims[int(rng.integers(len(args.dims)))]
         o = rng.uniform(-3.0, 3.0, size=D)
         c = int(rng.integers(D))
-        if args.xi_mode == "optimized":
-            xp = bound.XiParam(mode="per_example_optimized")
-        else:
-            xp = bound.XiParam(xi=args.xi, mode="fixed")
         res = bound.spherical_bound_loss(o, c, xp)
-        rows.append((res.bound.true_loss, res.bound.bound, res.bound.gap))
-        gaps.append(res.bound.gap)
+        rows.append((res.true_loss, res.loss, res.gap))
+        gaps.append(res.gap)
     out = _open_out(args.output)
     w = csv.writer(out)
     w.writerow(["true_loss", "bound", "gap"])
@@ -149,7 +148,8 @@ def _bound_train_probe(args) -> int:
     freqs = np.bincount(ytr, minlength=100) / len(ytr)
     model0 = trainer.MLP(spec, rng, class_freqs=freqs, loss_kind=kind,
                          prior_bias_init=True, n_examples=len(ytr))
-    negll0, err0, _, bound0 = trainer.evaluate(model0, Xte, yte, kind, xi=cfg.xi)
+    negll0, err0, _, bound0 = trainer.evaluate(lambda X: model0.forward(X)[0],
+                                               Xte, yte, kind, xi=cfg.xi)
     m = trainer.train(spec, cfg, (((Xtr, ytr)), (Xva, yva), (Xte, yte)))
     print("bound-training probe (minimizing the upper bound on -log softmax):")
     print(f"  initial: negll={negll0:.4f} bound={bound0:.4f} error={err0:.4f}")
@@ -231,52 +231,46 @@ def _table_row(kind: str, neglls, errors, epochs) -> str:
 
 
 def _load_splits(cfg):
-    """Returns (((Xtr,ytr),(Xva,yva),(Xte,yte)), D, input_dim)."""
+    """Returns (((Xtr,ytr),(Xva,yva),(Xte,yte)), D, input_dim).
+
+    ``split=random`` takes train_n, valid_n and test_n rows of all the
+    dataset's rows.  ``split=official`` takes 70/15/15 of a synthetic task,
+    and valid_n rows of the MNIST training file with its own test file.
+    """
+    test = None
     if cfg["dataset"] == "synthetic":
         # built from config keys alone, so any failure is a usage error
         try:
-            ds = data.synthetic_categorical(
+            pool = data.synthetic_categorical(
                 D=cfg["synth_D"], input_dim=cfg["synth_input_dim"], N=cfg["synth_N"],
                 zipf_exponent=cfg["synth_zipf"], seed=cfg["synth_seed"],
                 separation=cfg["synth_separation"],
             )
-            n = len(ds)
-            tr, va, te = (int(0.7 * n), int(0.15 * n), n - int(0.7 * n) - int(0.15 * n))
-            parts = data.random_split(ds, data.SplitSpec(tr, va, te, seed=cfg["split_seed"]))
         except ValueError as e:
             raise config.ConfigError(f"synthetic dataset: {e}") from None
+        n = len(pool)
+        official = (int(0.7 * n), int(0.15 * n), n - int(0.7 * n) - int(0.15 * n))
     elif cfg["dataset"] == "mnist":
-        train = data.load_mnist(cfg["mnist_train_images"], cfg["mnist_train_labels"])
+        pool = data.load_mnist(cfg["mnist_train_images"], cfg["mnist_train_labels"])
         test = data.load_mnist(cfg["mnist_test_images"], cfg["mnist_test_labels"])
-        if cfg["split"] == "official":
-            pool, sizes = train, (len(train) - cfg["valid_n"], cfg["valid_n"], 0)
-        else:
-            pool = data.concat(train, test)
-            sizes = (cfg["train_n"], cfg["valid_n"], cfg["test_n"])
-        # the sizes come from config keys alone, so a bad one is a usage error
-        try:
-            parts = data.random_split(pool, data.SplitSpec(*sizes, seed=cfg["split_seed"]))
-        except ValueError as e:
-            raise config.ConfigError(f"mnist {cfg['split']} split: {e}") from None
-        if cfg["split"] == "official":
-            parts = (*parts[:2], test)
+        official = (len(pool) - cfg["valid_n"], cfg["valid_n"], 0)
     else:
         raise config.ConfigError(f"unknown dataset {cfg['dataset']!r}")
+    if cfg["split"] == "official":
+        sizes = official
+    else:
+        sizes = (cfg["train_n"], cfg["valid_n"], cfg["test_n"])
+        if test is not None:
+            pool, test = data.concat(pool, test), None
+    # the sizes come from config keys alone, so a bad one is a usage error
+    try:
+        parts = data.random_split(pool, data.SplitSpec(*sizes, seed=cfg["split_seed"]))
+    except ValueError as e:
+        raise config.ConfigError(f"{cfg['dataset']} {cfg['split']} split: {e}") from None
+    if test is not None:
+        parts = (*parts[:2], test)
     splits = tuple((p.features, p.labels) for p in parts)
     return splits, parts[0].D, parts[0].features.shape[1]
-
-
-def cmd_bench(args) -> int:
-    rows = fast_output.bench(D_list=args.D_list, d=args.d, steps=args.steps,
-                             seed=args.seed)
-    out = _open_out(args.output)
-    w = csv.writer(out)
-    w.writerow(["impl", "D", "d", "step_us_p50", "step_us_p90", "steps"])
-    for r in rows:
-        w.writerow([r["impl"], r["D"], r["d"],
-                    f"{r['step_us_p50']:.2f}", f"{r['step_us_p90']:.2f}", r["steps"]])
-    _close_out(out)
-    return 0
 
 
 def _open_out(path):
@@ -357,13 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out-dir", default="sphloss_out")
     t.set_defaults(fn=cmd_train)
 
-    n = sub.add_parser("bench", help="output-layer per-step latency")
-    n.add_argument("--D-list", type=_int_list_at_least(1), default="1000,10000,100000")
-    n.add_argument("--d", type=_int_at_least(1), default=128)
-    n.add_argument("--steps", type=_int_at_least(1), default=200)
-    n.add_argument("--seed", type=int, default=0)
-    n.add_argument("--output", default="-")
-    n.set_defaults(fn=cmd_bench)
     return p
 
 

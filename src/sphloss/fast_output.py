@@ -30,9 +30,7 @@ tested against in lockstep.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -285,49 +283,3 @@ class FactoredOutputLayer:
         """Dense copy of the represented matrix; for tests and export only."""
         return DenseOutputLayer((self.core + self.offset) @ self.mixer)
 
-
-def bench(
-    impls=("factored", "dense"),
-    D_list=(1_000, 10_000, 100_000),
-    d: int = 128,
-    steps: int = 200,
-    seed: int = 0,
-) -> List[dict]:
-    """Median/percentile per-step latency of each layer implementation.
-
-    Returns rows with keys impl, D, d, step_us_p50, step_us_p90, steps.
-    """
-    rows = []
-    for D in D_list:
-        rng = np.random.default_rng(seed)
-        W0 = rng.normal(scale=0.01, size=(D, d))
-        hs = rng.normal(size=(steps, d))
-        cs = rng.integers(0, D, size=steps)
-        parts = rng.uniform(-0.5, 0.5, size=(steps, 3))
-        for impl in impls:
-            if impl == "factored":
-                layer = FactoredOutputLayer(W0)
-            elif impl == "dense":
-                layer = DenseOutputLayer(W0)
-            else:
-                raise ValueError(f"unknown layer impl {impl!r}")
-            times = np.empty(steps)
-            for i in range(steps):
-                p = StepPartials(
-                    a=parts[i, 0], bq=parts[i, 1], g=parts[i, 2], c=int(cs[i]), h=hs[i]
-                )
-                t0 = time.perf_counter()
-                layer.forward_stats(hs[i], int(cs[i]))
-                layer.sgd_step(p, lr=0.01)
-                times[i] = time.perf_counter() - t0
-            rows.append(
-                {
-                    "impl": impl,
-                    "D": D,
-                    "d": d,
-                    "step_us_p50": float(np.percentile(times, 50) * 1e6),
-                    "step_us_p90": float(np.percentile(times, 90) * 1e6),
-                    "steps": steps,
-                }
-            )
-    return rows

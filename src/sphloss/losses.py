@@ -311,11 +311,6 @@ LOSSES = {
         negll="log_softmax"),
 }
 
-# import-time views for iteration; every lookup by kind reads LOSSES itself
-LOSS_KINDS = tuple(LOSSES)
-SPHERICAL_LOSSES = {k: r.entry for k, r in LOSSES.items() if r.entry is not None}
-
-
 def loss_record(kind: str) -> LossKind:
     """The ``LOSSES`` record of ``kind``; ValueError for an unknown kind."""
     try:

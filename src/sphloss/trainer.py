@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,10 +81,8 @@ class EpochRecord:
 class RunMetrics:
     """Per-epoch records and test metrics of one training run.
 
-    ``model`` is the trained model at its best-validation state, in a form
-    ``evaluate`` takes: the MLP for a dense run; for a factored run, the
-    predictor X -> logits through the factored layer
-    (``factored_predictor``), whose own representation holds that state.
+    ``model`` is the predictor X -> logits of the trained model at its
+    best-validation state, for either output layer; ``evaluate`` takes it.
     """
 
     epochs: List[EpochRecord] = field(default_factory=list)
@@ -96,8 +94,7 @@ class RunMetrics:
     best_epoch: int = -1
     diverged: bool = False
     diagnostic: str = ""
-    model: Optional[Union["MLP", Callable[[np.ndarray], np.ndarray]]] = field(
-        default=None, repr=False)
+    model: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, repr=False)
 
 
 def he_init(fan_in: int, size, rng: np.random.Generator) -> np.ndarray:
@@ -230,7 +227,7 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
              eps: float = losses.DEFAULT_EPS, xi: float = 1.0):
     """(negll, error_rate, top10_error, own_loss) over a split.
 
-    ``model`` is an MLP or a callable X -> logits.
+    ``model`` is a predictor X -> logits.
     ``own_loss`` is the training loss evaluated on the split; negll is the
     likelihood-based metric (MSE for the mse loss, by convention).
     """
@@ -242,10 +239,7 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
     top10_err = 0
     for lo in range(0, n, EVAL_CHUNK):
         Xb, yb = X[lo:lo + EVAL_CHUNK], y[lo:lo + EVAL_CHUNK]
-        if isinstance(model, MLP):
-            O, _ = model.forward(Xb)
-        else:
-            O = model(Xb)
+        O = model(Xb)
         own = losses.batch_loss(loss_kind, O, yb, eps=eps, xi=xi)
         loss_sum += own.sum()
         negll = own if own_negll else losses.batch_negll(loss_kind, O, yb, eps=eps)
@@ -312,7 +306,7 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
                 prior_bias_init=cfg.prior_bias_init, n_examples=len(ytr))
 
     factored_layer = None
-    predictor = model
+    predictor = lambda X: model.forward(X)[0]
     trained = model.params()
     if cfg.output_layer == "factored":
         W0 = np.concatenate(

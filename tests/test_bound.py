@@ -81,8 +81,8 @@ class TestSphericalBoundLoss:
     def test_hand_value_zero_vector(self):
         r = spherical_bound_loss(np.zeros(2), 0, XiParam(xi=0.0))
         assert r.loss == pytest.approx(2 * math.log(2), rel=1e-14)
-        assert r.bound.true_loss == pytest.approx(math.log(2), rel=1e-14)
-        assert r.bound.gap == pytest.approx(math.log(2), rel=1e-12)
+        assert r.true_loss == pytest.approx(math.log(2), rel=1e-14)
+        assert r.gap == pytest.approx(math.log(2), rel=1e-12)
 
     def test_matches_general_bound_at_optimal_alpha(self):
         rng = np.random.default_rng(2)
@@ -121,7 +121,7 @@ class TestSphericalBoundLoss:
             c = int(rng.integers(D))
             xi = float(rng.uniform(-4, 4))
             r = spherical_bound_loss(o, c, XiParam(xi=xi))
-            assert r.bound.gap >= -1e-9
+            assert r.gap >= -1e-9
 
     def test_fixed_xi_gradient(self):
         rng = np.random.default_rng(5)

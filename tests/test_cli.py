@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from sphloss import cli, config, losses
-from sphloss.trainer import TrainConfig
+from sphloss import cli, config, losses, trainer
+from sphloss.trainer import TrainConfig, train
 
 
 def run(argv):
@@ -179,13 +179,34 @@ class TestTrain:
         ["--set", "dataset=foo"],
         ["--set", "prior_bias_init=ture"],
         ["--set", "split=bogus"],
+        # 1005 of the 1000 synthetic rows
+        ["--set", "split=random", "--set", "train_n=900", "--set", "valid_n=100",
+         "--set", "test_n=5"],
     ])
     def test_invalid_train_config_exits_2_before_io(self, tmp_path, capsys, settings):
         out_dir = tmp_path / "x"
         rc = run(["train", "--out-dir", str(out_dir), *FAST_TRAIN, *settings])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
-        assert not (out_dir / "effective_config.txt").exists()
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("split,sizes", [
+        (["--set", "split=random", "--set", "train_n=5", "--set", "valid_n=5",
+          "--set", "test_n=5"], (5, 5, 5)),
+        ([], (700, 150, 150)),  # the default official split: 70/15/15
+    ], ids=["random", "official"])
+    def test_synthetic_split_sizes(self, tmp_path, monkeypatch, split, sizes):
+        seen = []
+
+        def spy(spec, cfg, splits, **kwargs):
+            seen.append(tuple(len(y) for _, y in splits))
+            return train(spec, cfg, splits, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        rc = run(["train", "--out-dir", str(tmp_path / "x"), "--set", "synth_N=1000",
+                  *split, "--set", "hidden_dims=8", "--set", "max_epochs=2"])
+        assert rc == 0
+        assert seen == [sizes]
 
     def test_malformed_set_exits_2(self, tmp_path, capsys):
         rc = run(["train", "--out-dir", str(tmp_path / "x"), "--set", "oops"])
@@ -236,17 +257,6 @@ class TestTrain:
         assert rc == 0
 
 
-class TestBench:
-    def test_csv_columns(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = run(["bench", "--D-list", "200,400", "--d", "16", "--steps", "10",
-                  "--output", str(out)])
-        assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "impl,D,d,step_us_p50,step_us_p90,steps"
-        assert len(lines) == 5  # 2 impls x 2 sizes
-
-
 @pytest.mark.parametrize("argv", [
     ["gradcheck", "--trials", "0", "--dims", "2"],
     ["gradcheck", "--dims", "abc"],
@@ -254,10 +264,7 @@ class TestBench:
     ["gradcheck", "--dims", "2,1.5"],
     ["bound-eval", "--samples", "0"],
     ["bound-eval", "--dims", "10,1"],
-    ["bench", "--steps", "0"],
-    ["bench", "--D-list", "100,0"],
-    ["bench", "--d", "0"],
-    ["train", "--seeds", "0"],
+    pytest.param(["train", "--seeds", "0"], id="argv9"),
 ])
 def test_bad_count_or_size_is_usage_error_before_io(tmp_path, capsys, argv):
     out = tmp_path / "out"

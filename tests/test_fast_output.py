@@ -7,7 +7,6 @@ from sphloss.fast_output import (
     DenseOutputLayer,
     FactoredOutputLayer,
     StepPartials,
-    bench,
 )
 from sphloss.losses import batch_loss_grad
 
@@ -433,11 +432,11 @@ class TestComplexity:
 class TestLossEquivalence:
     @pytest.mark.parametrize("loss_kind", ["mse", "log_spherical", "log_taylor"])
     def test_trajectory_matches_dense(self, loss_kind):
-        from sphloss.losses import SPHERICAL_LOSSES, LossParams
+        from sphloss.losses import LOSSES, LossParams
         from sphloss.trainer import TrainConfig
 
         cfg = TrainConfig(loss_kind=loss_kind, output_layer="factored")
-        entry = SPHERICAL_LOSSES[loss_kind]
+        entry = LOSSES[loss_kind].entry
         params = LossParams(eps=cfg.eps, xi=cfg.xi)
         rng = np.random.default_rng(17)
         D, d, lr = 50, 8, 0.05
@@ -466,15 +465,3 @@ class TestLossEquivalence:
             den.W -= lr * grads[0][:, None] * h[None, :]
         assert rel_fro(fac.materialize().W, den.W) < 1e-6
 
-
-class TestBench:
-    def test_rows_and_keys(self):
-        rows = bench(D_list=(200, 400), d=16, steps=10, seed=0)
-        assert len(rows) == 4
-        for row in rows:
-            assert set(row) == {"impl", "D", "d", "step_us_p50", "step_us_p90", "steps"}
-            assert row["step_us_p50"] > 0
-
-    def test_unknown_impl(self):
-        with pytest.raises(ValueError):
-            bench(impls=("mystery",), D_list=(100,), d=8, steps=5)

@@ -336,7 +336,7 @@ class TestGradFromPartials:
 
 
 class TestBatchForms:
-    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    @pytest.mark.parametrize("kind", losses.LOSSES)
     def test_loss_only_path_matches_loss_grad(self, kind):
         rng = np.random.default_rng(18)
         O = rng.uniform(-3, 3, size=(7, 11))
@@ -361,7 +361,7 @@ class TestBatchForms:
         O = rng.uniform(-3, 3, size=(9, 13))
         y = rng.integers(0, 13, size=9)
         losses_b, grad_b = losses.batch_loss_grad(kind, O, y, eps=0.05)
-        entry = losses.SPHERICAL_LOSSES.get(kind)
+        entry = losses.LOSSES[kind].entry
         if entry is not None:
             _, *partials_b = entry(O.sum(axis=1), (O * O).sum(axis=1),
                                    O[np.arange(9), y], 13, losses.LossParams(eps=0.05))
@@ -376,8 +376,8 @@ class TestBatchForms:
                                            rtol=1e-12)
 
     def test_registry_is_the_spherical_family(self):
-        assert set(losses.SPHERICAL_LOSSES) == (
-            set(losses.LOSS_KINDS) - {"log_softmax", "log_softmax_abs"})
+        spherical = {k for k, r in losses.LOSSES.items() if r.entry is not None}
+        assert spherical == set(losses.LOSSES) - {"log_softmax", "log_softmax_abs"}
 
     def test_unknown_kind_rejected(self):
         O, y = np.zeros((2, 3)), np.array([0, 1])
@@ -390,7 +390,7 @@ class TestBatchForms:
         with pytest.raises(ValueError):
             losses.batch_negll("mystery", O, y)
 
-    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    @pytest.mark.parametrize("kind", losses.LOSSES)
     def test_scores_of_prior_bias_rank_like_prior(self, kind):
         # each record's scores and prior-bias map belong to one normalizer
         p = np.array([5.0, 30.0, 1.0, 20.0, 14.0, 25.0, 3.0]) / 98.0
@@ -398,7 +398,7 @@ class TestBatchForms:
         scores = losses.batch_scores(kind, b[None])[0]
         np.testing.assert_array_equal(np.argsort(scores), np.argsort(p))
 
-    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    @pytest.mark.parametrize("kind", losses.LOSSES)
     @pytest.mark.parametrize("label", [-1, 3, 1.7])
     def test_label_out_of_range_rejected(self, kind, label):
         # -1 would otherwise index the last class, 3 raise IndexError and

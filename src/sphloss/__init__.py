@@ -3,29 +3,20 @@ exact output-layer updater, and a small MLP training harness."""
 
 from .losses import (
     DEFAULT_EPS,
+    LOSSES,
     LossGrad,
     QuadraticNormalizerParams,
     SphericalStats,
     finite_diff_grad,
     grad_from_partials,
-    log_softmax_abs_loss,
-    log_softmax_loss,
-    log_spherical_softmax_loss,
-    log_taylor_softmax_loss,
-    mse_loss,
+    loss_grad,
     quadratic_normalizer,
     softmax,
     spherical_softmax,
     summary_stats,
     taylor_softmax,
 )
-from .bound import (
-    XiParam,
-    bouchard_lse_bound_general,
-    lambda_xi,
-    optimize_xi,
-    spherical_bound_loss,
-)
+from .bound import bouchard_lse_bound_general, lambda_xi, optimize_xi
 from .fast_output import DenseOutputLayer, FactoredOutputLayer, StepPartials
 from .trainer import MLP, MLPSpec, RunMetrics, TrainConfig, evaluate, train
 from .data import Dataset, SplitSpec, load_mnist, random_split, synthetic_categorical

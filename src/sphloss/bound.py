@@ -10,19 +10,10 @@ a function of (s, q, o_c) only, i.e. a member of the spherical family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
-from .losses import (
-    LossParams,
-    SphericalStats,
-    _as_logits,
-    _example_loss_grad,
-    batch_loss_grad,
-    log_softmax_loss,
-)
+from .losses import LossParams, SphericalStats, _as_logits, batch_loss_grad
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -72,32 +63,6 @@ def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float
         + (q - s * s / D) * lam
         - o_c
     )
-
-
-@dataclass(frozen=True)
-class XiParam:
-    xi: float = 1.0
-    mode: str = "fixed"  # "fixed" | "per_example_optimized"
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "per_example_optimized"):
-            raise ValueError(f"unknown xi mode {self.mode!r}")
-        if not math.isfinite(self.xi):
-            raise ValueError("xi must be finite")
-
-
-@dataclass(frozen=True)
-class BoundLoss:
-    """Result of :func:`spherical_bound_loss`: the bound ``loss`` on the
-    ``true_loss`` -log softmax(o)_c, and ``gap`` = loss - true_loss."""
-
-    loss: float
-    grad_o: np.ndarray
-    partials: Tuple[float, float, float]
-    true_loss: float
-    gap: float
-    xi_used: float
-    xi_fallback: bool = False
 
 
 def golden_section_minimize(f, a, b, tol: float = 1e-10):
@@ -164,32 +129,6 @@ def optimize_xi(stats: SphericalStats, D: int) -> float:
     return float(_minimize_xi(np.array([stats.s]), np.array([stats.q]), D)[0])
 
 
-def spherical_bound_loss(o, c: int, xi: XiParam = XiParam()) -> BoundLoss:
-    """Upper-bound loss on -log softmax(o)_c, usable as a training loss.
-
-    Partials are (1/D - 2*s*lambda/D, lambda, -1); in optimized mode xi* is
-    treated as a constant during differentiation (envelope argument: the
-    inner optimum makes d(bound)/d(xi) vanish).
-    """
-    o = _as_logits(o)
-    xis, fallback = select_xis(
-        np.array([o.sum()]), np.array([o @ o]), o.shape[0],
-        xi=xi.xi, optimize=xi.mode == "per_example_optimized",
-    )
-    xi_used = float(xis[0])
-    res = _example_loss_grad("spherical_bound_fixed", o, c, LossParams(xi=xi_used))
-    true_loss = log_softmax_loss(o, c).loss
-    return BoundLoss(
-        loss=res.loss,
-        grad_o=res.grad_o,
-        partials=res.partials,
-        true_loss=true_loss,
-        gap=res.loss - true_loss,
-        xi_used=xi_used,
-        xi_fallback=bool(fallback[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Batch forms: the loss's registry entry and its partials-only form.
 # ---------------------------------------------------------------------------
@@ -222,7 +161,11 @@ def _bound_partials(s, xis, D: int):
 
 def spherical_bound_entry(s, q, o_c, D: int, p: LossParams, optimize: bool = False):
     """Registry entry of the bound loss: (value, a, bq, g) over (n,) arrays,
-    with bq = lambda(xi)."""
+    with partials (1/D - 2*s*lambda/D, lambda, -1) and lambda = lambda(xi).
+
+    With ``optimize``, each row's xi* is treated as a constant during
+    differentiation (envelope argument: the inner optimum makes
+    d(bound)/d(xi) vanish)."""
     xis, _ = select_xis(s, q, D, xi=p.xi, optimize=optimize)
     a, lams, g = _bound_partials(s, xis, D)
     return bound_from_stats(s, q, o_c, D, xis), a, lams, g

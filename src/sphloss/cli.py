@@ -14,11 +14,12 @@ import dataclasses
 import math
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import bound, config, data, losses, trainer
+from . import config, data, losses, trainer
 
 # largest relative error a gradient check accepts
 GRADCHECK_TOL = 1e-5
@@ -28,21 +29,11 @@ def _loss_grad_fns(name: str, eps: float, xi: float):
     """(batch_loss_fn, analytic_grad_fn) pair for gradcheck.
 
     ``batch_loss_fn(O, y)`` gives the losses of the rows of O through the
-    loss-only batch path; ``analytic_grad_fn(o, c)`` is the n = 1 row of
-    the batch gradient.
+    loss-only batch path; ``analytic_grad_fn(o, c)`` is the gradient of
+    ``losses.loss_grad``.
     """
-    return (lambda O, y: losses.batch_loss(name, O, y, eps=eps, xi=xi),
-            lambda o, c: losses.batch_loss_grad(name, o[None], [c], eps=eps, xi=xi)[1][0])
-
-
-def _central_diff_grad(batch_loss_fn, o: np.ndarray, c: int,
-                       step: float = 1e-5) -> np.ndarray:
-    """``losses.finite_diff_grad`` with its 2D perturbed copies of o scored
-    in one batch call."""
-    D = o.shape[0]
-    E = step * np.eye(D)
-    L = batch_loss_fn(np.concatenate([o + E, o - E]), np.full(2 * D, c))
-    return (L[:D] - L[D:]) / (2.0 * step)
+    return (partial(losses.batch_loss, name, eps=eps, xi=xi),
+            lambda o, c: losses.loss_grad(name, o, c, eps=eps, xi=xi).grad_o)
 
 
 def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -63,7 +54,7 @@ def gradcheck_trials(name: str, D: int, trials: int, seed: int,
                 break
         c = int(rng.integers(D))
         analytic = grad_fn(o, c)
-        numeric = _central_diff_grad(loss_fn, o, c)
+        numeric = losses.finite_diff_grad(loss_fn, o, c)
         yield t, max_rel_err(analytic, numeric)
 
 
@@ -98,27 +89,24 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bound_eval(args) -> int:
+    kind = "spherical_bound_" + args.xi_mode  # fixed | optimized
     if args.train_probe:
-        return _bound_train_probe(args)
-    if args.xi_mode == "optimized":
-        xp = bound.XiParam(mode="per_example_optimized")
-    else:
-        xp = bound.XiParam(xi=args.xi, mode="fixed")
+        return _bound_train_probe(args, kind)
     rng = np.random.default_rng(args.seed)
     rows = []
-    gaps = []
     for _ in range(args.samples):
         D = args.dims[int(rng.integers(len(args.dims)))]
-        o = rng.uniform(-3.0, 3.0, size=D)
-        c = int(rng.integers(D))
-        res = bound.spherical_bound_loss(o, c, xp)
-        rows.append((res.true_loss, res.loss, res.gap))
-        gaps.append(res.gap)
+        O = rng.uniform(-3.0, 3.0, size=(1, D))
+        y = [int(rng.integers(D))]
+        value = float(losses.batch_loss(kind, O, y, xi=args.xi)[0])
+        true_loss = float(losses.batch_negll(kind, O, y)[0])
+        rows.append((true_loss, value, value - true_loss))
     out = _open_out(args.output)
     w = csv.writer(out)
     w.writerow(["true_loss", "bound", "gap"])
     w.writerows(rows)
     _close_out(out)
+    gaps = [gap for _, _, gap in rows]
     mean_gap = statistics.fmean(gaps)
     print(f"samples={args.samples} xi_mode={args.xi_mode} mean_gap={mean_gap:.6f} "
           f"min_gap={min(gaps):.3e}")
@@ -128,16 +116,14 @@ def cmd_bound_eval(args) -> int:
     return 0
 
 
-def _bound_train_probe(args) -> int:
-    """Train a linear softmax model by minimizing the bound; report whether
-    the true negative log-likelihood improved.  Report-only (exit 0)."""
+def _bound_train_probe(args, kind: str) -> int:
+    """Train a linear softmax model by minimizing the bound ``kind``; report
+    whether the true negative log-likelihood improved.  Report-only (exit 0)."""
     ds = data.synthetic_categorical(D=100, input_dim=20, N=6000,
                                     zipf_exponent=1.0, seed=args.seed,
                                     separation=2.0)
     splits = data.random_split(ds, data.SplitSpec(4000, 1000, 1000, seed=args.seed))
     spec = trainer.MLPSpec(input_dim=20, hidden_dims=(), output_dim=100)
-    kind = ("spherical_bound_optimized" if args.xi_mode == "optimized"
-            else "spherical_bound_fixed")
     cfg = trainer.TrainConfig(loss_kind=kind, initial_lr=0.01, max_epochs=15,
                               xi=args.xi, seed=args.seed, prior_bias_init=True,
                               batch_size=200)
@@ -327,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--loss", default="all")
     g.add_argument("--dims", type=_int_list_at_least(2), default="2,10,1000")
     g.add_argument("--trials", type=_int_at_least(1), default=100)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_int_at_least(0), default=0)
     g.add_argument("--eps", type=_finite_float(positive=True), default=losses.DEFAULT_EPS)
     g.add_argument("--xi", type=_finite_float(), default=1.0)
     g.add_argument("--output", default="-")
@@ -338,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dims", type=_int_list_at_least(2), default="2,10,100")
     b.add_argument("--xi-mode", choices=("fixed", "optimized"), default="fixed")
     b.add_argument("--xi", type=_finite_float(), default=1.0)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_int_at_least(0), default=0)
     b.add_argument("--train-probe", action="store_true")
     b.add_argument("--output", default="-")
     b.set_defaults(fn=cmd_bound_eval)

@@ -22,7 +22,6 @@ class Dataset:
     features: np.ndarray  # (N, input_dim) float64
     labels: np.ndarray    # (N,) int64 in [0, D)
     D: int
-    provenance: str = ""
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 1:
@@ -90,8 +89,7 @@ def load_mnist(images_path: str, labels_path: str) -> Dataset:
     pixels = np.frombuffer(ibuf, dtype=np.uint8, offset=16).reshape(n_img, rows * cols)
     features = pixels.astype(np.float64) / 255.0
     labels = np.frombuffer(lbuf, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(features=features, labels=labels, D=10,
-                   provenance=f"mnist:{images_path}")
+    return Dataset(features=features, labels=labels, D=10)
 
 
 def concat(a: Dataset, b: Dataset) -> Dataset:
@@ -101,7 +99,6 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
         features=np.concatenate([a.features, b.features]),
         labels=np.concatenate([a.labels, b.labels]),
         D=a.D,
-        provenance=f"concat({a.provenance},{b.provenance})",
     )
 
 
@@ -117,16 +114,10 @@ def random_split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset, D
     bounds = (spec.train_n, spec.train_n + spec.valid_n, total)
     parts = []
     start = 0
-    for name, end in zip(("train", "valid", "test"), bounds):
+    for end in bounds:
         idx = perm[start:end]
-        parts.append(
-            Dataset(
-                features=dataset.features[idx],
-                labels=dataset.labels[idx],
-                D=dataset.D,
-                provenance=f"{dataset.provenance}/{name}(seed={spec.seed})",
-            )
-        )
+        parts.append(Dataset(features=dataset.features[idx],
+                             labels=dataset.labels[idx], D=dataset.D))
         start = end
     return tuple(parts)
 
@@ -162,9 +153,4 @@ def synthetic_categorical(
     means = rng.normal(size=(D, input_dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     features = separation * means[labels] + rng.normal(size=(N, input_dim))
-    return Dataset(
-        features=features,
-        labels=labels,
-        D=D,
-        provenance=f"synthetic(D={D},zipf={zipf_exponent},sep={separation},seed={seed})",
-    )
+    return Dataset(features=features, labels=labels, D=D)

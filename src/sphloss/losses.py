@@ -9,6 +9,7 @@ dL/do_c).  Those partials are what make output-size-independent weight
 updates possible (see ``sphloss.fast_output``).  ``LOSSES`` holds one
 record per loss kind: its entry (None for the log-softmax baselines), its
 class scores, its prior-bias map and the kind it reports as negll.
+``loss_grad`` (one example) and the batch forms name a loss by its key.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ class LossParams:
     """Loss hyperparameters; each entry reads only its own."""
 
     eps: float = DEFAULT_EPS  # log_spherical stabilizer
-    xi: float = 1.0  # bound variational parameter (start value when optimized)
-    y_c: float = 1.0  # mse target value
+    xi: float = 1.0  # bound variational parameter; the optimized bound ignores it
 
 
 @dataclass(frozen=True)
@@ -123,27 +123,6 @@ def logsumexp(o: np.ndarray) -> float:
     return float(m + np.log(np.exp(o - m).sum()))
 
 
-def log_softmax_loss(o, c: int) -> LossGrad:
-    """Categorical cross-entropy baseline: -log softmax(o)_c.
-
-    Not a member of the spherical family, so no partials are returned.
-    """
-    return _example_loss_grad("log_softmax", o, c)
-
-
-def log_softmax_abs_loss(o, c: int) -> LossGrad:
-    """log-softmax applied to |o|; subgradient 0 is used at o_i = 0."""
-    return _example_loss_grad("log_softmax_abs", o, c)
-
-
-def mse_loss(o, c: int, y_c: float = 1.0) -> LossGrad:
-    """Squared error against the one-hot (scaled by y_c) target.
-
-    In family form: q - 2*o_c*y_c + y_c^2, with partials (0, 1, -2*y_c).
-    """
-    return _example_loss_grad("mse", o, c, LossParams(y_c=y_c))
-
-
 def quadratic_normalizer(o, p: QuadraticNormalizerParams) -> np.ndarray:
     """Normalizer with per-coordinate numerator a1 + a2*o_k + a3*o_k^2."""
     o = _as_logits(o)
@@ -175,15 +154,6 @@ def spherical_softmax_unchecked(o, eps: float) -> np.ndarray:
     return num / den
 
 
-def log_spherical_softmax_loss(o, c: int, eps: float = DEFAULT_EPS) -> LossGrad:
-    """-log spherical_softmax(o)_c with exact gradient.
-
-    dL/do_c = 2*o_c/(q + D*eps) - 2*o_c/(o_c^2 + eps)
-    dL/do_k = 2*o_k/(q + D*eps)   for k != c
-    """
-    return _example_loss_grad("log_spherical", o, c, LossParams(eps=eps))
-
-
 def taylor_softmax(o) -> np.ndarray:
     """Normalizer from the second-order expansion of exp around zero.
 
@@ -193,16 +163,6 @@ def taylor_softmax(o) -> np.ndarray:
     o = _as_logits(o)
     num = 1.0 + o + 0.5 * o * o
     return num / num.sum()
-
-
-def log_taylor_softmax_loss(o, c: int) -> LossGrad:
-    """-log taylor_softmax(o)_c with exact gradient.
-
-    With Z = D + s + q/2:
-    dL/do_c = (1+o_c)/Z - (1+o_c)/(1+o_c+o_c^2/2)
-    dL/do_k = (1+o_k)/Z   for k != c
-    """
-    return _example_loss_grad("log_taylor", o, c)
 
 
 def grad_from_partials(partials: Partials, o, c: int) -> np.ndarray:
@@ -216,41 +176,45 @@ def grad_from_partials(partials: Partials, o, c: int) -> np.ndarray:
 
 
 def finite_diff_grad(
-    loss_fn: Callable[[np.ndarray], float], o, c: int, step: float = 1e-5
+    loss_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], o, c: int,
+    step: float = 1e-5,
 ) -> np.ndarray:
     """Central-difference gradient oracle: (L(o+h*e_i) - L(o-h*e_i)) / 2h.
 
-    ``loss_fn`` maps a pre-activation vector to a scalar; ``c`` is passed
-    for interface symmetry with the losses but the closure may ignore it.
+    ``loss_fn(O, y)`` maps a matrix of pre-activation rows and their labels
+    to the rows' losses, as ``batch_loss`` does; the 2D perturbed copies of
+    ``o``, each labelled ``c``, are scored in one call.
     """
     if not step > 0:
         raise ValueError("step must be > 0")
     o = _as_logits(o)
-    grad = np.empty_like(o)
-    for i in range(o.shape[0]):
-        op = o.copy()
-        om = o.copy()
-        op[i] += step
-        om[i] -= step
-        grad[i] = (loss_fn(op) - loss_fn(om)) / (2.0 * step)
-    return grad
+    D = o.shape[0]
+    E = step * np.eye(D)
+    L = np.asarray(loss_fn(np.concatenate([o + E, o - E]), np.full(2 * D, c)))
+    return (L[:D] - L[D:]) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------
 # The spherical family.  Each member is defined once, as an entry
 # (s, q, o_c, D, params) -> (value, a, bq, g) over (n,) arrays, where
-# a = dL/ds, bq = dL/dq and g = dL/do_c.  The per-example losses above, the
-# batch forms below and the factored trainer all derive from these entries.
+# a = dL/ds, bq = dL/dq and g = dL/do_c.  The per-example and batch forms
+# below and the factored trainer all derive from these entries.
 # ---------------------------------------------------------------------------
 
 
 def _mse(s, q, o_c, D, p: LossParams):
+    """Squared error against the one-hot target, ||o - e_c||^2 =
+    q - 2*o_c + 1, with partials (0, 1, -2)."""
     n = q.shape[0]
-    value = q - 2.0 * o_c * p.y_c + p.y_c ** 2
-    return value, np.zeros(n), np.ones(n), np.full(n, -2.0 * p.y_c)
+    return q - 2.0 * o_c + 1.0, np.zeros(n), np.ones(n), np.full(n, -2.0)
 
 
 def _log_spherical(s, q, o_c, D, p: LossParams):
+    """-log spherical_softmax(o)_c = log(q + D*eps) - log(o_c^2 + eps):
+
+    dL/do_c = 2*o_c/(q + D*eps) - 2*o_c/(o_c^2 + eps)
+    dL/do_k = 2*o_k/(q + D*eps)   for k != c
+    """
     if not p.eps > 0:
         raise ValueError("eps must be > 0")
     den = q + D * p.eps
@@ -260,6 +224,12 @@ def _log_spherical(s, q, o_c, D, p: LossParams):
 
 
 def _log_taylor(s, q, o_c, D, p: LossParams):
+    """-log taylor_softmax(o)_c = log Z - log(1 + o_c + o_c^2/2) with
+    Z = D + s + q/2:
+
+    dL/do_c = (1+o_c)/Z - (1+o_c)/(1+o_c+o_c^2/2)
+    dL/do_k = (1+o_k)/Z   for k != c
+    """
     Z = D + s + 0.5 * q
     num_c = 1.0 + o_c + 0.5 * o_c * o_c
     # target-coordinate split: the (1+o_c)/Z part lives in the s/q partials
@@ -319,11 +289,13 @@ def loss_record(kind: str) -> LossKind:
         raise ValueError(f"unknown loss kind: {kind!r}") from None
 
 
-def _example_loss_grad(kind: str, o, c: int, params: LossParams = LossParams()) -> LossGrad:
-    """The n = 1 row of ``kind``'s batch form, with its dense gradient and,
-    for a spherical kind, its partials."""
-    losses, grad, partials = _batch(kind, _as_logits(o)[None], [c], params,
-                                    with_grad=True)
+def loss_grad(kind: str, o, c: int, *, eps: float = DEFAULT_EPS,
+              xi: float = 1.0) -> LossGrad:
+    """The loss of one pre-activation vector ``o`` with target ``c``: the
+    n = 1 row of ``kind``'s batch form, with its dense gradient and, for a
+    spherical kind, its partials."""
+    losses, grad, partials = _batch(kind, _as_logits(o)[None], [c],
+                                    LossParams(eps=eps, xi=xi), with_grad=True)
     if partials is not None:
         partials = tuple(float(x[0]) for x in partials)
     return LossGrad(loss=float(losses[0]), grad_o=grad[0], partials=partials)

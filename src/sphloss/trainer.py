@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
             raise ValueError("batch_size, patience and max_epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ValueError("lr_decay_factor must be in (0, 1)")
         if not 0.0 < self.eps < math.inf:

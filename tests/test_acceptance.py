@@ -59,12 +59,12 @@ def test_criterion_2_bound_validity_tightness():
         c = int(rng.integers(D))
         xi = float(rng.uniform(-4.0, 4.0))
 
-        fixed = bound.spherical_bound_loss(o, c, bound.XiParam(xi=xi))
-        assert fixed.gap >= -1e-9
-        worst_gap = min(worst_gap, fixed.gap)
+        fixed = losses.loss_grad("spherical_bound_fixed", o, c, xi=xi)
+        gap = fixed.loss - losses.loss_grad("log_softmax", o, c).loss
+        assert gap >= -1e-9
+        worst_gap = min(worst_gap, gap)
 
-        opt = bound.spherical_bound_loss(
-            o, c, bound.XiParam(mode="per_example_optimized"))
+        opt = losses.loss_grad("spherical_bound_optimized", o, c)
         assert opt.loss <= fixed.loss + 1e-8
 
         alpha = bound.optimal_alpha(float(o.sum()), D, xi)

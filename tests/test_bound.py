@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,20 +8,19 @@ from hypothesis import strategies as st
 
 from sphloss import bound
 from sphloss.bound import (
-    XiParam,
     bouchard_lse_bound_general,
     bound_from_stats,
     golden_section_minimize,
     lambda_xi,
     optimal_alpha,
     optimize_xi,
-    spherical_bound_loss,
 )
 from sphloss.losses import (
     SphericalStats,
+    batch_loss,
     finite_diff_grad,
-    log_softmax_loss,
     logsumexp,
+    loss_grad,
     summary_stats,
 )
 
@@ -77,12 +77,21 @@ class TestGeneralBound:
             assert bouchard_lse_bound_general(o, alpha, xis) >= logsumexp(o) - 1e-9
 
 
+def fixed(o, c, xi):
+    return loss_grad("spherical_bound_fixed", o, c, xi=xi)
+
+
+def optimized(o, c):
+    return loss_grad("spherical_bound_optimized", o, c)
+
+
 class TestSphericalBoundLoss:
     def test_hand_value_zero_vector(self):
-        r = spherical_bound_loss(np.zeros(2), 0, XiParam(xi=0.0))
+        r = fixed(np.zeros(2), 0, 0.0)
+        true_loss = loss_grad("log_softmax", np.zeros(2), 0).loss
         assert r.loss == pytest.approx(2 * math.log(2), rel=1e-14)
-        assert r.true_loss == pytest.approx(math.log(2), rel=1e-14)
-        assert r.gap == pytest.approx(math.log(2), rel=1e-12)
+        assert true_loss == pytest.approx(math.log(2), rel=1e-14)
+        assert r.loss - true_loss == pytest.approx(math.log(2), rel=1e-12)
 
     def test_matches_general_bound_at_optimal_alpha(self):
         rng = np.random.default_rng(2)
@@ -91,7 +100,7 @@ class TestSphericalBoundLoss:
             o = rng.uniform(-4, 4, size=D)
             c = int(rng.integers(D))
             xi = float(rng.uniform(-3, 3))
-            spec = spherical_bound_loss(o, c, XiParam(xi=xi)).loss
+            spec = fixed(o, c, xi).loss
             alpha = optimal_alpha(float(o.sum()), D, xi)
             gen = bouchard_lse_bound_general(o, alpha, np.full(D, xi)) - o[c]
             assert max_rel_err([spec], [gen]) < 1e-9
@@ -120,8 +129,8 @@ class TestSphericalBoundLoss:
             o = rng.uniform(-5, 5, size=D)
             c = int(rng.integers(D))
             xi = float(rng.uniform(-4, 4))
-            r = spherical_bound_loss(o, c, XiParam(xi=xi))
-            assert r.gap >= -1e-9
+            r = fixed(o, c, xi)
+            assert r.loss - loss_grad("log_softmax", o, c).loss >= -1e-9
 
     def test_fixed_xi_gradient(self):
         rng = np.random.default_rng(5)
@@ -129,27 +138,26 @@ class TestSphericalBoundLoss:
             for _ in range(10):
                 o = rng.uniform(-3, 3, size=10)
                 c = int(rng.integers(10))
-                xp = XiParam(xi=xi)
                 fd = finite_diff_grad(
-                    lambda v: spherical_bound_loss(v, c, xp).loss, o, c
+                    partial(batch_loss, "spherical_bound_fixed", xi=xi), o, c
                 )
-                assert max_rel_err(spherical_bound_loss(o, c, xp).grad_o, fd) < 1e-6
+                assert max_rel_err(fixed(o, c, xi).grad_o, fd) < 1e-6
 
     def test_spherical_family_membership(self):
         # permuting non-target coordinates cannot change the loss
         o = np.array([0.3, -1.2, 2.0, 0.7, -0.4])
         c = 2
         perm = np.array([4, 1, 2, 0, 3])  # fixes c
-        a = spherical_bound_loss(o, c, XiParam(xi=1.3)).loss
-        b = spherical_bound_loss(o[perm], c, XiParam(xi=1.3)).loss
+        a = fixed(o, c, 1.3).loss
+        b = fixed(o[perm], c, 1.3).loss
         assert a == b
 
     def test_even_in_xi(self):
         rng = np.random.default_rng(6)
         o = rng.uniform(-3, 3, size=8)
         for xi in rng.uniform(0.01, 5, size=20):
-            a = spherical_bound_loss(o, 1, XiParam(xi=float(xi))).loss
-            b = spherical_bound_loss(o, 1, XiParam(xi=float(-xi))).loss
+            a = fixed(o, 1, float(xi)).loss
+            b = fixed(o, 1, float(-xi)).loss
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_partials_reconstruct_dense_gradient(self):
@@ -157,7 +165,7 @@ class TestSphericalBoundLoss:
 
         rng = np.random.default_rng(7)
         o = rng.uniform(-3, 3, size=12)
-        r = spherical_bound_loss(o, 4, XiParam(xi=0.8))
+        r = fixed(o, 4, 0.8)
         np.testing.assert_allclose(grad_from_partials(r.partials, o, 4), r.grad_o,
                                    atol=1e-14)
 
@@ -187,8 +195,8 @@ class TestOptimizeXi:
             D = int(rng.choice([2, 10, 100]))
             o = rng.uniform(-5, 5, size=D)
             c = int(rng.integers(D))
-            r = spherical_bound_loss(o, c, XiParam(mode="per_example_optimized"))
-            assert r.loss >= log_softmax_loss(o, c).loss - 1e-9
+            r = optimized(o, c)
+            assert r.loss >= loss_grad("log_softmax", o, c).loss - 1e-9
 
     def test_tightness_ordering(self):
         rng = np.random.default_rng(10)
@@ -196,10 +204,9 @@ class TestOptimizeXi:
             D = int(rng.choice([2, 10, 100]))
             o = rng.uniform(-5, 5, size=D)
             c = int(rng.integers(D))
-            opt = spherical_bound_loss(o, c, XiParam(mode="per_example_optimized")).loss
+            opt = optimized(o, c).loss
             for xi in (0.5, 1.0, 2.0):
-                fixed = spherical_bound_loss(o, c, XiParam(xi=xi)).loss
-                assert opt <= fixed + 1e-8
+                assert opt <= fixed(o, c, xi).loss + 1e-8
 
     def test_bracket_holds_minimizer_at_large_D(self):
         # zero logits, as from a zero-initialized output layer: xi* = ln(D - 1)
@@ -250,8 +257,8 @@ class TestBatchForms:
         for optimize in (False, True):
             losses_b, grads_b = bound.batch_bound_loss_grad(O, y, xi=1.2,
                                                             optimize=optimize)
-            mode = "per_example_optimized" if optimize else "fixed"
+            kind = "spherical_bound_optimized" if optimize else "spherical_bound_fixed"
             for i in range(6):
-                r = spherical_bound_loss(O[i], int(y[i]), XiParam(xi=1.2, mode=mode))
+                r = loss_grad(kind, O[i], int(y[i]), xi=1.2)
                 assert losses_b[i] == pytest.approx(r.loss, rel=1e-10)
                 np.testing.assert_allclose(grads_b[i], r.grad_o, atol=1e-10)

@@ -182,6 +182,7 @@ class TestTrain:
         # 1005 of the 1000 synthetic rows
         ["--set", "split=random", "--set", "train_n=900", "--set", "valid_n=100",
          "--set", "test_n=5"],
+        ["--set", "seed=-1"],
     ])
     def test_invalid_train_config_exits_2_before_io(self, tmp_path, capsys, settings):
         out_dir = tmp_path / "x"
@@ -264,6 +265,8 @@ class TestTrain:
     ["gradcheck", "--dims", "2,1.5"],
     ["bound-eval", "--samples", "0"],
     ["bound-eval", "--dims", "10,1"],
+    ["gradcheck", "--seed", "-1"],
+    ["bound-eval", "--seed", "-1"],
     pytest.param(["train", "--seeds", "0"], id="argv9"),
 ])
 def test_bad_count_or_size_is_usage_error_before_io(tmp_path, capsys, argv):

@@ -378,12 +378,18 @@ class TestTrain:
 
     def test_new_kind_is_one_record(self, monkeypatch, tmp_path):
         # adding a loss kind takes one LOSSES record: here twice the mse
-        # entry, which both output layers then train and gradcheck checks
+        # entry, which both output layers then train, gradcheck checks and
+        # loss_grad scores
         def twice_mse(*args):
             return tuple(2.0 * x for x in losses.LOSSES["mse"].entry(*args))
         monkeypatch.setitem(losses.LOSSES, "twice_mse", dataclasses.replace(
             losses.LOSSES["mse"], entry=twice_mse))
         assert_factored_follows_dense("twice_mse")
+        o = np.array([0.5, -1.0, 2.0])
+        r, ref = losses.loss_grad("twice_mse", o, 1), losses.loss_grad("mse", o, 1)
+        assert r.loss == 2.0 * ref.loss
+        np.testing.assert_array_equal(r.grad_o, 2.0 * ref.grad_o)
+        assert r.partials == tuple(2.0 * x for x in ref.partials)
         assert cli.main(["gradcheck", "--loss", "twice_mse", "--dims", "2,10",
                          "--trials", "3", "--output", str(tmp_path / "g.csv")]) == 0
 

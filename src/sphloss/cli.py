@@ -122,21 +122,17 @@ def _bound_train_probe(args, kind: str) -> int:
     ds = data.synthetic_categorical(D=100, input_dim=20, N=6000,
                                     zipf_exponent=1.0, seed=args.seed,
                                     separation=2.0)
-    splits = data.random_split(ds, data.SplitSpec(4000, 1000, 1000, seed=args.seed))
+    splits = tuple((s.features, s.labels) for s in
+                   data.random_split(ds, data.SplitSpec(4000, 1000, 1000, seed=args.seed)))
     spec = trainer.MLPSpec(input_dim=20, hidden_dims=(), output_dim=100)
     cfg = trainer.TrainConfig(loss_kind=kind, initial_lr=0.01, max_epochs=15,
                               xi=args.xi, seed=args.seed, prior_bias_init=True,
                               batch_size=200)
-    (Xtr, ytr) = splits[0].features, splits[0].labels
-    (Xva, yva) = splits[1].features, splits[1].labels
-    (Xte, yte) = splits[2].features, splits[2].labels
-    rng = np.random.default_rng(cfg.seed)
-    freqs = np.bincount(ytr, minlength=100) / len(ytr)
-    model0 = trainer.MLP(spec, rng, class_freqs=freqs, loss_kind=kind,
-                         prior_bias_init=True, n_examples=len(ytr))
+    (_, ytr), _, (Xte, yte) = splits
+    model0 = trainer.init_model(spec, cfg, ytr, np.random.default_rng(cfg.seed))
     negll0, err0, _, bound0 = trainer.evaluate(lambda X: model0.forward(X)[0],
                                                Xte, yte, kind, xi=cfg.xi)
-    m = trainer.train(spec, cfg, (((Xtr, ytr)), (Xva, yva), (Xte, yte)))
+    m = trainer.train(spec, cfg, splits)
     print("bound-training probe (minimizing the upper bound on -log softmax):")
     print(f"  initial: negll={negll0:.4f} bound={bound0:.4f} error={err0:.4f}")
     print(f"  final:   negll={m.test_negll:.4f} bound={m.test_loss:.4f} "

@@ -24,8 +24,9 @@ Evaluation reads the same representation: ``logits`` gives H W' as
 the arrays that define the layer, so training keeps its best state without
 forming W.  ``materialize`` builds W for tests and export only.
 
-``DenseOutputLayer`` is the naive O(D*d) reference the factored layer is
-tested against in lockstep.
+``DenseOutputLayer`` is the naive O(D*d) layer: both the reference the
+factored layer is tested against in lockstep and the dense trainer's
+output layer, with the same ``logits``, ``snapshot`` and ``restore``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,15 @@ def _stats(s, q, o_c, one: bool) -> SphericalStats:
     return SphericalStats(s=s, q=q, o_c=o_c)
 
 
+def _as_weights(W, copy: bool) -> np.ndarray:
+    """W as a finite (D, d) float64 matrix: a copy, or W itself when the
+    caller hands it over (``copy=False``)."""
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or not np.all(np.isfinite(W)):
+        raise ValueError("W must be a finite (D, d) matrix")
+    return W.copy() if copy else W
+
+
 def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
     """W <- W - lr*sum_i(a_i 1h_i' + 2*bq_i Wh_ih_i' + g_i e_{c_i}h_i') in
     place, O(D*d*m)."""
@@ -91,17 +101,8 @@ def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
 class DenseOutputLayer:
     """Naive dense output layer; every update touches all D*d weights."""
 
-    def __init__(self, W: np.ndarray):
-        W = np.asarray(W, dtype=np.float64)
-        if W.ndim != 2:
-            raise ValueError("W must be a (D, d) matrix")
-        if not np.all(np.isfinite(W)):
-            raise ValueError("W must be finite")
-        self.W = W.copy()
-
-    @property
-    def shape(self):
-        return self.W.shape
+    def __init__(self, W: np.ndarray, *, copy: bool = True):
+        self.W = _as_weights(W, copy)
 
     def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
         H, c, one = _as_batch(h, c, *self.W.shape)
@@ -123,6 +124,18 @@ class DenseOutputLayer:
     def row(self, c: int) -> np.ndarray:
         return self.W[c].copy()
 
+    def logits(self, H: np.ndarray) -> np.ndarray:
+        """O = H W' for the rows of H, (n, D)."""
+        return H @ self.W.T
+
+    def snapshot(self) -> np.ndarray:
+        """A copy of W."""
+        return self.W.copy()
+
+    def restore(self, snapshot: np.ndarray):
+        """Return to the state of ``snapshot``, taking ownership of it."""
+        self.W = snapshot
+
 
 class FactoredOutputLayer:
     """Implicit D x d output weight matrix with exact spherical-loss
@@ -134,25 +147,18 @@ class FactoredOutputLayer:
     deliberately excludes rebases, which are amortized O(D*d^2) maintenance.
     """
 
-    def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8):
-        W0 = np.asarray(W0, dtype=np.float64)
-        if W0.ndim != 2:
-            raise ValueError("W0 must be a (D, d) matrix")
-        if not np.all(np.isfinite(W0)):
-            raise ValueError("W0 must be finite")
+    def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8,
+                 copy: bool = True):
+        W0 = _as_weights(W0, copy)
         self.D, self.d = W0.shape
-        self._reset(W0.copy())
+        self._reset(W0)
         self.cond_threshold = float(cond_threshold)
         self.op_count = 0
         self.rebase_count = 0
 
     @classmethod
     def zeros(cls, D: int, d: int, **kw) -> "FactoredOutputLayer":
-        return cls(np.zeros((D, d)), **kw)
-
-    @property
-    def shape(self):
-        return (self.D, self.d)
+        return cls(np.zeros((D, d)), copy=False, **kw)
 
     def row(self, c: int) -> np.ndarray:
         """Row c of the represented matrix, in O(d^2)."""
@@ -281,5 +287,5 @@ class FactoredOutputLayer:
 
     def materialize(self) -> DenseOutputLayer:
         """Dense copy of the represented matrix; for tests and export only."""
-        return DenseOutputLayer((self.core + self.offset) @ self.mixer)
+        return DenseOutputLayer((self.core + self.offset) @ self.mixer, copy=False)
 

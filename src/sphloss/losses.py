@@ -175,6 +175,10 @@ def grad_from_partials(partials: Partials, o, c: int) -> np.ndarray:
     return grad
 
 
+# most elements finite_diff_grad scores in one call (one pair of rows at least)
+FD_BLOCK_ELEMENTS = 1 << 20
+
+
 def finite_diff_grad(
     loss_fn: Callable[[np.ndarray, np.ndarray], np.ndarray], o, c: int,
     step: float = 1e-5,
@@ -183,15 +187,20 @@ def finite_diff_grad(
 
     ``loss_fn(O, y)`` maps a matrix of pre-activation rows and their labels
     to the rows' losses, as ``batch_loss`` does; the 2D perturbed copies of
-    ``o``, each labelled ``c``, are scored in one call.
+    ``o``, each labelled ``c``, are scored in blocks of at most
+    ``FD_BLOCK_ELEMENTS`` elements, so memory stays bounded in D.
     """
     if not step > 0:
         raise ValueError("step must be > 0")
     o = _as_logits(o)
     D = o.shape[0]
-    E = step * np.eye(D)
-    L = np.asarray(loss_fn(np.concatenate([o + E, o - E]), np.full(2 * D, c)))
-    return (L[:D] - L[D:]) / (2.0 * step)
+    k = max(1, FD_BLOCK_ELEMENTS // (2 * D))  # coordinates per block
+    grad = np.empty(D)
+    for lo in range(0, D, k):
+        E = step * np.eye(min(k, D - lo), D, lo)  # rows step*e_i, i = lo, lo+1, ...
+        L = np.asarray(loss_fn(np.concatenate([o + E, o - E]), np.full(2 * len(E), c)))
+        grad[lo:lo + len(E)] = (L[:len(E)] - L[len(E):]) / (2.0 * step)
+    return grad
 
 
 # ---------------------------------------------------------------------------

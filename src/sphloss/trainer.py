@@ -16,7 +16,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import losses
-from .fast_output import FactoredOutputLayer, StepPartials
+from .fast_output import DenseOutputLayer, FactoredOutputLayer, StepPartials
+
+OUTPUT_LAYERS = {"dense": DenseOutputLayer, "factored": FactoredOutputLayer}
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,8 @@ class TrainConfig:
 
     def __post_init__(self):
         kind = losses.loss_record(self.loss_kind)
-        if not self.initial_lr > 0:
-            raise ValueError("initial_lr must be > 0")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise ValueError("initial_lr must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 1:
@@ -62,7 +64,7 @@ class TrainConfig:
             raise ValueError("eps must be finite and > 0")
         if not math.isfinite(self.xi):
             raise ValueError("xi must be finite")
-        if self.output_layer not in ("dense", "factored"):
+        if self.output_layer not in OUTPUT_LAYERS:
             raise ValueError(f"unknown output layer {self.output_layer!r}")
         if self.output_layer == "factored" and kind.entry is None:
             raise ValueError(
@@ -108,17 +110,15 @@ def he_init(fan_in: int, size, rng: np.random.Generator) -> np.ndarray:
 
 def output_init(
     D: int,
-    d: int,
     class_freqs: Optional[np.ndarray],
     loss_kind: str,
     n_examples: Optional[int] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Zero output weights plus a bias making the initial predicted
-    distribution match ``class_freqs`` (uniform when None), by the loss
-    kind's ``prior_bias`` map in ``losses.LOSSES``.
+) -> np.ndarray:
+    """The output bias that, with zero output weights, makes the initial
+    predicted distribution match ``class_freqs`` (uniform when None), by
+    the loss kind's ``prior_bias`` map in ``losses.LOSSES``.
     """
     prior_bias = losses.loss_record(loss_kind).prior_bias
-    W = np.zeros((D, d))
     if class_freqs is None:
         p = np.full(D, 1.0 / D)
     else:
@@ -130,7 +130,7 @@ def output_init(
                 raise ValueError("zero-frequency class needs n_examples to floor")
             p[p == 0] = 1.0 / (10.0 * n_examples)
         p = p / p.sum()
-    return W, prior_bias(p)
+    return prior_bias(p)
 
 
 def nesterov_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
@@ -142,14 +142,20 @@ def nesterov_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
     params -= lr * grad
 
 
+def _with_bias(h: np.ndarray) -> np.ndarray:
+    """Rows of h with the constant-1 feature into which the output layer
+    folds its bias."""
+    return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
+
+
 class MLP:
-    """Rectifier MLP with a dense linear output layer, trained manually."""
+    """Rectifier MLP, trained manually, that owns its output layer ``out``:
+    ``OUTPUT_LAYERS[output_layer]`` over [h, 1], whose weights start at zero
+    with ``bias`` (zero when None) in their last column.  ``Ws`` and ``bs``
+    are the hidden layers'."""
 
     def __init__(self, spec: MLPSpec, rng: np.random.Generator,
-                 class_freqs: Optional[np.ndarray] = None,
-                 loss_kind: str = "log_softmax",
-                 prior_bias_init: bool = False,
-                 n_examples: Optional[int] = None):
+                 output_layer: str = "dense", bias: Optional[np.ndarray] = None):
         self.spec = spec
         dims = (spec.input_dim, *spec.hidden_dims)
         self.Ws: List[np.ndarray] = []
@@ -157,72 +163,62 @@ class MLP:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             self.Ws.append(he_init(fan_in, (fan_out, fan_in), rng))
             self.bs.append(np.zeros(fan_out))
-        if prior_bias_init:
-            W_out, b_out = output_init(
-                spec.output_dim, dims[-1], class_freqs, loss_kind,
-                n_examples=n_examples,
-            )
-        else:
-            W_out = np.zeros((spec.output_dim, dims[-1]))
-            b_out = np.zeros(spec.output_dim)
-        self.Ws.append(W_out)
-        self.bs.append(b_out)
+        W = np.zeros((spec.output_dim, dims[-1] + 1))
+        if bias is not None:
+            W[:, -1] = bias
+        # the layer adopts W: a copy freed at once raises glibc's mmap
+        # threshold, and the dense trainer's peak RSS with it
+        self.out = OUTPUT_LAYERS[output_layer](W, copy=False)
 
     def params(self) -> List[np.ndarray]:
+        """The hidden layers' parameters; ``out`` holds the output layer's."""
         return [*self.Ws, *self.bs]
-
-    def hidden_params(self) -> List[np.ndarray]:
-        return [*self.Ws[:-1], *self.bs[:-1]]
 
     def hidden(self, X: np.ndarray) -> List[np.ndarray]:
         """Activations of the input and of every hidden layer, input first."""
         hs = [np.asarray(X, dtype=np.float64)]
-        for W, b in zip(self.Ws[:-1], self.bs[:-1]):
+        for W, b in zip(self.Ws, self.bs):
             hs.append(np.maximum(hs[-1] @ W.T + b, 0.0))
         return hs
 
     def forward(self, X: np.ndarray):
         """Returns (logits, hidden activations including the input)."""
         hs = self.hidden(X)
-        return hs[-1] @ self.Ws[-1].T + self.bs[-1], hs
+        return self.out.logits(_with_bias(hs[-1])), hs
 
-    def backward(self, hs: List[np.ndarray], dO: np.ndarray):
-        """Parameter gradients given d(mean loss)/d(logits).
-
-        Returns (dWs, dbs) aligned with self.Ws / self.bs.
-        """
-        dWs, dbs = [], []
-        if self.Ws[:-1]:
-            dWs, dbs = self.backward_hidden_from_dh(hs, dO @ self.Ws[-1])
-        return [*dWs, dO.T @ hs[-1]], [*dbs, dO.sum(axis=0)]
+    def backward(self, hs: List[np.ndarray], dO: np.ndarray) -> List[np.ndarray]:
+        """Gradients given d(mean loss)/d(logits) through a dense output
+        layer, aligned with [*params(), out.W]."""
+        grads = self.backward_hidden_from_dh(hs, dO @ self.out.W[:, :-1]) if self.Ws else []
+        return [*grads, dO.T @ _with_bias(hs[-1])]
 
     def backward_hidden_from_dh(self, hs: List[np.ndarray], dh: np.ndarray):
-        """Hidden-layer gradients given d(mean loss)/d(last hidden)."""
-        dWs = [None] * (len(self.Ws) - 1)
-        dbs = [None] * (len(self.bs) - 1)
-        for i in range(len(self.Ws) - 2, -1, -1):
+        """Hidden-layer gradients given d(mean loss)/d(last hidden), aligned
+        with params()."""
+        dWs = [None] * len(self.Ws)
+        dbs = [None] * len(self.bs)
+        for i in range(len(self.Ws) - 1, -1, -1):
             dz = dh * (hs[i + 1] > 0.0)
             dWs[i] = dz.T @ hs[i]
             dbs[i] = dz.sum(axis=0)
             if i > 0:
                 dh = dz @ self.Ws[i]
-        return dWs, dbs
+        return [*dWs, *dbs]
+
+
+def init_model(spec: MLPSpec, cfg: TrainConfig, ytr: np.ndarray,
+               rng: np.random.Generator) -> MLP:
+    """The MLP ``train`` starts from: with ``cfg.prior_bias_init``, its
+    output bias matches the class frequencies of the training labels."""
+    bias = None
+    if cfg.prior_bias_init:
+        freqs = np.bincount(ytr, minlength=spec.output_dim) / len(ytr)
+        bias = output_init(spec.output_dim, freqs, cfg.loss_kind, n_examples=len(ytr))
+    return MLP(spec, rng, cfg.output_layer, bias)
 
 
 # rows per evaluate block: bounds its (rows, D) temporaries
 EVAL_CHUNK = 8192
-
-
-def _with_bias(h: np.ndarray) -> np.ndarray:
-    """Rows of h with the constant-1 feature into which the factored output
-    layer folds its bias."""
-    return np.concatenate([h, np.ones((h.shape[0], 1))], axis=1)
-
-
-def factored_predictor(model: MLP, layer: FactoredOutputLayer):
-    """X -> logits of the MLP whose output layer is ``layer``, read through
-    the layer's representation without forming its D x d weights."""
-    return lambda X: layer.logits(_with_bias(model.hidden(X)[-1]))
 
 
 def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
@@ -255,20 +251,21 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
 
 
 def _train_batch_dense(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
+    """Batch Nesterov step of every parameter, the output weights included."""
     O, hs = model.forward(Xb)
     losses_b, grad_O = losses.batch_loss_grad(
         cfg.loss_kind, O, yb, eps=cfg.eps, xi=cfg.xi
     )
-    dWs, dbs = model.backward(hs, grad_O / Xb.shape[0])
-    for p, v, g in zip(model.params(), vels, [*dWs, *dbs]):
+    grads = model.backward(hs, grad_O / Xb.shape[0])
+    for p, v, g in zip([*model.params(), model.out.W], vels, grads):
         nesterov_step(p, v, g, lr, cfg.momentum)
     return float(losses_b.mean())
 
 
-def _train_batch_factored(model: MLP, layer: FactoredOutputLayer, Xb, yb,
-                          cfg: TrainConfig, lr: float, vels):
+def _train_batch_factored(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
     """Hidden layers: batch Nesterov step.  Output layer: one exact plain
     SGD step on the batch's mean loss."""
+    layer = model.out
     hs = model.hidden(Xb)
     m, d = hs[-1].shape
     H = _with_bias(hs[-1])
@@ -279,9 +276,9 @@ def _train_batch_factored(model: MLP, layer: FactoredOutputLayer, Xb, yb,
     step = StepPartials(a=a, bq=bq, g=g, c=yb, h=H)
 
     # hidden gradient uses the pre-update output weights (batch semantics)
-    if model.Ws[:-1]:
-        dWs, dbs = model.backward_hidden_from_dh(hs, layer.backward_h(step)[:, :d] / m)
-        for p, v, gr in zip(model.hidden_params(), vels, [*dWs, *dbs]):
+    if model.Ws:
+        grads = model.backward_hidden_from_dh(hs, layer.backward_h(step)[:, :d] / m)
+        for p, v, gr in zip(model.params(), vels, grads):
             nesterov_step(p, v, gr, lr, cfg.momentum)
 
     layer.sgd_step(step, lr / m)
@@ -297,27 +294,18 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
     initial/2^10), at ``max_epochs``, or once ``error_target`` is reached
     on validation.  Test metrics come from the best-validation parameters.
 
-    A factored run never forms the output layer's D x d weights: it
-    evaluates through ``factored_predictor`` and keeps its best state as
-    the hidden parameters plus the layer's ``snapshot``.
+    Both output layers evaluate through ``MLP.forward`` and keep their best
+    state as the hidden parameters plus the output layer's ``snapshot``, so
+    a factored run never forms its D x d output weights.
     """
     (Xtr, ytr), (Xva, yva), (Xte, yte) = splits
     rng = np.random.default_rng(cfg.seed)
-    freqs = np.bincount(ytr, minlength=spec.output_dim) / len(ytr)
-    model = MLP(spec, rng, class_freqs=freqs, loss_kind=cfg.loss_kind,
-                prior_bias_init=cfg.prior_bias_init, n_examples=len(ytr))
-
-    factored_layer = None
+    model = init_model(spec, cfg, ytr, rng)
     predictor = lambda X: model.forward(X)[0]
-    trained = model.params()
     if cfg.output_layer == "factored":
-        W0 = np.concatenate(
-            [model.Ws[-1], model.bs[-1][:, None]], axis=1
-        )
-        factored_layer = FactoredOutputLayer(W0)
-        predictor = factored_predictor(model, factored_layer)
-        # the MLP's own output weights stay at their initial values, unread
-        trained = model.hidden_params()
+        train_batch, trained = _train_batch_factored, model.params()
+    else:
+        train_batch, trained = _train_batch_dense, [*model.params(), model.out.W]
     vels = [np.zeros_like(p) for p in trained]
 
     metrics = RunMetrics()
@@ -334,10 +322,7 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             Xb, yb = Xtr[idx], ytr[idx]
-            if factored_layer is not None:
-                bl = _train_batch_factored(model, factored_layer, Xb, yb, cfg, lr, vels)
-            else:
-                bl = _train_batch_dense(model, Xb, yb, cfg, lr, vels)
+            bl = train_batch(model, Xb, yb, cfg, lr, vels)
             if not math.isfinite(bl):
                 metrics.diverged = True
                 metrics.diagnostic = (
@@ -358,8 +343,7 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
 
         if valid_error < best_err - 1e-12:
             best_err = valid_error
-            best_state = ([p.copy() for p in trained],
-                          factored_layer.snapshot() if factored_layer is not None else None)
+            best_state = ([p.copy() for p in model.params()], model.out.snapshot())
             metrics.best_epoch = epoch
             bad_epochs = 0
         else:
@@ -373,11 +357,10 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
             break
 
     if best_state is not None:
-        params, layer_state = best_state
-        for p, s in zip(trained, params):
+        params, out_state = best_state
+        for p, s in zip(model.params(), params):
             p[...] = s
-        if layer_state is not None:
-            factored_layer.restore(layer_state)
+        model.out.restore(out_state)
     test_negll, test_error, top10_error, test_loss = evaluate(
         predictor, Xte, yte, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
     )

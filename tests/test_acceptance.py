@@ -231,7 +231,7 @@ def test_criterion_5_prior_init_entropy():
         ("log_taylor", None, 1e-3),
         ("log_spherical", 1e-4, D * 1e-4),
     ):
-        _, b = trainer.output_init(D, 5, p, kind)
+        b = trainer.output_init(D, p, kind)
         O = np.tile(b, (len(y), 1))
         kwargs = {"eps": eps} if eps is not None else {}
         negll = float(losses.batch_negll(kind, O, y, **kwargs).mean())

@@ -183,6 +183,7 @@ class TestTrain:
         ["--set", "split=random", "--set", "train_n=900", "--set", "valid_n=100",
          "--set", "test_n=5"],
         ["--set", "seed=-1"],
+        ["--set", "initial_lr=inf"],
     ])
     def test_invalid_train_config_exits_2_before_io(self, tmp_path, capsys, settings):
         out_dir = tmp_path / "x"

@@ -413,6 +413,24 @@ class TestFiniteDiffGrad:
         fd = finite_diff_grad(partial(batch_loss, "mse"), o, 3)
         assert np.abs(fd - (2 * o - 2 * np.eye(10)[3])).max() < 1e-9
 
+    def test_scores_in_bounded_blocks(self):
+        # D spans several blocks; every call stays within the bound and the
+        # blocks together give the closed-form MSE gradient 2(o - e_c)
+        D, c = 1000, 3
+        assert 2 * D * D > losses.FD_BLOCK_ELEMENTS
+        o = np.random.default_rng(18).uniform(-3, 3, size=D)
+        sizes = []
+
+        def spy(O, y):
+            sizes.append(O.size)
+            return batch_loss("mse", O, y)
+
+        fd = finite_diff_grad(spy, o, c)
+        assert len(sizes) >= 2 and max(sizes) <= losses.FD_BLOCK_ELEMENTS
+        expected = 2 * o
+        expected[c] -= 2
+        assert np.abs(fd - expected).max() < 1e-6
+
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             finite_diff_grad(lambda O, y: np.zeros(len(O)), [1.0, 2.0], 0, step=0.0)

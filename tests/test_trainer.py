@@ -14,6 +14,7 @@ from sphloss.trainer import (
     TrainConfig,
     evaluate,
     he_init,
+    init_model,
     nesterov_step,
     output_init,
     train,
@@ -56,18 +57,26 @@ class TestHeInit:
 
 class TestOutputInit:
     def test_weights_are_zero(self):
-        for kind in ALL_LOSSES:
-            W, _ = output_init(4, 7, np.array([0.4, 0.3, 0.2, 0.1]), kind)
-            assert np.array_equal(W, np.zeros((4, 7)))
+        # a fresh MLP's output weights are zero outside the bias column, for
+        # both output layers
+        y = np.array([0, 0, 1, 2, 3, 3, 3, 3])
+        for layer in ("dense", "factored"):
+            cfg = TrainConfig(loss_kind="log_taylor", output_layer=layer,
+                              prior_bias_init=True)
+            out = init_model(MLPSpec(3, (7,), 4), cfg, y, np.random.default_rng(0)).out
+            W = out.W if layer == "dense" else out.materialize().W
+            assert np.array_equal(W[:, :-1], np.zeros((4, 7)))
+            np.testing.assert_array_equal(
+                W[:, -1], output_init(4, np.bincount(y) / len(y), "log_taylor"))
 
     def test_uniform_softmax(self):
         D = 8
-        _, b = output_init(D, 3, None, "log_softmax")
+        b = output_init(D, None, "log_softmax")
         np.testing.assert_allclose(b, math.log(1.0 / D))
 
     def test_uniform_taylor_gives_uniform_output(self):
         D = 6
-        _, b = output_init(D, 3, None, "log_taylor")
+        b = output_init(D, None, "log_taylor")
         num = 1.0 + b + 0.5 * b * b
         np.testing.assert_allclose(num / num.sum(), 1.0 / D, atol=1e-12)
 
@@ -79,12 +88,12 @@ class TestOutputInit:
     ])
     def test_mappings(self, kind, mapping):
         p = np.array([0.5, 0.3, 0.2])
-        _, b = output_init(3, 2, p, kind)
+        b = output_init(3, p, kind)
         np.testing.assert_allclose(b, mapping(p))
 
     def test_abs_biases_strictly_positive(self):
         p = np.array([0.6, 0.3, 0.1])
-        _, b = output_init(3, 2, p, "log_softmax_abs")
+        b = output_init(3, p, "log_softmax_abs")
         assert np.all(b > 0)
         # positive biases: the abs-softmax equals softmax of b, which must
         # reproduce the prior
@@ -93,7 +102,7 @@ class TestOutputInit:
 
     def test_taylor_reproduces_prior(self):
         p = np.array([0.5, 0.25, 0.15, 0.1])
-        _, b = output_init(4, 2, p, "log_taylor")
+        b = output_init(4, p, "log_taylor")
         num = 1.0 + b + 0.5 * b * b
         np.testing.assert_allclose(num / num.sum(), p, atol=1e-12)
 
@@ -101,7 +110,7 @@ class TestOutputInit:
         # 2*beta*p - 1 used to round to -1.1e-16 at the minimum frequency
         c = np.array([12, 24, 17, 12, 44])
         p = c / c.sum()
-        _, b = output_init(5, 3, p, "log_taylor")
+        b = output_init(5, p, "log_taylor")
         assert np.all(np.isfinite(b))
         assert b[0] == b[3] == -1.0
         num = 1.0 + b + 0.5 * b * b
@@ -109,21 +118,21 @@ class TestOutputInit:
 
     def test_zero_frequency_floored(self):
         p = np.array([0.7, 0.3, 0.0])
-        _, b = output_init(3, 2, p, "log_softmax", n_examples=100)
+        b = output_init(3, p, "log_softmax", n_examples=100)
         assert np.all(np.isfinite(b))
         with pytest.raises(ValueError):
-            output_init(3, 2, p, "log_softmax")
+            output_init(3, p, "log_softmax")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            output_init(3, 2, None, "mystery")
+            output_init(3, None, "mystery")
 
     def test_prior_entropy_softmax(self):
         # prior-initialized model scored on a frequency-matched stream
         p = np.array([0.75, 0.25])
         entropy = -(p * np.log(p)).sum()
         assert entropy == pytest.approx(0.5623, abs=1e-4)
-        _, b = output_init(2, 3, p, "log_softmax")
+        b = output_init(2, p, "log_softmax")
         y = np.repeat([0, 1], [75, 25])
         O = np.tile(b, (100, 1))
         losses_b, _ = batch_loss_grad("log_softmax", O, y)
@@ -141,16 +150,17 @@ class TestForwardBackward:
         spec = MLPSpec(3, (), 4)
         rng = np.random.default_rng(1)
         model = MLP(spec, rng)
-        model.Ws[-1][...] = rng.normal(size=(4, 3))
-        model.bs[-1][...] = rng.normal(size=4)
+        W = model.out.W
+        W[:, :-1] = rng.normal(size=(4, 3))
+        W[:, -1] = rng.normal(size=4)  # the bias column
         X = rng.normal(size=(6, 3))
         O, hs = model.forward(X)
-        np.testing.assert_allclose(O, X @ model.Ws[-1].T + model.bs[-1])
+        np.testing.assert_allclose(O, X @ W[:, :-1].T + W[:, -1])
         dO = rng.normal(size=(6, 4))
-        dWs, dbs = model.backward(hs, dO)
-        assert len(dWs) == len(dbs) == 1
-        np.testing.assert_allclose(dWs[0], dO.T @ X)
-        np.testing.assert_allclose(dbs[0], dO.sum(axis=0))
+        grads = model.backward(hs, dO)
+        assert len(grads) == 1
+        np.testing.assert_allclose(grads[0][:, :-1], dO.T @ X)
+        np.testing.assert_allclose(grads[0][:, -1], dO.sum(axis=0))
 
     @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
     def test_end_to_end_gradient(self, loss_kind):
@@ -158,8 +168,8 @@ class TestForwardBackward:
         spec = MLPSpec(2, (4,), 3)
         model = MLP(spec, rng)
         # random output weights: several losses are stationary at W=0
-        model.Ws[-1][...] = rng.normal(scale=0.7, size=model.Ws[-1].shape)
-        model.bs[-1][...] = rng.normal(scale=0.3, size=3)
+        model.out.W[:, :-1] = rng.normal(scale=0.7, size=(3, 4))
+        model.out.W[:, -1] = rng.normal(scale=0.3, size=3)
         X = rng.normal(size=(8, 2))
         y = rng.integers(0, 3, size=8)
 
@@ -170,11 +180,10 @@ class TestForwardBackward:
 
         O, hs = model.forward(X)
         _, grad_O = batch_loss_grad(loss_kind, O, y)
-        dWs, dbs = model.backward(hs, grad_O / 8)
-        analytic = [*dWs, *dbs]
+        analytic = model.backward(hs, grad_O / 8)
 
         eps = 1e-6
-        for p, g in zip(model.params(), analytic):
+        for p, g in zip([*model.params(), model.out.W], analytic):
             flat = p.reshape(-1)
             fd = np.empty_like(flat)
             for i in range(flat.size):
@@ -336,6 +345,22 @@ class TestTrain:
         metrics = train(MLPSpec(2, (8,), 2), cfg, toy_binary)
         assert not metrics.diverged and metrics.epochs_run == 15
         assert math.isfinite(metrics.test_negll)
+
+    def test_factored_run_evaluates_through_forward(self, toy_binary, monkeypatch):
+        # MLP.forward is the one predictor: every validation and test row of
+        # a factored run goes through it
+        rows = []
+        forward = MLP.forward
+
+        def counting(self, X):
+            rows.append(len(X))
+            return forward(self, X)
+        monkeypatch.setattr(MLP, "forward", counting)
+        cfg = TrainConfig(loss_kind="log_taylor", initial_lr=0.1, max_epochs=3,
+                          seed=3, output_layer="factored")
+        metrics = train(MLPSpec(2, (8,), 2), cfg, toy_binary)
+        _, (Xva, _), (Xte, _) = toy_binary
+        assert sum(rows) == metrics.epochs_run * len(Xva) + len(Xte)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_abort(self, toy_binary):

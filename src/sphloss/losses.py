@@ -8,7 +8,8 @@ form the spherical family: each is defined once, as an entry that maps
 dL/do_c).  Those partials are what make output-size-independent weight
 updates possible (see ``sphloss.fast_output``).  ``LOSSES`` holds one
 record per loss kind: its entry (None for the log-softmax baselines), its
-class scores, its prior-bias map and the kind it reports as negll.
+class scores, its prior-bias map, the kind it reports as negll and the
+rank key by which evaluation orders the classes.
 ``loss_grad`` (one example) and the batch forms name a loss by its key.
 """
 
@@ -258,12 +259,17 @@ class LossKind:
     # the spherical-family entry; None for a log-softmax baseline, whose
     # loss is the log-softmax of its scores
     entry: Optional[Callable]
-    # pre-activations -> class scores that rank like the predicted probabilities
+    # pre-activations -> class scores that rank like the predicted
+    # probabilities; a baseline's log-softmax is taken of these
     scores: Callable[[np.ndarray], np.ndarray]
     # class frequencies p -> output biases whose predicted distribution is p
     prior_bias: Callable[[np.ndarray], np.ndarray]
     # the kind whose loss is reported as negll; None: the kind's own loss
     negll: Optional[str] = None
+    # the rank key by which ``trainer.evaluate`` places the target:
+    # |O + rank_shift|, or O itself when None.  It orders classes as
+    # ``scores`` does, ties included, without forming a scores array.
+    rank_shift: Optional[float] = None
 
 
 LOSSES = {
@@ -271,17 +277,17 @@ LOSSES = {
     # strictly positive biases: |b| = b matches the softmax rule up to
     # translation, and no coordinate sits on the |.| kink at zero
     "log_softmax_abs": LossKind(
-        None, np.abs, lambda p: np.log(p) - np.log(p.min()) + 1.0),
+        None, np.abs, lambda p: np.log(p) - np.log(p.min()) + 1.0, rank_shift=0.0),
     "mse": LossKind(_mse, lambda O: O, np.copy),
     # the eps term leaves a residual <= D*eps
-    "log_spherical": LossKind(_log_spherical, lambda O: O * O, np.sqrt),
+    "log_spherical": LossKind(_log_spherical, lambda O: O * O, np.sqrt, rank_shift=0.0),
     # b = -1 + sqrt(2*beta*p - 1) with beta = 1/(2*min p), the smallest beta
     # with all radicands >= 0, computed as p/min p - 1 so the minimum's
     # radicand is exactly 0.  This parks the min-frequency class at the
     # zero-gradient point o = -1, so it suits evaluation of an untrained
-    # prior model better than training.
+    # prior model better than training.  Its scores are ((1 + O)^2 + 1)/2.
     "log_taylor": LossKind(_log_taylor, lambda O: 1.0 + O + 0.5 * O * O,
-                           lambda p: -1.0 + np.sqrt(p / p.min() - 1.0)),
+                           lambda p: -1.0 + np.sqrt(p / p.min() - 1.0), rank_shift=1.0),
     # the bounds model a softmax output: its scores, biases and negll
     "spherical_bound_fixed": LossKind(
         _spherical_bound, lambda O: O, np.log, negll="log_softmax"),
@@ -345,10 +351,17 @@ def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
         return losses, grad, partials
     # a baseline: the log-softmax of its scores, O or |O|, where
     # log_softmax_abs takes the subgradient 0 at O = 0
-    logp = batch_log_softmax(rec.scores(O))
-    losses = -logp[rows, y]
+    Z = rec.scores(O)
     if not with_grad:
+        # logsumexp(Z) - Z[rows, y] through one exp buffer (Z itself when
+        # the scores are a fresh array), not the (n, D) log-softmax
+        m = Z.max(axis=1, keepdims=True)
+        E = Z - m if Z is O else np.subtract(Z, m, out=Z)
+        losses = -E[rows, y]
+        losses += np.log(np.exp(E, out=E).sum(axis=1))
         return losses, None, None
+    logp = batch_log_softmax(Z)
+    losses = -logp[rows, y]
     grad = np.exp(logp)
     grad[rows, y] -= 1.0
     if kind == "log_softmax_abs":
@@ -371,7 +384,8 @@ def batch_loss(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0) ->
 
 
 def batch_scores(kind: str, O) -> np.ndarray:
-    """Monotone class scores used for argmax / top-k evaluation."""
+    """Monotone class scores that rank like the predicted probabilities
+    (``trainer.evaluate`` ranks by the record's ``rank_shift`` key)."""
     return loss_record(kind).scores(np.asarray(O, dtype=np.float64))
 
 

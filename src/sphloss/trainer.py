@@ -217,36 +217,78 @@ def init_model(spec: MLPSpec, cfg: TrainConfig, ytr: np.ndarray,
     return MLP(spec, rng, cfg.output_layer, bias)
 
 
-# rows per evaluate block: bounds its (rows, D) temporaries
-EVAL_CHUNK = 8192
+# most logits evaluate scores in one block (one row at least): bounds its
+# (rows, D) arrays in D
+EVAL_BLOCK_ELEMENTS = 1 << 22
+# most logits _target_rank keys at once: the key and its compare stay in a
+# core's cache (half a MiB of key), where a whole block's would not
+RANK_GROUP_ELEMENTS = 1 << 16
+
+
+def _target_rank(O: np.ndarray, y: np.ndarray, shift: Optional[float],
+                 buf: np.ndarray) -> np.ndarray:
+    """Per row of logits ``O`` with target ``c = y``, the target's rank
+    r = #{k : key_k > key_c} + #{k < c : key_k = key_c}, where the key is O
+    when ``shift`` is None and |O + shift| otherwise (a ``LossKind``'s
+    ``rank_shift``): the target's position in a stable sort of the classes
+    by descending key; D when the target's key is NaN.  ``O`` is only
+    read.  The rows are keyed in groups the size of ``buf``, a (g, D)
+    scratch array.
+    """
+    y = np.asarray(y, dtype=np.intp)
+    n, D = O.shape
+    g = buf.shape[0]
+    r = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, g):
+        Og, yg = O[lo:lo + g], y[lo:lo + g]
+        m = len(yg)
+        K = Og if shift is None else np.abs(np.add(Og, shift, out=buf[:m]), out=buf[:m])
+        key_c = K[np.arange(m), yg][:, None]
+        rg = (K > key_c).sum(axis=1)
+        # ties below c matter only where the strict count is under top-10
+        tied = np.flatnonzero(rg < min(10, D))
+        if tied.size:
+            below_c = np.arange(D) < yg[tied, None]
+            rg[tied] += ((K[tied] == key_c[tied]) & below_c).sum(axis=1)
+        rg[np.isnan(key_c[:, 0])] = D  # NaN compares false: rank a NaN target last
+        r[lo:lo + m] = rg
+    return r
 
 
 def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
              eps: float = losses.DEFAULT_EPS, xi: float = 1.0):
     """(negll, error_rate, top10_error, own_loss) over a split.
 
-    ``model`` is a predictor X -> logits.
+    ``model`` is a predictor X -> logits; its output is read, never
+    written.  It is called once on zero rows, to learn D, and then on
+    blocks of at most ``EVAL_BLOCK_ELEMENTS`` logits.
     ``own_loss`` is the training loss evaluated on the split; negll is the
     likelihood-based metric (MSE for the mse loss, by convention).
+    A row is an error when its target's ``_target_rank`` is above 0 and a
+    top-10 error when it is at least min(10, D): a class whose score ties
+    the target's counts as above it when its index is lower, the rule by
+    which ``argmax`` picks the first of tied maxima, for top-10 as well.
     """
+    rec = losses.loss_record(loss_kind)
     n = X.shape[0]
-    own_negll = losses.loss_record(loss_kind).negll is None
+    D = model(X[:0]).shape[1]
+    rows = max(1, EVAL_BLOCK_ELEMENTS // D)
+    # the key's scratch, one row group, allocated once for every block
+    buf = np.empty((min(max(1, RANK_GROUP_ELEMENTS // D), n), D))
     negll_sum = 0.0
     loss_sum = 0.0
     err = 0
     top10_err = 0
-    for lo in range(0, n, EVAL_CHUNK):
-        Xb, yb = X[lo:lo + EVAL_CHUNK], y[lo:lo + EVAL_CHUNK]
+    for lo in range(0, n, rows):
+        Xb, yb = X[lo:lo + rows], y[lo:lo + rows]
         O = model(Xb)
         own = losses.batch_loss(loss_kind, O, yb, eps=eps, xi=xi)
         loss_sum += own.sum()
-        negll = own if own_negll else losses.batch_negll(loss_kind, O, yb, eps=eps)
+        negll = own if rec.negll is None else losses.batch_negll(loss_kind, O, yb, eps=eps)
         negll_sum += negll.sum()
-        scores = losses.batch_scores(loss_kind, O)
-        err += int((scores.argmax(axis=1) != yb).sum())
-        k = min(10, scores.shape[1])
-        topk = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-        top10_err += int((topk != yb[:, None]).all(axis=1).sum())
+        r = _target_rank(O, yb, rec.rank_shift, buf)
+        err += int(np.count_nonzero(r > 0))
+        top10_err += int(np.count_nonzero(r >= min(10, D)))
     return negll_sum / n, err / n, top10_err / n, loss_sum / n
 
 

@@ -373,6 +373,16 @@ class TestBatchForms:
         with pytest.raises(ValueError):
             losses.batch_negll("mystery", O, y)
 
+    @pytest.mark.parametrize("kind", ["log_softmax", "log_softmax_abs"])
+    def test_baseline_loss_is_logsumexp_minus_target(self, kind):
+        # the no-gradient baseline path skips the (n, D) log-softmax
+        rng = np.random.default_rng(15)
+        O = rng.normal(scale=5.0, size=(40, 300))
+        y = rng.integers(0, 300, size=40)
+        ref = -losses.batch_log_softmax(losses.batch_scores(kind, O))[np.arange(40), y]
+        assert max_rel_err(losses.batch_loss(kind, O, y), ref) <= 1e-12
+        assert max_rel_err(losses.batch_loss_grad(kind, O, y)[0], ref) <= 1e-12
+
     @pytest.mark.parametrize("kind", losses.LOSSES)
     def test_scores_of_prior_bias_rank_like_prior(self, kind):
         # each record's scores and prior-bias map belong to one normalizer

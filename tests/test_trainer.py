@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphloss import cli, data, losses
+from sphloss import cli, data, losses, trainer
 from sphloss.fast_output import FactoredOutputLayer
 from sphloss.losses import batch_loss_grad, batch_scores
 from sphloss.trainer import (
@@ -258,6 +261,82 @@ class TestEvaluate:
         expected = np.mean([(0.8 - 1) ** 2 + 0.1**2, 0.2**2 + (0.7 - 1) ** 2])
         assert negll == pytest.approx(expected, rel=1e-12)
         assert own == pytest.approx(expected, rel=1e-12)
+
+    @staticmethod
+    def rows_of(O):
+        """A predictor over row indices X = [[i], ...] into the logits O."""
+        return lambda X: O[X[:, 0].astype(np.intp)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rank_matches_stable_argsort(self, data):
+        # logits on a quarter grid in [-2.5, 2.5]: exact ties with the
+        # target below and above c, negative logits for the |O| keys and
+        # both sides of -1 for log_taylor, all scored without rounding
+        kind = data.draw(st.sampled_from(ALL_LOSSES))
+        D = data.draw(st.integers(2, 24))
+        n = data.draw(st.integers(1, 8))
+        O = np.array(data.draw(st.lists(st.integers(-10, 10), min_size=n * D,
+                                        max_size=n * D))).reshape(n, D) / 4.0
+        y = np.array(data.draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n)))
+        _, err, top10, _ = evaluate(self.rows_of(O), np.arange(n)[:, None], y, kind)
+        order = np.argsort(-batch_scores(kind, O), axis=1, kind="stable")
+        rank = np.flatnonzero(order == y[:, None]) % D
+        assert err == np.count_nonzero(rank > 0) / n
+        assert top10 == np.count_nonzero(rank >= min(10, D)) / n
+
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_nan_target_is_an_error(self, kind):
+        O = np.array([[np.nan, 1.0, 2.0], [0.0, 3.0, 1.0]])
+        _, err, top10, _ = evaluate(lambda X: O, np.zeros((2, 1)), np.array([0, 1]), kind)
+        assert (err, top10) == (0.5, 0.5)
+
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_predictor_array_is_read_only(self, kind):
+        # a predictor may hand back an array it keeps
+        rng = np.random.default_rng(4)
+        O = rng.normal(size=(30, 25)) - 1.0
+        kept = O.copy()
+        y = rng.integers(0, 25, size=30)
+        first = evaluate(lambda X: O, np.zeros((30, 1)), y, kind)
+        assert evaluate(lambda X: O, np.zeros((30, 1)), y, kind) == first
+        np.testing.assert_array_equal(O, kept)
+
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_blocks_and_groups_bounded_by_elements(self, kind, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, D = 103, 40
+        O = rng.normal(size=(n, D))
+        O[:, ::3] = O[:, :1]  # ties with the target in many rows
+        y = rng.integers(0, D, size=n)
+        X = np.arange(n)[:, None]
+        whole = evaluate(self.rows_of(O), X, y, kind)
+        budget = 7 * D + 5
+        monkeypatch.setattr(trainer, "EVAL_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(trainer, "RANK_GROUP_ELEMENTS", 2 * D + 1)
+        calls = []
+        predictor = self.rows_of(O)
+        blocked = evaluate(lambda X: calls.append(len(X)) or predictor(X), X, y, kind)
+        assert max(calls) <= budget // D and sum(calls) == n
+        assert blocked[1:3] == whole[1:3]
+        for b, w in zip(blocked[::3], whole[::3]):
+            assert b == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_peak_memory_of_one_block(self, kind):
+        # logits included, one evaluate holds at most 2.5 (n, D) float arrays
+        n, D = 200, 20_000
+        rng = np.random.default_rng(6)
+        W = rng.normal(size=(4, D))
+        X = rng.normal(size=(n, 4))
+        y = rng.integers(0, D, size=n)
+        tracemalloc.start()
+        try:
+            evaluate(lambda X: X @ W, X, y, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * D * 8
 
 
 # verified working (lr, prior_bias_init) settings per loss on the toy task;

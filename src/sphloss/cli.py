@@ -36,7 +36,10 @@ def _loss_grad_fns(name: str, eps: float, xi: float):
             lambda o, c: losses.loss_grad(name, o, c, eps=eps, xi=xi).grad_o)
 
 
-def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+def max_rel_err(analytic, numeric) -> float:
+    """max |analytic - numeric| relative to the larger array's max magnitude."""
+    analytic = np.asarray(analytic, dtype=np.float64)
+    numeric = np.asarray(numeric, dtype=np.float64)
     scale = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), 1e-12)
     return float(np.abs(analytic - numeric).max()) / scale
 

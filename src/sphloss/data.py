@@ -3,6 +3,7 @@ large-vocabulary categorical task generation."""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Tuple
@@ -51,45 +52,33 @@ def _read_be_u32(buf: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
+def _read_idx(path: str, magic: int) -> np.ndarray:
+    """The uint8 array of the IDX file at ``path``, whose magic number must
+    be ``magic``; the magic's low byte is the number of dimensions."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    found = _read_be_u32(buf, 0, path)
+    if found != magic:
+        raise IdxParseError(
+            f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
+        )
+    dims = [_read_be_u32(buf, 4 * k, path) for k in range(1, (magic & 0xFF) + 1)]
+    start = 4 * (len(dims) + 1)
+    size = start + math.prod(dims)
+    if len(buf) != size:
+        raise IdxParseError(f"{path}: expected {size} bytes, got {len(buf)}")
+    return np.frombuffer(buf, dtype=np.uint8, offset=start).reshape(dims)
+
+
 def load_mnist(images_path: str, labels_path: str) -> Dataset:
     """Load one MNIST IDX image/label file pair; pixels scaled to [0, 1]."""
-    with open(images_path, "rb") as f:
-        ibuf = f.read()
-    with open(labels_path, "rb") as f:
-        lbuf = f.read()
-
-    magic = _read_be_u32(ibuf, 0, images_path)
-    if magic != IDX_IMAGES_MAGIC:
-        raise IdxParseError(
-            f"{images_path}: bad magic 0x{magic:08x} at offset 0, "
-            f"expected 0x{IDX_IMAGES_MAGIC:08x}"
-        )
-    n_img = _read_be_u32(ibuf, 4, images_path)
-    rows = _read_be_u32(ibuf, 8, images_path)
-    cols = _read_be_u32(ibuf, 12, images_path)
-    if len(ibuf) != 16 + n_img * rows * cols:
-        raise IdxParseError(
-            f"{images_path}: expected {16 + n_img * rows * cols} bytes, got {len(ibuf)}"
-        )
-
-    magic = _read_be_u32(lbuf, 0, labels_path)
-    if magic != IDX_LABELS_MAGIC:
-        raise IdxParseError(
-            f"{labels_path}: bad magic 0x{magic:08x} at offset 0, "
-            f"expected 0x{IDX_LABELS_MAGIC:08x}"
-        )
-    n_lab = _read_be_u32(lbuf, 4, labels_path)
-    if len(lbuf) != 8 + n_lab:
-        raise IdxParseError(f"{labels_path}: expected {8 + n_lab} bytes, got {len(lbuf)}")
-    if n_img != n_lab:
-        raise IdxParseError(
-            f"image/label count mismatch: {n_img} images vs {n_lab} labels"
-        )
-
-    pixels = np.frombuffer(ibuf, dtype=np.uint8, offset=16).reshape(n_img, rows * cols)
-    features = pixels.astype(np.float64) / 255.0
-    labels = np.frombuffer(lbuf, dtype=np.uint8, offset=8).astype(np.int64)
-    return Dataset(features=features, labels=labels, D=10)
+    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
+    n, rows, cols = pixels.shape
+    if n != len(labels):
+        raise IdxParseError(f"image/label count mismatch: {n} images vs {len(labels)} labels")
+    features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
+    return Dataset(features=features, labels=labels.astype(np.int64), D=10)
 
 
 def concat(a: Dataset, b: Dataset) -> Dataset:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import SphericalStats, _as_labels
+from .losses import SphericalStats, _as_labels, _dense_grad, _row_stats
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,12 @@ class DenseOutputLayer:
 
     def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
         H, c, one = _as_batch(h, c, *self.W.shape)
-        O = H @ self.W.T
-        return _stats(O.sum(axis=1), np.einsum("ij,ij->i", O, O),
-                      O[np.arange(len(c)), c], one)
+        return _stats(*_row_stats(H @ self.W.T, c), one)
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
         """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h."""
         H, c, a, bq, g, one = _as_partials(p, *self.W.shape)
-        grad_o = (2.0 * bq)[:, None] * (H @ self.W.T) + a[:, None]
-        grad_o[np.arange(len(c)), c] += g
-        out = grad_o @ self.W
+        out = _dense_grad(H @ self.W.T, c, a, bq, g) @ self.W
         return out[0] if one else out
 
     def sgd_step(self, p: StepPartials, lr: float):

@@ -8,8 +8,8 @@ form the spherical family: each is defined once, as an entry that maps
 dL/do_c).  Those partials are what make output-size-independent weight
 updates possible (see ``sphloss.fast_output``).  ``LOSSES`` holds one
 record per loss kind: its entry (None for the log-softmax baselines), its
-class scores, its prior-bias map, the kind it reports as negll and the
-rank key by which evaluation orders the classes.
+prior-bias map, the kind it reports as negll and its rank key, which
+orders the classes as the predicted probabilities do.
 ``loss_grad`` (one example) and the batch forms name a loss by its key.
 """
 
@@ -104,11 +104,24 @@ def _as_labels(y, D: int) -> np.ndarray:
     return y.astype(np.int64)
 
 
+def _row_stats(O: np.ndarray, y: np.ndarray):
+    """(s, q, o_c) of each row of O with target y, as (n,) arrays."""
+    return O.sum(axis=1), np.einsum("ij,ij->i", O, O), O[np.arange(len(y)), y]
+
+
+def _dense_grad(O: np.ndarray, y: np.ndarray, a, bq, g) -> np.ndarray:
+    """a*1 + 2*bq*o + g*e_c for each row o of O with target c = y, (n, D)."""
+    grad = O * (2.0 * bq)[:, None]
+    grad += a[:, None]
+    grad[np.arange(len(y)), y] += g
+    return grad
+
+
 def summary_stats(o, c: int) -> SphericalStats:
     """Compute (s, q, o_c) for a pre-activation vector and target index."""
     o = _as_logits(o)
-    c = int(_as_labels(c, o.shape[0]))
-    return SphericalStats(s=float(o.sum()), q=float(o @ o), o_c=float(o[c]))
+    stats = _row_stats(o[None], _as_labels([c], o.shape[0]))
+    return SphericalStats(*(float(x[0]) for x in stats))
 
 
 def softmax(o) -> np.ndarray:
@@ -169,11 +182,8 @@ def taylor_softmax(o) -> np.ndarray:
 def grad_from_partials(partials: Partials, o, c: int) -> np.ndarray:
     """Reconstruct the dense gradient (dL/ds)*1 + 2*(dL/dq)*o + (dL/do_c)*e_c."""
     o = _as_logits(o)
-    c = int(_as_labels(c, o.shape[0]))
-    a, bq, g = partials
-    grad = np.full_like(o, a) + 2.0 * bq * o
-    grad[c] += g
-    return grad
+    return _dense_grad(o[None], _as_labels([c], o.shape[0]),
+                       *np.asarray(partials, dtype=np.float64)[:, None])[0]
 
 
 # most elements finite_diff_grad scores in one call (one pair of rows at least)
@@ -257,43 +267,47 @@ class LossKind:
     """Everything the library knows about one loss kind."""
 
     # the spherical-family entry; None for a log-softmax baseline, whose
-    # loss is the log-softmax of its scores
+    # loss is the log-softmax of its key
     entry: Optional[Callable]
-    # pre-activations -> class scores that rank like the predicted
-    # probabilities; a baseline's log-softmax is taken of these
-    scores: Callable[[np.ndarray], np.ndarray]
     # class frequencies p -> output biases whose predicted distribution is p
     prior_bias: Callable[[np.ndarray], np.ndarray]
     # the kind whose loss is reported as negll; None: the kind's own loss
     negll: Optional[str] = None
-    # the rank key by which ``trainer.evaluate`` places the target:
-    # |O + rank_shift|, or O itself when None.  It orders classes as
-    # ``scores`` does, ties included, without forming a scores array.
+    # the key is |O + rank_shift|, or O itself when None
     rank_shift: Optional[float] = None
+
+    def key(self, O: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The rank key of logits O: it orders each row's classes as the
+        predicted probabilities do, ties included.  O itself when
+        ``rank_shift`` is None, else |O + rank_shift| in ``out`` or in one
+        fresh array; O is only read."""
+        if self.rank_shift is None:
+            return O
+        K = np.add(O, self.rank_shift, out=out)
+        return np.abs(K, out=K)
 
 
 LOSSES = {
-    "log_softmax": LossKind(None, lambda O: O, np.log),
+    "log_softmax": LossKind(None, np.log),
     # strictly positive biases: |b| = b matches the softmax rule up to
     # translation, and no coordinate sits on the |.| kink at zero
     "log_softmax_abs": LossKind(
-        None, np.abs, lambda p: np.log(p) - np.log(p.min()) + 1.0, rank_shift=0.0),
-    "mse": LossKind(_mse, lambda O: O, np.copy),
+        None, lambda p: np.log(p) - np.log(p.min()) + 1.0, rank_shift=0.0),
+    "mse": LossKind(_mse, np.copy),
     # the eps term leaves a residual <= D*eps
-    "log_spherical": LossKind(_log_spherical, lambda O: O * O, np.sqrt, rank_shift=0.0),
+    "log_spherical": LossKind(_log_spherical, np.sqrt, rank_shift=0.0),
     # b = -1 + sqrt(2*beta*p - 1) with beta = 1/(2*min p), the smallest beta
     # with all radicands >= 0, computed as p/min p - 1 so the minimum's
     # radicand is exactly 0.  This parks the min-frequency class at the
     # zero-gradient point o = -1, so it suits evaluation of an untrained
-    # prior model better than training.  Its scores are ((1 + O)^2 + 1)/2.
-    "log_taylor": LossKind(_log_taylor, lambda O: 1.0 + O + 0.5 * O * O,
-                           lambda p: -1.0 + np.sqrt(p / p.min() - 1.0), rank_shift=1.0),
-    # the bounds model a softmax output: its scores, biases and negll
-    "spherical_bound_fixed": LossKind(
-        _spherical_bound, lambda O: O, np.log, negll="log_softmax"),
+    # prior model better than training.  Its numerators 1 + O + O^2/2 =
+    # ((1 + O)^2 + 1)/2 rank as |1 + O| does.
+    "log_taylor": LossKind(_log_taylor, lambda p: -1.0 + np.sqrt(p / p.min() - 1.0),
+                           rank_shift=1.0),
+    # the bounds model a softmax output: its key, biases and negll
+    "spherical_bound_fixed": LossKind(_spherical_bound, np.log, negll="log_softmax"),
     "spherical_bound_optimized": LossKind(
-        partial(_spherical_bound, optimize=True), lambda O: O, np.log,
-        negll="log_softmax"),
+        partial(_spherical_bound, optimize=True), np.log, negll="log_softmax"),
 }
 
 def loss_record(kind: str) -> LossKind:
@@ -322,11 +336,6 @@ def loss_grad(kind: str, o, c: int, *, eps: float = DEFAULT_EPS,
 # ---------------------------------------------------------------------------
 
 
-def batch_log_softmax(O: np.ndarray) -> np.ndarray:
-    Z = O - O.max(axis=1, keepdims=True)
-    return Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
-
-
 def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
     """(losses (n,), dense gradient (n, D) or None, partials (a, bq, g) or
     None): the one body of the batch and per-example forms."""
@@ -336,36 +345,27 @@ def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
     if O.ndim != 2 or y.ndim != 1 or O.shape[0] != y.shape[0]:
         raise ValueError("O must be (n, D) and y (n,)")
     y = _as_labels(y, O.shape[1])
-    rows = np.arange(O.shape[0])
     if rec.entry is not None:
         # the registry entry on the rows' (s, q, o_c)
-        losses, *partials = rec.entry(
-            O.sum(axis=1), np.einsum("ij,ij->i", O, O), O[rows, y], O.shape[1], params
-        )
-        if not with_grad:
-            return losses, None, partials
-        a, bq, g = partials
-        grad = O * (2.0 * bq)[:, None]
-        grad += a[:, None]
-        grad[rows, y] += g
-        return losses, grad, partials
-    # a baseline: the log-softmax of its scores, O or |O|, where
+        losses, *partials = rec.entry(*_row_stats(O, y), O.shape[1], params)
+        return losses, _dense_grad(O, y, *partials) if with_grad else None, partials
+    # a baseline: the log-softmax of its key Z, O or |O|, as logsumexp(Z) -
+    # Z_y through one exp buffer (Z itself when the key is a fresh array);
     # log_softmax_abs takes the subgradient 0 at O = 0
-    Z = rec.scores(O)
+    Z = rec.key(O)
+    rows = np.arange(O.shape[0])
+    m = Z.max(axis=1, keepdims=True)
+    E = Z - m if Z is O else np.subtract(Z, m, out=Z)
+    losses = -E[rows, y]
+    S = np.exp(E, out=E).sum(axis=1)
+    losses += np.log(S)
     if not with_grad:
-        # logsumexp(Z) - Z[rows, y] through one exp buffer (Z itself when
-        # the scores are a fresh array), not the (n, D) log-softmax
-        m = Z.max(axis=1, keepdims=True)
-        E = Z - m if Z is O else np.subtract(Z, m, out=Z)
-        losses = -E[rows, y]
-        losses += np.log(np.exp(E, out=E).sum(axis=1))
         return losses, None, None
-    logp = batch_log_softmax(Z)
-    losses = -logp[rows, y]
-    grad = np.exp(logp)
+    grad = np.divide(E, S[:, None], out=E)  # softmax(Z) - e_y
     grad[rows, y] -= 1.0
-    if kind == "log_softmax_abs":
-        grad *= np.sign(O)
+    if rec.rank_shift is not None:
+        sign = np.add(O, rec.rank_shift)
+        grad *= np.sign(sign, out=sign)
     return losses, grad, None
 
 
@@ -384,9 +384,9 @@ def batch_loss(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0) ->
 
 
 def batch_scores(kind: str, O) -> np.ndarray:
-    """Monotone class scores that rank like the predicted probabilities
-    (``trainer.evaluate`` ranks by the record's ``rank_shift`` key)."""
-    return loss_record(kind).scores(np.asarray(O, dtype=np.float64))
+    """The rank key of logits O (``LossKind.key``): it orders each row's
+    classes as the predicted probabilities do."""
+    return loss_record(kind).key(np.asarray(O, dtype=np.float64))
 
 
 def batch_negll(kind: str, O, y, *, eps: float = DEFAULT_EPS) -> np.ndarray:

@@ -225,15 +225,13 @@ EVAL_BLOCK_ELEMENTS = 1 << 22
 RANK_GROUP_ELEMENTS = 1 << 16
 
 
-def _target_rank(O: np.ndarray, y: np.ndarray, shift: Optional[float],
+def _target_rank(O: np.ndarray, y: np.ndarray, rec: losses.LossKind,
                  buf: np.ndarray) -> np.ndarray:
     """Per row of logits ``O`` with target ``c = y``, the target's rank
-    r = #{k : key_k > key_c} + #{k < c : key_k = key_c}, where the key is O
-    when ``shift`` is None and |O + shift| otherwise (a ``LossKind``'s
-    ``rank_shift``): the target's position in a stable sort of the classes
-    by descending key; D when the target's key is NaN.  ``O`` is only
-    read.  The rows are keyed in groups the size of ``buf``, a (g, D)
-    scratch array.
+    r = #{k : key_k > key_c} + #{k < c : key_k = key_c} by ``rec.key``:
+    the target's position in a stable sort of the classes by descending
+    key; D when the target's key is NaN.  ``O`` is only read.  The rows are
+    keyed in groups the size of ``buf``, a (g, D) scratch array.
     """
     y = np.asarray(y, dtype=np.intp)
     n, D = O.shape
@@ -242,7 +240,7 @@ def _target_rank(O: np.ndarray, y: np.ndarray, shift: Optional[float],
     for lo in range(0, n, g):
         Og, yg = O[lo:lo + g], y[lo:lo + g]
         m = len(yg)
-        K = Og if shift is None else np.abs(np.add(Og, shift, out=buf[:m]), out=buf[:m])
+        K = rec.key(Og, out=buf[:m])
         key_c = K[np.arange(m), yg][:, None]
         rg = (K > key_c).sum(axis=1)
         # ties below c matter only where the strict count is under top-10
@@ -286,7 +284,7 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
         loss_sum += own.sum()
         negll = own if rec.negll is None else losses.batch_negll(loss_kind, O, yb, eps=eps)
         negll_sum += negll.sum()
-        r = _target_rank(O, yb, rec.rank_shift, buf)
+        r = _target_rank(O, yb, rec, buf)
         err += int(np.count_nonzero(r > 0))
         top10_err += int(np.count_nonzero(r >= min(10, D)))
     return negll_sum / n, err / n, top10_err / n, loss_sum / n

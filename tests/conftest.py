@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-
-def max_rel_err(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    scale = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return float(np.abs(a - b).max()) / scale
+from sphloss.cli import max_rel_err  # noqa: F401  (gradcheck's error measure)
 
 
 @pytest.fixture(scope="session")

@@ -375,13 +375,44 @@ class TestBatchForms:
 
     @pytest.mark.parametrize("kind", ["log_softmax", "log_softmax_abs"])
     def test_baseline_loss_is_logsumexp_minus_target(self, kind):
-        # the no-gradient baseline path skips the (n, D) log-softmax
+        # the baseline is the softmax of its key, O or |O|, row by row; the
+        # gradient of |O| carries sign(O)
         rng = np.random.default_rng(15)
         O = rng.normal(scale=5.0, size=(40, 300))
         y = rng.integers(0, 300, size=40)
-        ref = -losses.batch_log_softmax(losses.batch_scores(kind, O))[np.arange(40), y]
+        key, sign = (np.abs(O), np.sign(O)) if kind == "log_softmax_abs" else (O, 1.0)
+        P = np.array([softmax(k) for k in key])
+        ref = -np.log(P[np.arange(40), y])
+        loss_b, grad_b = losses.batch_loss_grad(kind, O, y)
         assert max_rel_err(losses.batch_loss(kind, O, y), ref) <= 1e-12
-        assert max_rel_err(losses.batch_loss_grad(kind, O, y)[0], ref) <= 1e-12
+        assert max_rel_err(loss_b, ref) <= 1e-12
+        assert max_rel_err(grad_b, (P - np.eye(300)[y]) * sign) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_key_ranks_like_predicted_probabilities(self, data):
+        # logits on a quarter grid in [-2.5, 2.5]: exact ties, negative
+        # logits for the |O| keys and both sides of -1 for log_taylor, each
+        # row ranked by a stable sort against its reference normalizer
+        kind = data.draw(st.sampled_from(list(losses.LOSSES)))
+        D = data.draw(st.integers(2, 24))
+        n = data.draw(st.integers(1, 8))
+        O = np.array(data.draw(st.lists(st.integers(-10, 10), min_size=n * D,
+                                        max_size=n * D))).reshape(n, D) / 4.0
+        kept = O.copy()
+        rec = losses.LOSSES[kind]
+        key = rec.key(O)
+        np.testing.assert_array_equal(rec.key(O, out=np.empty_like(O)), key)
+        np.testing.assert_array_equal(O, kept)
+        probs = {
+            "log_softmax_abs": lambda o: softmax(np.abs(o)),
+            "mse": lambda o: o,
+            "log_spherical": lambda o: spherical_softmax(o, losses.DEFAULT_EPS),
+            "log_taylor": taylor_softmax,
+        }.get(kind, softmax)  # the log_softmax and both bounds' softmax
+        P = np.array([probs(o) for o in O])
+        np.testing.assert_array_equal(np.argsort(-key, axis=1, kind="stable"),
+                                      np.argsort(-P, axis=1, kind="stable"))
 
     @pytest.mark.parametrize("kind", losses.LOSSES)
     def test_scores_of_prior_bias_rank_like_prior(self, kind):

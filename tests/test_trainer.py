@@ -483,7 +483,8 @@ class TestTrain:
     def test_new_kind_is_one_record(self, monkeypatch, tmp_path):
         # adding a loss kind takes one LOSSES record: here twice the mse
         # entry, which both output layers then train, gradcheck checks and
-        # loss_grad scores
+        # loss_grad scores, and a renamed log_softmax_abs, whose record, not
+        # its name, gives its gradient the sign of O
         def twice_mse(*args):
             return tuple(2.0 * x for x in losses.LOSSES["mse"].entry(*args))
         monkeypatch.setitem(losses.LOSSES, "twice_mse", dataclasses.replace(
@@ -496,6 +497,12 @@ class TestTrain:
         assert r.partials == tuple(2.0 * x for x in ref.partials)
         assert cli.main(["gradcheck", "--loss", "twice_mse", "--dims", "2,10",
                          "--trials", "3", "--output", str(tmp_path / "g.csv")]) == 0
+        monkeypatch.setitem(losses.LOSSES, "abs_copy",
+                            dataclasses.replace(losses.LOSSES["log_softmax_abs"]))
+        O, y = np.array([[0.5, -1.0, 2.0], [-3.0, 0.25, -0.5]]), np.array([1, 0])
+        for got, want in zip(losses.batch_loss_grad("abs_copy", O, y),
+                             losses.batch_loss_grad("log_softmax_abs", O, y)):
+            np.testing.assert_array_equal(got, want)
 
 
 def assert_factored_follows_dense(loss_kind):

@@ -17,7 +17,15 @@ recurrences.  The W h h' terms go into the mixer, A <- A(I - H'BH) with
 B = diag(2*lr*bq).  The 1h' and e_c h' terms go into the offset u and into
 rows of ``core``, in pre-mixer coordinates, which the maintained inverse of
 A gives; that inverse is updated by the Woodbury identity through the
-m x m matrix K = I - B H H'.  A rebase folds u and A into ``core``.
+m x m matrix K = I - B H H'.
+
+When the mixer's condition estimate crosses ``cond_threshold``, a few of
+its singular directions have collapsed (the rectified inputs share a mean
+direction).  A fold moves just those k directions into ``core``, an
+O(D*d*k) pass that leaves W, Q and v unchanged and measures in the same
+pass how far Q and v have drifted from W.  A full rebase, (core + 1u')A as
+the new core with the caches recomputed in O(D*d^2), runs only when the
+fold does not apply or the Gram drift is above ``DRIFT_TOL``.
 
 Evaluation reads the same representation: ``logits`` gives H W' as
 (H A') core' + (H A' u) 1', and ``snapshot``/``restore`` copy and reinstate
@@ -36,6 +44,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import SphericalStats, _as_labels, _dense_grad, _row_stats
+
+# rows per block in the passes over core: 512 x 128 doubles is 512 KiB
+BLOCK_ROWS = 512
+# a singular value of the mixer below FOLD_CUT * sigma_max has collapsed: at
+# each threshold crossing of a D = 5000, d = 128 stream of rectified inputs
+# one singular value was near 9e-8 and the rest above 0.4
+FOLD_CUT = 1e-2
+# more than FOLD_MAX_RANK * d collapsed directions take a full rebase, which
+# caps the fold's 2*D*d*k multiply-adds at a quarter of the rebase's D*d^2;
+# with d < 8 every crossing rebases.  The fold is memory-bound: at D = 1e5,
+# d = 128 it took 53-76 ms for k = 1 to 16 against the rebase's 137-182 ms
+FOLD_MAX_RANK = 1 / 8
+# drift after a fold above this takes a full rebase (Gram) or the exact
+# column sums: 10x under the benchmark's 1e-9 exactness gate.  The Gram
+# estimate was 0.6-1.9x the drift that the rebase after it measured, on
+# D = 5000 and D = 1e5 streams of rectified inputs
+DRIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -89,6 +114,12 @@ def _as_weights(W, copy: bool) -> np.ndarray:
     return W.copy() if copy else W
 
 
+def _rel_diff(x: np.ndarray, ref: np.ndarray) -> float:
+    """||x - ref|| / ||ref||, or ||x - ref|| when ref is zero."""
+    diff, scale = np.linalg.norm(x - ref), np.linalg.norm(ref)
+    return float(diff / scale if scale > 0 else diff)
+
+
 def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
     """W <- W - lr*sum_i(a_i 1h_i' + 2*bq_i Wh_ih_i' + g_i e_{c_i}h_i') in
     place, O(D*d*m)."""
@@ -140,7 +171,12 @@ class FactoredOutputLayer:
 
     ``op_count`` counts the arithmetic done by ``forward_stats``,
     ``backward_h`` and ``sgd_step`` (array element operations); it
-    deliberately excludes rebases, which are amortized O(D*d^2) maintenance.
+    deliberately excludes folds and rebases, which are amortized
+    maintenance.  ``fold_count`` and ``rebase_count`` count folds and full
+    rebases, ``q_clamps`` the rows whose cached q fell below zero and was
+    clamped, and ``last_drift`` is the (Gram, column-sum) relative drift of
+    the caches from the represented matrix as the last fold or rebase
+    measured it, a fold's Gram part through a probe (None before either).
     """
 
     def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8,
@@ -151,6 +187,9 @@ class FactoredOutputLayer:
         self.cond_threshold = float(cond_threshold)
         self.op_count = 0
         self.rebase_count = 0
+        self.fold_count = 0
+        self.q_clamps = 0
+        self.last_drift = None
 
     @classmethod
     def zeros(cls, D: int, d: int, **kw) -> "FactoredOutputLayer":
@@ -175,6 +214,7 @@ class FactoredOutputLayer:
         q = np.einsum("ij,ij->i", H @ self.gram, H)
         o_c = np.einsum("ij,ij->i", self._rows(c), H)
         self.op_count += len(c) * (self.d * self.d + 4 * self.d)
+        self.q_clamps += int(np.count_nonzero(q < 0.0))
         return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
@@ -207,7 +247,7 @@ class FactoredOutputLayer:
             # the mixer update I - H'BH is (numerically) singular: apply this
             # one step to the represented matrix and make that the core, a
             # rebase with the step folded in
-            W = (self.core + self.offset) @ self.mixer
+            W = self._weights(out=self.core)
             _dense_sgd_step(W, H, c, a, bq, g, lr)
             self._reset(W)
             self.rebase_count += 1
@@ -235,16 +275,79 @@ class FactoredOutputLayer:
         self.op_count += m * (7 * d * d + 6 * m * d + 10 * d) + 4 * d * d
 
         if np.linalg.norm(self.mixer) * np.linalg.norm(self.mixer_inv) > self.cond_threshold:
+            self._fold()
+
+    def _fold(self):
+        """Move the mixer's collapsed singular directions into the core, or
+        rebase when none or more than FOLD_MAX_RANK * d have collapsed.
+
+        With A = U S V' and U_k, S_k the k directions whose singular value
+        is below FOLD_CUT * sigma_max, M = I + U_k (S_k - I) U_k' gives
+        W = (core M + 1 (M u)') (M^-1 A), so the fold sets core <- core M
+        in place, u <- M u and A <- M^-1 A = A + U_k (I - S_k) V_k', whose
+        inverse comes from the same SVD with S_k set to 1.  W, Q and v are
+        unchanged in exact arithmetic, so the caches are kept.  The same
+        pass over core gives the new representation's exact W'1 and, through
+        a fixed probe, an estimate of its Gram drift.  Gram drift above
+        DRIFT_TOL takes a full rebase; column sums that far off are replaced
+        by the exact ones.  O(D*d*k + d^3).
+        """
+        U, sig, Vt = np.linalg.svd(self.mixer)
+        cut = sig < FOLD_CUT * sig[0]
+        k = int(np.count_nonzero(cut))
+        if not 0 < k <= FOLD_MAX_RANK * self.d:
             self.rebase()
+            return
+        Uk, Sk, D = U[:, cut], sig[cut], self.D
+        R = (Sk - 1.0)[:, None] * Uk.T  # core M = core + (core U_k) R
+        self.offset = self.offset + (self.offset @ Uk) @ R
+        self.mixer = self.mixer + (Uk * (1.0 - Sk)) @ Vt[cut]
+        sig[cut] = 1.0
+        self.mixer_inv = (Vt.T / sig) @ U.T
+        # Gram drift is estimated as ||Q X - W'W X|| / ||W'W X|| through a
+        # fixed probe X, reading each block of core once it is folded
+        X = np.random.default_rng(0).standard_normal((self.d, 4))
+        A, u = self.mixer, self.offset
+        AX = A @ X
+        CCAX = np.zeros_like(AX)  # core'core AX
+        sum_core = np.zeros(self.d)  # core'1
+        for lo in range(0, D, BLOCK_ROWS):
+            blk = self.core[lo:lo + BLOCK_ROWS]
+            blk += (blk @ Uk) @ R
+            CCAX += blk.T @ (blk @ AX)
+            sum_core += blk.sum(axis=0)
+        # W = (core + 1u')A, so W'1 = A'(core'1 + D u) and, with WX = core AX
+        # + 1 u'AX, W'WX = A'(core'core AX + core'1 u'AX + u 1'WX)
+        uAX = u @ AX
+        WWX = A.T @ (CCAX + np.outer(sum_core, uAX) + np.outer(u, sum_core @ AX + D * uAX))
+        colsum = A.T @ (sum_core + D * u)
+        self.last_drift = (_rel_diff(self.gram @ X, WWX), _rel_diff(self.colsum, colsum))
+        self.fold_count += 1
+        if self.last_drift[0] > DRIFT_TOL:
+            self.rebase()
+        elif self.last_drift[1] > DRIFT_TOL:
+            self.colsum = colsum  # the column sums a rebase would give
 
     def rebase(self):
-        """Fold the mixer and the offset back into the core.
+        """Make (core + 1u')A the core, in place, with an identity mixer and
+        a zero offset.
 
         The represented matrix is unchanged; the caches are recomputed at
-        full precision.  O(D*d^2).
+        full precision, and ``last_drift`` records how far the ones they
+        replace had drifted.  O(D*d^2).
         """
-        self._reset((self.core + self.offset) @ self.mixer)
+        gram, colsum = self.gram, self.colsum
+        self._reset(self._weights(out=self.core))
+        self.last_drift = (_rel_diff(gram, self.gram), _rel_diff(colsum, self.colsum))
         self.rebase_count += 1
+
+    def _weights(self, out: np.ndarray) -> np.ndarray:
+        """W = (core + 1u')A written into ``out`` one block of rows at a
+        time, so no other D x d array is formed; ``out`` may be ``core``."""
+        for lo in range(0, self.D, BLOCK_ROWS):
+            rows = slice(lo, lo + BLOCK_ROWS)
+            np.matmul(self.core[rows] + self.offset, self.mixer, out=out[rows])
+        return out
 
     def _reset(self, W: np.ndarray):
         """Represent W as the core itself, with the caches computed from it
@@ -283,5 +386,5 @@ class FactoredOutputLayer:
 
     def materialize(self) -> DenseOutputLayer:
         """Dense copy of the represented matrix; for tests and export only."""
-        return DenseOutputLayer((self.core + self.offset) @ self.mixer, copy=False)
+        return DenseOutputLayer(self._weights(out=np.empty((self.D, self.d))), copy=False)
 

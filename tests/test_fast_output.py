@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphloss import data
 from sphloss.fast_output import (
+    DRIFT_TOL,
     DenseOutputLayer,
     FactoredOutputLayer,
     StepPartials,
 )
-from sphloss.losses import batch_loss_grad
+from sphloss.losses import LOSSES, LossParams, batch_loss_grad
 
 
 def random_partials(rng, D, d):
@@ -81,6 +83,15 @@ class TestForwardStats:
         layer = FactoredOutputLayer.zeros(10, 4)
         with pytest.raises(ValueError):
             layer.forward_stats(np.zeros(5), 0)
+
+    def test_counts_q_clamps(self):
+        layer = FactoredOutputLayer(np.random.default_rng(18).normal(size=(20, 4)))
+        H = np.eye(4)[:3]
+        layer.forward_stats(H, np.arange(3))
+        assert layer.q_clamps == 0
+        layer.gram[0, 0] = -1.0  # q of the first row only goes below zero
+        st = layer.forward_stats(H, np.arange(3))
+        assert layer.q_clamps == 1 and st.q[0] == 0.0
 
 
 class TestSgdStep:
@@ -377,7 +388,9 @@ class TestRebase:
         D, d = 500, 16
         W0 = rng.normal(scale=0.05, size=(D, d))
         # at the default threshold this run never rebases (the mixer's
-        # condition estimate ends near 6e5); at 100 it rebases 6 times
+        # condition estimate ends near 6e5); at 100 it rebases 6 times.
+        # Random h never collapses a single direction of the mixer, so each
+        # crossing finds no direction to fold and takes the full rebase
         fac = FactoredOutputLayer(W0, cond_threshold=100.0)
         den = DenseOutputLayer(W0)
         for _ in range(10_000):
@@ -392,8 +405,120 @@ class TestRebase:
             )
             fac.sgd_step(p, lr=0.01)
             den.sgd_step(p, lr=0.01)
-        assert fac.rebase_count > 0
+        assert fac.rebase_count > 0 and fac.fold_count == 0
         assert rel_fro(fac.materialize().W, den.W) < 1e-5
+
+    def test_records_the_drift_it_replaces(self):
+        rng = np.random.default_rng(13)
+        layer = FactoredOutputLayer(rng.normal(size=(300, 8)))
+        for _ in range(30):
+            layer.sgd_step(random_partials(rng, 300, 8), lr=0.02)
+        E = rng.normal(size=(8, 8))
+        layer.gram += 1e-7 * (E + E.T)
+        layer.colsum += 1e-6 * rng.normal(size=8)
+        W = layer.materialize().W
+        want = (rel_fro(layer.gram, W.T @ W), rel_fro(layer.colsum, W.sum(axis=0)))
+        assert layer.last_drift is None
+        layer.rebase()
+        assert layer.last_drift == pytest.approx(want, rel=1e-9)
+        assert want[0] > 1e-9 and want[1] > 1e-8
+        assert rel_fro(layer.gram, W.T @ W) < 1e-15
+
+
+def collapse(fac, rng, means, lr=0.1):
+    """ReLU-like steps around the rows of ``means`` in turn until the mixer's
+    condition estimate passes 1e8.  Each step has 2*lr*bq*h'h = 0.9, so it
+    shrinks the mixer about tenfold along its h; the rows share one mean
+    direction when ``means`` has one row.  a and g are small: the offset
+    and the rows they move hold 1/sigma_min-sized terms, whose rounding is
+    the representation's own error, about eps * cond * lr * |a|."""
+    t = 0
+    while cond_estimate(fac) <= 1e8:
+        h = np.maximum(means[t % len(means)] + 0.05 * rng.normal(size=fac.d), 0.0)
+        a, g = rng.uniform(-1e-4, 1e-4, size=2)
+        fac.sgd_step(StepPartials(a=a, bq=0.45 / (lr * (h @ h)), g=g,
+                                  c=int(rng.integers(fac.D)), h=h), lr=lr)
+        t += 1
+
+
+class TestFold:
+    D, d = 2000, 16
+
+    def layer(self, seed):
+        # cond_threshold inf: the layer never folds or rebases on its own
+        rng = np.random.default_rng(seed)
+        return FactoredOutputLayer(rng.normal(size=(self.D, self.d)),
+                                   cond_threshold=np.inf), rng
+
+    def test_fold_is_exact(self):
+        fac, rng = self.layer(40)
+        collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)))
+        sig = np.linalg.svd(fac.mixer, compute_uv=False)
+        assert 1 <= np.count_nonzero(sig < 1e-2 * sig[0]) <= 2
+        W, gram, colsum = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
+        fac.cond_threshold = 1e8
+        fac._fold()
+        assert (fac.fold_count, fac.rebase_count) == (1, 0)
+        assert cond_estimate(fac) < fac.cond_threshold
+        assert rel_fro(fac.materialize().W, W) < 1e-12
+        assert rel_fro(fac.gram, gram) == 0.0
+        assert rel_fro(fac.colsum, colsum) < 1e-12
+        assert max(fac.last_drift) < DRIFT_TOL
+        np.testing.assert_allclose(fac.mixer @ fac.mixer_inv, np.eye(self.d), atol=1e-10)
+
+    def test_three_collapsed_directions_take_the_rebase(self):
+        # k = 3 > d/8 = 2 collapsed directions: the full rebase
+        fac, rng = self.layer(41)
+        means = np.kron(np.eye(3), np.ones(5))  # disjoint supports
+        collapse(fac, rng, np.hstack([means, np.zeros((3, self.d - 15))]))
+        sig = np.linalg.svd(fac.mixer, compute_uv=False)
+        assert np.count_nonzero(sig < 1e-2 * sig[0]) == 3
+        W = fac.materialize().W
+        fac._fold()
+        assert (fac.fold_count, fac.rebase_count) == (0, 1)
+        assert np.array_equal(fac.mixer, np.eye(self.d))
+        assert rel_fro(fac.materialize().W, W) < 1e-10
+
+    @pytest.mark.parametrize("cache, rebases", [("gram", 1), ("colsum", 0)])
+    def test_drift_above_tolerance_is_mended(self, cache, rebases):
+        # Gram drift takes the full rebase; column sums are replaced by the
+        # exact ones the fold's pass computed
+        fac, rng = self.layer(42)
+        collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)))
+        exact = getattr(fac, cache).copy()
+        E = rng.normal(size=exact.shape)
+        E = E + E.T if cache == "gram" else E
+        setattr(fac, cache, exact + E * (1e-8 * np.linalg.norm(exact) / np.linalg.norm(E)))
+        fac._fold()
+        assert (fac.fold_count, fac.rebase_count) == (1, rebases)
+        assert rel_fro(getattr(fac, cache), exact) < 1e-11
+        drift = fac.last_drift[0 if cache == "gram" else 1]
+        assert drift == pytest.approx(1e-8, rel=0.01)
+
+    def test_lockstep_across_folds(self):
+        # rectified inputs share a mean direction, so the mixer collapses
+        # along one direction: folds, some followed by a drift-triggered
+        # rebase, against the dense layer with fixed-xi bound partials
+        D, d, steps, lr = 5000, 32, 2000, 0.03
+        ds = data.synthetic_categorical(D=D, input_dim=d, N=steps, zipf_exponent=1.0,
+                                        seed=0, separation=2.0)
+        H, y = np.maximum(ds.features, 0.0), ds.labels
+        W0 = np.random.default_rng(0).normal(scale=0.1, size=(D, d))
+        fac, den = FactoredOutputLayer(W0), DenseOutputLayer(W0)
+        entry, params = LOSSES["spherical_bound_fixed"].entry, LossParams(xi=1.0)
+        escalated = 0
+        for h, c in zip(H, y):
+            folds, rebases = fac.fold_count, fac.rebase_count
+            for layer in (fac, den):
+                st = layer.forward_stats(h[None], np.array([c]))
+                _, a, bq, g = entry(st.s, st.q, st.o_c, D, params)
+                layer.sgd_step(StepPartials(a=a, bq=bq, g=g, c=np.array([c]), h=h[None]), lr)
+            escalated += fac.fold_count > folds and fac.rebase_count > rebases
+        W = fac.materialize().W
+        assert fac.fold_count >= 3 and escalated >= 1
+        assert rel_fro(W, den.W) < 1e-8
+        assert rel_fro(fac.gram, W.T @ W) < 1e-9
+        assert rel_fro(fac.colsum, W.sum(axis=0)) < 1e-9
 
 
 class TestComplexity:

@@ -19,6 +19,13 @@ rows of ``core``, in pre-mixer coordinates, which the maintained inverse of
 A gives; that inverse is updated by the Woodbury identity through the
 m x m matrix K = I - B H H'.
 
+A training step is three calls on the same (h, c): ``forward_stats``
+starts it and always computes afresh the rows R = (core[c] + u)A and H Q;
+``backward_h`` and ``sgd_step`` reuse them while the bytes of (h, c) are
+unchanged and no step, fold, rebase or restore came between, and compute
+them again otherwise.  Every d x d correction of the step is one BLAS
+product of inner dimension m (2m for the Gram matrix at small m).
+
 When the mixer's condition estimate crosses ``cond_threshold``, a few of
 its singular directions have collapsed (the rectified inputs share a mean
 direction).  A fold moves just those k directions into ``core``, an
@@ -74,6 +81,15 @@ class StepPartials:
     g: float | np.ndarray
     c: int | np.ndarray
     h: np.ndarray
+
+
+@dataclass(frozen=True)
+class _StepContext:
+    """What forward_stats computed for one (H, c) at one layer state."""
+
+    key: tuple  # the bytes of H and c, so that an in-place edit shows
+    R: np.ndarray  # rows c of the represented matrix
+    HQ: np.ndarray  # H @ gram
 
 
 def _as_batch(h, c, D: int, d: int):
@@ -172,11 +188,13 @@ class FactoredOutputLayer:
     ``op_count`` counts the arithmetic done by ``forward_stats``,
     ``backward_h`` and ``sgd_step`` (array element operations); it
     deliberately excludes folds and rebases, which are amortized
-    maintenance.  ``fold_count`` and ``rebase_count`` count folds and full
-    rebases, ``q_clamps`` the rows whose cached q fell below zero and was
-    clamped, and ``last_drift`` is the (Gram, column-sum) relative drift of
-    the caches from the represented matrix as the last fold or rebase
-    measured it, a fold's Gram part through a probe (None before either).
+    maintenance.  The rows and H Q of a step are counted each time they
+    are computed: once per step when ``forward_stats`` starts it.
+    ``fold_count`` and ``rebase_count`` count folds and full rebases,
+    ``q_clamps`` the rows whose cached q fell below zero and was clamped,
+    and ``last_drift`` is the (Gram, column-sum) relative drift of the
+    caches from the represented matrix as the last fold or rebase measured
+    it, a fold's Gram part through a probe (None before either).
     """
 
     def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8,
@@ -206,24 +224,43 @@ class FactoredOutputLayer:
         self.op_count += len(c) * (self.d * self.d + self.d)
         return (self.core[c] + self.offset) @ self.mixer
 
+    def _step_terms(self, H: np.ndarray, c: np.ndarray):
+        """The rows R = (core[c] + u)A and H Q of a step, (m, d) each."""
+        self.op_count += len(c) * self.d * self.d
+        return self._rows(c), H @ self.gram
+
+    def _as_step(self, p: StepPartials):
+        """(H, c, a, bq, g, one, R, HQ) of ``p``: R and HQ are the ones
+        forward_stats computed when p has its (h, c) and no step, fold,
+        rebase or restore came between, else computed afresh."""
+        H, c, a, bq, g, one = _as_partials(p, self.D, self.d)
+        ctx = self._ctx
+        if ctx is not None and ctx.key == (H.tobytes(), c.tobytes()):
+            return H, c, a, bq, g, one, ctx.R, ctx.HQ
+        return H, c, a, bq, g, one, *self._step_terms(H, c)
+
     def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
         """(s, q, o_c) of o = Wh for each row of h, from the caches, never
-        forming o."""
+        forming o.  Always computed afresh; starts the step that
+        ``backward_h`` and ``sgd_step`` on the same (h, c) continue."""
         H, c, one = _as_batch(h, c, self.D, self.d)
+        R, HQ = self._step_terms(H, c)
+        self._ctx = _StepContext((H.tobytes(), c.tobytes()), R, HQ)
         s = H @ self.colsum
-        q = np.einsum("ij,ij->i", H @ self.gram, H)
-        o_c = np.einsum("ij,ij->i", self._rows(c), H)
-        self.op_count += len(c) * (self.d * self.d + 4 * self.d)
+        q = np.einsum("ij,ij->i", HQ, H)
+        o_c = np.einsum("ij,ij->i", R, H)
+        self.op_count += len(c) * 4 * self.d
         self.q_clamps += int(np.count_nonzero(q < 0.0))
         return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
         """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h, in O(d^2)
-        per row."""
-        H, c, a, bq, g, one = _as_partials(p, self.D, self.d)
-        out = (np.outer(a, self.colsum) + (2.0 * bq)[:, None] * (H @ self.gram)
-               + g[:, None] * self._rows(c))
-        self.op_count += len(c) * (self.d * self.d + 5 * self.d)
+        per row, or O(d) when forward_stats started the step."""
+        H, c, a, bq, g, one, R, HQ = self._as_step(p)
+        out = np.outer(a, self.colsum)
+        out += (2.0 * bq)[:, None] * HQ
+        out += g[:, None] * R
+        self.op_count += len(c) * 5 * self.d
         return out[0] if one else out
 
     def sgd_step(self, p: StepPartials, lr: float):
@@ -231,9 +268,12 @@ class FactoredOutputLayer:
         implicitly, as one update.
 
         Matches DenseOutputLayer.sgd_step (simultaneous update) exactly in
-        exact arithmetic, repeated classes included.
+        exact arithmetic, repeated classes included.  The d x d corrections
+        go through ``np.dot``: ``@`` does not hand an inner dimension of 1
+        to BLAS, and a (128, 1) @ (1, 128) product took 4x as long.
         """
-        H, c, a, bq, g, _ = _as_partials(p, self.D, self.d)
+        H, c, a, bq, g, _, R, HQ = self._as_step(p)
+        self._ctx = None
         (m, d), D = H.shape, self.D
         beta = 2.0 * lr * bq
         BH = beta[:, None] * H
@@ -256,23 +296,30 @@ class FactoredOutputLayer:
         # --- cache recurrences (use pre-step quantities) ---------------
         # W_new = W M - Z H with M = I - H'BH and Z = lr(1a' + E_c diag g)
         Q, v = self.gram, self.colsum
-        T = Q @ H.T
-        WZ = lr * (np.outer(v, a) + self._rows(c).T * g)
-        P = WZ - H.T @ (BH @ WZ)  # M W'Z
+        WZ = lr * (np.outer(v, a) + R.T * g)
+        P = WZ - np.dot(H.T, BH @ WZ)  # M W'Z
         ZZ = lr * lr * (D * np.outer(a, a) + np.outer(a, g) + np.outer(g, a)
                         + np.outer(g, g) * (c[:, None] == c[None, :]))
-        C = np.outer(beta, beta) * (H @ T) + ZZ
-        XH = (T * beta + P - 0.5 * (H.T @ C)) @ H
-        self.gram = Q - XH - XH.T
-        self.colsum = v - H.T @ (BH @ v + lr * (D * a + g))
+        C = np.outer(beta, beta) * (HQ @ H.T) + ZZ
+        X = HQ.T * beta + P - 0.5 * np.dot(H.T, C)
+        # Q - XH - (XH)': for small m as one product [X | H'][H ; X'], which
+        # doubles the multiply-adds but skips the strided pass over (XH)'
+        # (17 against 29 us at m = 1, d = 129; 85 against 46 at m = 48)
+        if 16 * m <= d:
+            self.gram = Q - np.dot(np.hstack([X, H.T]), np.vstack([H, X.T]))
+        else:
+            XH = np.dot(X, H)
+            self.gram = Q - XH
+            self.gram -= XH.T
+        self.colsum = v - np.dot(H.T, BH @ v + lr * (D * a + g))
 
         # --- representation update --------------------------------------
-        self.mixer = self.mixer - (self.mixer @ H.T) @ BH
-        self.mixer_inv = self.mixer_inv + H.T @ (K_inv @ (BH @ self.mixer_inv))
+        self.mixer -= np.dot(np.dot(self.mixer, H.T), BH)
+        self.mixer_inv += np.dot(H.T, K_inv @ (BH @ self.mixer_inv))
         G = H @ self.mixer_inv  # the step's rows in new pre-mixer coordinates
         self.offset = self.offset - lr * (a @ G)
         np.add.at(self.core, c, -(lr * g)[:, None] * G)
-        self.op_count += m * (7 * d * d + 6 * m * d + 10 * d) + 4 * d * d
+        self.op_count += m * (6 * d * d + 6 * m * d + 10 * d) + 4 * d * d
 
         if np.linalg.norm(self.mixer) * np.linalg.norm(self.mixer_inv) > self.cond_threshold:
             self._fold()
@@ -292,6 +339,7 @@ class FactoredOutputLayer:
         DRIFT_TOL takes a full rebase; column sums that far off are replaced
         by the exact ones.  O(D*d*k + d^3).
         """
+        self._ctx = None
         U, sig, Vt = np.linalg.svd(self.mixer)
         cut = sig < FOLD_CUT * sig[0]
         k = int(np.count_nonzero(cut))
@@ -305,17 +353,26 @@ class FactoredOutputLayer:
         sig[cut] = 1.0
         self.mixer_inv = (Vt.T / sig) @ U.T
         # Gram drift is estimated as ||Q X - W'W X|| / ||W'W X|| through a
-        # fixed probe X, reading each block of core once it is folded
+        # fixed probe X.  Each block of core is read once for its fold
+        # columns and probe columns, core [U_k | AX], where (core M) AX =
+        # core AX + (core U_k)(R AX), and once more, folded, for core'core AX
+        # and core'1 as core' [core M AX | 1]
         X = np.random.default_rng(0).standard_normal((self.d, 4))
         A, u = self.mixer, self.offset
         AX = A @ X
-        CCAX = np.zeros_like(AX)  # core'core AX
-        sum_core = np.zeros(self.d)  # core'1
+        cols, RAX = np.hstack([Uk, AX]), R @ AX
+        buf = np.empty((BLOCK_ROWS, self.d))
+        probe = np.ones((BLOCK_ROWS, 5))  # a block's [core M AX | 1]
+        acc = np.zeros((self.d, 5))
         for lo in range(0, D, BLOCK_ROWS):
             blk = self.core[lo:lo + BLOCK_ROWS]
-            blk += (blk @ Uk) @ R
-            CCAX += blk.T @ (blk @ AX)
-            sum_core += blk.sum(axis=0)
+            n = len(blk)
+            Y = np.dot(blk, cols)
+            CU = Y[:, :k]
+            np.add(Y[:, k:], np.dot(CU, RAX), out=probe[:n, :4])
+            blk += np.dot(CU, R, out=buf[:n])
+            acc += np.dot(blk.T, probe[:n])
+        CCAX, sum_core = acc[:, :4], acc[:, 4]  # core'core AX and core'1
         # W = (core + 1u')A, so W'1 = A'(core'1 + D u) and, with WX = core AX
         # + 1 u'AX, W'WX = A'(core'core AX + core'1 u'AX + u 1'WX)
         uAX = u @ AX
@@ -352,6 +409,7 @@ class FactoredOutputLayer:
     def _reset(self, W: np.ndarray):
         """Represent W as the core itself, with the caches computed from it
         at full precision; takes ownership of W.  O(D*d^2)."""
+        self._ctx = None
         self.core = W
         self.mixer = np.eye(self.d)
         self.mixer_inv = np.eye(self.d)
@@ -381,6 +439,7 @@ class FactoredOutputLayer:
     def restore(self, snapshot: dict):
         """Return to the state of ``snapshot``, taking ownership of its
         arrays: a snapshot is restored at most once."""
+        self._ctx = None
         for name in self._STATE:
             setattr(self, name, snapshot[name])
 

@@ -96,10 +96,15 @@ def _as_labels(y, D: int) -> np.ndarray:
     """``y`` as int64, or ValueError unless every label is an integer in
     [0, D); a float label such as 1.7 is rejected, not truncated."""
     y = np.asarray(y)
-    if y.dtype.kind not in "iuf" or (
-            y.dtype.kind == "f" and not np.all(np.isfinite(y) & (y == np.floor(y)))):
+    if y.dtype.kind in "iu":
+        # a negative label wraps to 2^64 - |y| as uint64, so one reduction
+        # checks both ends of the range
+        in_range = y.size == 0 or int(y.astype(np.uint64).max()) < D
+    elif y.dtype.kind == "f" and np.all(np.isfinite(y) & (y == np.floor(y))):
+        in_range = not np.any((y < 0) | (y >= D))
+    else:
         raise ValueError("class labels must be integers")
-    if np.any((y < 0) | (y >= D)):
+    if not in_range:
         raise ValueError(f"class index out of range for {D} classes")
     return y.astype(np.int64)
 

@@ -466,6 +466,20 @@ class TestFold:
         assert max(fac.last_drift) < DRIFT_TOL
         np.testing.assert_allclose(fac.mixer @ fac.mixer_inv, np.eye(self.d), atol=1e-10)
 
+    def test_two_collapsed_directions_fold_together(self):
+        # k = 2 = d/8 collapsed directions: the fold's multi-column update
+        fac, rng = self.layer(43)
+        means = np.kron(np.eye(2), np.ones(5))  # disjoint supports
+        collapse(fac, rng, np.hstack([means, np.zeros((2, self.d - 10))]))
+        sig = np.linalg.svd(fac.mixer, compute_uv=False)
+        assert np.count_nonzero(sig < 1e-2 * sig[0]) == 2
+        W, gram, colsum = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
+        fac._fold()
+        assert (fac.fold_count, fac.rebase_count) == (1, 0)
+        assert rel_fro(fac.materialize().W, W) < 1e-12
+        assert np.array_equal(fac.gram, gram)
+        assert rel_fro(fac.colsum, colsum) < 1e-12
+
     def test_three_collapsed_directions_take_the_rebase(self):
         # k = 3 > d/8 = 2 collapsed directions: the full rebase
         fac, rng = self.layer(41)
@@ -519,6 +533,95 @@ class TestFold:
         assert rel_fro(W, den.W) < 1e-8
         assert rel_fro(fac.gram, W.T @ W) < 1e-9
         assert rel_fro(fac.colsum, W.sum(axis=0)) < 1e-9
+
+
+def backward_ops(layer, p):
+    """dL/dh from ``layer`` and the op_count that its backward_h added."""
+    ops = layer.op_count
+    return layer.backward_h(p), layer.op_count - ops
+
+
+class TestStepContext:
+    # forward_stats starts a step: backward_h and sgd_step reuse its rows
+    # and H Q only for the same (h, c) at the same layer state.  Reused,
+    # they cost backward_h 5d ops per row; recomputed, O(d^2)
+    D, d, m, lr = 400, 12, 3, 0.05
+
+    def pair(self, seed):
+        rng = np.random.default_rng(seed)
+        W0 = rng.normal(scale=0.1, size=(self.D, self.d))
+        fac, den = FactoredOutputLayer(W0), DenseOutputLayer(W0)
+        for _ in range(5):  # a mixer and an offset away from I and 0
+            p = random_batch(rng, self.D, self.d, 4)
+            fac.sgd_step(p, self.lr)
+            den.sgd_step(p, self.lr)
+        return fac, den, random_batch(rng, self.D, self.d, self.m)
+
+    def assert_gram_exact(self, fac, den):
+        assert rel_fro(fac.materialize().W, den.W) < 1e-12
+        assert rel_fro(fac.gram, den.W.T @ den.W) < 1e-12
+        assert rel_fro(fac.colsum, den.W.sum(axis=0)) < 1e-12
+
+    def test_reused_within_a_step(self):
+        fac, den, p = self.pair(70)
+        fac.forward_stats(p.h, p.c)
+        dh, ops = backward_ops(fac, p)
+        assert ops == self.m * 5 * self.d
+        assert rel_fro(dh, den.backward_h(p)) < 1e-12
+        fac.sgd_step(p, self.lr)
+        den.sgd_step(p, self.lr)
+        self.assert_gram_exact(fac, den)
+
+    def test_backward_after_the_step_reads_the_new_state(self):
+        fac, den, p = self.pair(71)
+        for layer in (fac, den):
+            layer.forward_stats(p.h, p.c)
+            layer.sgd_step(p, self.lr)
+        dh, ops = backward_ops(fac, p)
+        assert ops > self.m * 5 * self.d
+        assert rel_fro(dh, den.backward_h(p)) < 1e-12
+
+    def test_step_after_restore_applies_to_the_restored_state(self):
+        fac, den, p = self.pair(72)
+        snap = fac.snapshot()
+        fac.sgd_step(random_batch(np.random.default_rng(0), self.D, self.d, 4), self.lr)
+        fac.forward_stats(p.h, p.c)
+        fac.restore(snap)
+        fac.sgd_step(p, self.lr)
+        den.sgd_step(p, self.lr)
+        self.assert_gram_exact(fac, den)
+
+    @pytest.mark.parametrize("maintenance", ["fold", "rebase"])
+    def test_backward_after_a_fold_or_rebase_recomputes(self, maintenance):
+        rng = np.random.default_rng(73)
+        fac = FactoredOutputLayer(rng.normal(size=(2000, 16)), cond_threshold=np.inf)
+        collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, 16)))
+        den = DenseOutputLayer(fac.materialize().W)
+        p = random_batch(rng, 2000, 16, self.m)
+        fac.forward_stats(p.h, p.c)
+        if maintenance == "fold":
+            fac._fold()
+        else:
+            fac.rebase()
+        assert (fac.fold_count, fac.rebase_count) == ((1, 0) if maintenance == "fold" else (0, 1))
+        dh, ops = backward_ops(fac, p)
+        assert ops > self.m * 5 * 16
+        assert rel_fro(dh, den.backward_h(p)) < 1e-12
+
+    @pytest.mark.parametrize("edited", ["h", "c"])
+    def test_inputs_edited_in_place_are_seen(self, edited):
+        fac, den, p = self.pair(74)
+        fac.forward_stats(p.h, p.c)
+        if edited == "h":
+            p.h[1] *= 2.0
+        else:
+            p.c[1] = (p.c[1] + 1) % self.D
+        dh, ops = backward_ops(fac, p)
+        assert ops > self.m * 5 * self.d
+        assert rel_fro(dh, den.backward_h(p)) < 1e-12
+        fac.sgd_step(p, self.lr)
+        den.sgd_step(p, self.lr)
+        self.assert_gram_exact(fac, den)
 
 
 class TestComplexity:

@@ -434,6 +434,21 @@ class TestBatchForms:
         with pytest.raises(ValueError):
             losses.batch_negll(kind, O, y)
 
+    @pytest.mark.parametrize("y", [
+        np.array([-1], dtype=np.int8), np.array([np.iinfo(np.int64).min]),
+        np.array([2**63], dtype=np.uint64), np.array([3, 0], dtype=np.uint8),
+        np.array(3), np.array([True]), np.array([0.5]), np.array([np.nan]),
+    ])
+    def test_labels_rejected_at_either_end_of_the_range(self, y):
+        with pytest.raises(ValueError):
+            losses._as_labels(y, 3)
+
+    @pytest.mark.parametrize("y", [np.array([2, 0], dtype=np.uint8), np.array(2),
+                                   np.array([2.0, 0.0]), np.array([], dtype=np.int64)])
+    def test_integer_valued_labels_accepted_as_int64(self, y):
+        out = losses._as_labels(y, 3)
+        assert out.dtype == np.int64 and np.array_equal(out, y)
+
 
 class TestFiniteDiffGrad:
     def test_exact_on_quadratic(self):

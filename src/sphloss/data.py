@@ -139,7 +139,9 @@ def synthetic_categorical(
     rng = np.random.default_rng(seed)
     p = zipf_frequencies(D, zipf_exponent)
     labels = rng.choice(D, size=N, p=p).astype(np.int64)
-    means = rng.normal(size=(D, input_dim))
+    # every class draws its mean, to keep the stream of draws, but only the
+    # rows drawn as labels are normalized
+    means = rng.normal(size=(D, input_dim))[labels]
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    features = separation * means[labels] + rng.normal(size=(N, input_dim))
+    features = separation * means + rng.normal(size=(N, input_dim))
     return Dataset(features=features, labels=labels, D=D)

@@ -136,12 +136,28 @@ def _rel_diff(x: np.ndarray, ref: np.ndarray) -> float:
     return float(diff / scale if scale > 0 else diff)
 
 
+def row_blocks(n: int):
+    """Slices of BLOCK_ROWS rows, the last of up to BLOCK_ROWS + 1, that
+    cover range(n).  A product taken block by block is then bitwise the
+    whole product: numpy would take a one-row tail as a matrix-vector
+    product, whose sums round otherwise than the GEMM's."""
+    lo = 0
+    for hi in [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]:
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
     """W <- W - lr*sum_i(a_i 1h_i' + 2*bq_i Wh_ih_i' + g_i e_{c_i}h_i') in
-    place, O(D*d*m)."""
+    place, O(D*d*m), one ``row_blocks`` block at a time, so no other D x d
+    array is formed.  The products go through ``np.dot``, which hands an
+    inner dimension of 1 to BLAS where ``@`` does not."""
     WH = W @ H.T  # simultaneous update: every term uses the pre-step W
-    W -= lr * (a @ H)
-    W -= WH @ ((2.0 * lr * bq)[:, None] * H)
+    aH, BH = lr * (a @ H), (2.0 * lr * bq)[:, None] * H
+    buf = np.empty((min(BLOCK_ROWS + 1, len(W)), W.shape[1]))
+    for rows in row_blocks(len(W)):
+        W[rows] -= aH
+        W[rows] -= np.dot(WH[rows], BH, out=buf[:rows.stop - rows.start])
     np.add.at(W, c, -(lr * g)[:, None] * H)
 
 

@@ -369,8 +369,10 @@ def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
     grad = np.divide(E, S[:, None], out=E)  # softmax(Z) - e_y
     grad[rows, y] -= 1.0
     if rec.rank_shift is not None:
-        sign = np.add(O, rec.rank_shift)
-        grad *= np.sign(sign, out=sign)
+        # times sign(O + shift) through boolean masks, not a third float
+        # array; with the baselines' shift of 0 the compares are exact
+        np.negative(grad, out=grad, where=O < -rec.rank_shift)
+        np.multiply(grad, 0.0, out=grad, where=O == -rec.rank_shift)
     return losses, grad, None
 
 

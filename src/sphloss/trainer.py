@@ -16,7 +16,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import losses
-from .fast_output import DenseOutputLayer, FactoredOutputLayer, StepPartials
+from .fast_output import (BLOCK_ROWS, DenseOutputLayer, FactoredOutputLayer, StepPartials,
+                          row_blocks)
 
 OUTPUT_LAYERS = {"dense": DenseOutputLayer, "factored": FactoredOutputLayer}
 
@@ -291,14 +292,29 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
 
 
 def _train_batch_dense(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
-    """Batch Nesterov step of every parameter, the output weights included."""
+    """Batch Nesterov step of every parameter, the output weights included,
+    at the cost of its three (m x D x d) products: bitwise the step that
+    ``MLP.backward`` and ``nesterov_step`` take on whole arrays.
+
+    The hidden layers step first, on dh = dO W from the pre-step output
+    weights.  The output weights then step one ``row_blocks`` block at a
+    time, each block's gradient dO[:, b]'[h, 1] written into one reused
+    buffer, so neither the D x (d + 1) gradient nor a temporary of its
+    size is formed.
+    """
     O, hs = model.forward(Xb)
-    losses_b, grad_O = losses.batch_loss_grad(
-        cfg.loss_kind, O, yb, eps=cfg.eps, xi=cfg.xi
-    )
-    grads = model.backward(hs, grad_O / Xb.shape[0])
-    for p, v, g in zip([*model.params(), model.out.W], vels, grads):
-        nesterov_step(p, v, g, lr, cfg.momentum)
+    losses_b, dO = losses.batch_loss_grad(cfg.loss_kind, O, yb, eps=cfg.eps, xi=cfg.xi)
+    dO /= Xb.shape[0]
+    W = model.out.W
+    if model.Ws:
+        grads = model.backward_hidden_from_dh(hs, dO @ W[:, :-1])
+        for p, v, g in zip(model.params(), vels, grads):
+            nesterov_step(p, v, g, lr, cfg.momentum)
+    H, V = _with_bias(hs[-1]), vels[-1]
+    G = np.empty((min(BLOCK_ROWS + 1, len(W)), W.shape[1]))
+    for rows in row_blocks(len(W)):
+        Gb = np.dot(dO[:, rows].T, H, out=G[:rows.stop - rows.start])
+        nesterov_step(W[rows], V[rows], Gb, lr, cfg.momentum)
     return float(losses_b.mean())
 
 

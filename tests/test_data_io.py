@@ -175,6 +175,20 @@ class TestSynthetic:
         np.testing.assert_allclose(p, w / w.sum())
         np.testing.assert_allclose(zipf_frequencies(7, 0.0), 1 / 7)
 
+    @pytest.mark.parametrize("D, seed", [(5, 0), (2000, 3), (20_000, 11)])
+    def test_matches_normalizing_every_mean(self, D, seed):
+        # the reference normalizes all D means and then reads the drawn ones
+        input_dim, N, sep = 16, 700, 2.0
+        rng = np.random.default_rng(seed)
+        labels = rng.choice(D, size=N, p=zipf_frequencies(D, 1.0)).astype(np.int64)
+        means = rng.normal(size=(D, input_dim))
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        features = sep * means[labels] + rng.normal(size=(N, input_dim))
+        ds = synthetic_categorical(D, input_dim, N, zipf_exponent=1.0, seed=seed,
+                                   separation=sep)
+        assert ds.features.tobytes() == features.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
     def test_frequency_law_3sigma(self):
         N, D = 100_000, 50
         ds = synthetic_categorical(D=D, input_dim=4, N=N, zipf_exponent=1.0, seed=5)

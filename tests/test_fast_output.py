@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sphloss import data
 from sphloss.fast_output import (
+    BLOCK_ROWS,
     DRIFT_TOL,
     DenseOutputLayer,
     FactoredOutputLayer,
@@ -156,6 +157,21 @@ class TestSgdStep:
         den.sgd_step(p, lr=lr)
         assert rel_fro(fac.materialize().W, den.W) < 1e-10
         assert fac.rebase_count == 1
+
+    @pytest.mark.parametrize("D", [3, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_dense_step_is_the_whole_array_step(self, D, m):
+        # the reference forms the whole D x d product that the step applies
+        rng = np.random.default_rng(D + m)
+        W0 = rng.normal(size=(D, 9))
+        p = random_batch(rng, D, 9, m)
+        W = W0.copy()
+        W -= 0.1 * (p.a @ p.h)
+        W -= (W0 @ p.h.T) @ ((0.2 * p.bq)[:, None] * p.h)
+        np.add.at(W, p.c, -(0.1 * p.g)[:, None] * p.h)
+        den = DenseOutputLayer(W0)
+        den.sgd_step(p, lr=0.1)
+        assert den.W.tobytes() == W.tobytes()
 
     @pytest.mark.parametrize("m", [1, 7, 40])
     def test_batch_lockstep_with_dense(self, m):

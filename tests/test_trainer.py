@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphloss import cli, data, losses, trainer
-from sphloss.fast_output import FactoredOutputLayer
+from sphloss.fast_output import BLOCK_ROWS, FactoredOutputLayer
 from sphloss.losses import batch_loss_grad, batch_scores
 from sphloss.trainer import (
     MLP,
@@ -230,6 +230,59 @@ class TestNesterov:
             return 10_000
 
         assert iterations(0.9) < iterations(0.0)
+
+
+class TestTrainBatchDense:
+    @staticmethod
+    def whole_array_step(model, Xb, yb, cfg, lr, vels):
+        """The reference step: MLP.backward and nesterov_step on the whole
+        arrays, with the D x (d + 1) output gradient."""
+        O, hs = model.forward(Xb)
+        losses_b, grad_O = batch_loss_grad(cfg.loss_kind, O, yb, eps=cfg.eps, xi=cfg.xi)
+        grads = model.backward(hs, grad_O / Xb.shape[0])
+        for p, v, g in zip([*model.params(), model.out.W], vels, grads):
+            nesterov_step(p, v, g, lr, cfg.momentum)
+        return float(losses_b.mean())
+
+    @pytest.mark.parametrize("D", [3, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2])
+    @pytest.mark.parametrize("kind", ["log_taylor", "log_softmax", "spherical_bound_optimized"])
+    def test_lockstep_with_whole_array_step(self, kind, D):
+        cfg = TrainConfig(loss_kind=kind, momentum=0.9)
+        models = []
+        for _ in range(2):
+            rng = np.random.default_rng(D)
+            model = MLP(MLPSpec(6, (5,), D), rng)
+            model.out.W[...] = rng.normal(scale=0.3, size=model.out.W.shape)
+            models.append(model)
+        vels = [[np.zeros_like(p) for p in [*m.params(), m.out.W]] for m in models]
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            Xb, yb = rng.normal(size=(20, 6)), rng.integers(0, D, size=20)
+            want = self.whole_array_step(models[0], Xb, yb, cfg, 0.05, vels[0])
+            got = trainer._train_batch_dense(models[1], Xb, yb, cfg, 0.05, vels[1])
+            assert got == want
+            for a, b in zip([*models[0].params(), models[0].out.W, *vels[0]],
+                            [*models[1].params(), models[1].out.W, *vels[1]]):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ALL_LOSSES)
+    def test_peak_memory_of_one_step(self, kind):
+        # logits included, one step holds at most 2.5 (m, D) float arrays:
+        # no D x (d + 1) gradient or temporary
+        m, D = 100, 20_000
+        rng = np.random.default_rng(7)
+        model = MLP(MLPSpec(64, (128,), D), rng)
+        model.out.W[...] = rng.normal(scale=0.01, size=model.out.W.shape)
+        vels = [np.zeros_like(p) for p in [*model.params(), model.out.W]]
+        Xb, yb = rng.normal(size=(m, 64)), rng.integers(0, D, size=m)
+        cfg = TrainConfig(loss_kind=kind)
+        tracemalloc.start()
+        try:
+            trainer._train_batch_dense(model, Xb, yb, cfg, 0.01, vels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * m * D * 8
 
 
 class TestEvaluate:

@@ -17,14 +17,19 @@ recurrences.  The W h h' terms go into the mixer, A <- A(I - H'BH) with
 B = diag(2*lr*bq).  The 1h' and e_c h' terms go into the offset u and into
 rows of ``core``, in pre-mixer coordinates, which the maintained inverse of
 A gives; that inverse is updated by the Woodbury identity through the
-m x m matrix K = I - B H H'.
+m x m matrix K = I - B H H'.  A layer whose weights are zero but for a
+last column b, the MLP's zero-initialized output layer, starts with
+Q = (b.b) e e' and v = (sum b) e for e the last coordinate: no product and
+no pass over core.
 
 A training step is three calls on the same (h, c): ``forward_stats``
 starts it and always computes afresh the rows R = (core[c] + u)A and H Q;
 ``backward_h`` and ``sgd_step`` reuse them while the bytes of (h, c) are
 unchanged and no step, fold, rebase or restore came between, and compute
-them again otherwise.  Every d x d correction of the step is one BLAS
-product of inner dimension m (2m for the Gram matrix at small m).
+them again otherwise.  ``sgd_step`` forms H H' once, for K and for the
+step's rows in the new pre-mixer coordinates, and updates Q, v, A and its
+inverse in place: every d x d correction is one BLAS product of inner
+dimension m (2m for the Gram matrix at small m).
 
 When the mixer's condition estimate crosses ``cond_threshold``, a few of
 its singular directions have collapsed (the rectified inputs share a mean
@@ -130,6 +135,18 @@ def _as_weights(W, copy: bool) -> np.ndarray:
     return W.copy() if copy else W
 
 
+def _bias_weights(D: int, d: int, bias) -> np.ndarray:
+    """A fresh D x d zero matrix with ``bias`` in its last column; with no
+    bias its zero pages are left unwritten."""
+    W = np.zeros((D, d))
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        if bias.shape != (D,) or not np.all(np.isfinite(bias)):
+            raise ValueError(f"bias must be {D} finite reals")
+        W[:, -1] = bias
+    return W
+
+
 def _rel_diff(x: np.ndarray, ref: np.ndarray) -> float:
     """||x - ref|| / ||ref||, or ||x - ref|| when ref is zero."""
     diff, scale = np.linalg.norm(x - ref), np.linalg.norm(ref)
@@ -166,6 +183,12 @@ class DenseOutputLayer:
 
     def __init__(self, W: np.ndarray, *, copy: bool = True):
         self.W = _as_weights(W, copy)
+
+    @classmethod
+    def _bias_only(cls, D: int, d: int, bias) -> "DenseOutputLayer":
+        """The layer whose D x d weights are zero but for a last column
+        ``bias`` (zero when None)."""
+        return cls(_bias_weights(D, d, bias), copy=False)
 
     def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
         H, c, one = _as_batch(h, c, *self.W.shape)
@@ -205,7 +228,8 @@ class FactoredOutputLayer:
     ``backward_h`` and ``sgd_step`` (array element operations); it
     deliberately excludes folds and rebases, which are amortized
     maintenance.  The rows and H Q of a step are counted each time they
-    are computed: once per step when ``forward_stats`` starts it.
+    are computed: once per step when ``forward_stats`` starts it; the
+    step's m x m inverse counts as m^3.
     ``fold_count`` and ``rebase_count`` count folds and full rebases,
     ``q_clamps`` the rows whose cached q fell below zero and was clamped,
     and ``last_drift`` is the (Gram, column-sum) relative drift of the
@@ -214,10 +238,14 @@ class FactoredOutputLayer:
     """
 
     def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8,
-                 copy: bool = True):
-        W0 = _as_weights(W0, copy)
+                 copy: bool = True, _caches=None):
+        # _caches: the (W0'W0, W0'1) of a W0 whose caches its builder knows
+        # in closed form (``_bias_only``), which skips their O(D*d^2) product
+        # and the pass over W0
+        W0 = _as_weights(W0, copy) if _caches is None else W0
         self.D, self.d = W0.shape
-        self._reset(W0)
+        self._reset(W0, _caches)
+        self._buf = np.empty((self.d, self.d))  # the step's d x d product
         self.cond_threshold = float(cond_threshold)
         self.op_count = 0
         self.rebase_count = 0
@@ -227,7 +255,20 @@ class FactoredOutputLayer:
 
     @classmethod
     def zeros(cls, D: int, d: int, **kw) -> "FactoredOutputLayer":
-        return cls(np.zeros((D, d)), copy=False, **kw)
+        """The all-zero layer, in O(d^2): no product, no pass over core."""
+        return cls._bias_only(D, d, None, **kw)
+
+    @classmethod
+    def _bias_only(cls, D: int, d: int, bias, **kw) -> "FactoredOutputLayer":
+        """The layer whose D x d weights are zero but for a last column
+        ``bias`` (zero when None), with its caches in closed form: with e
+        the last coordinate, W'W = (b.b) e e' and W'1 = (sum b) e."""
+        W = _bias_weights(D, d, bias)
+        gram, colsum = np.zeros((d, d)), np.zeros(d)
+        if bias is not None:
+            b = W[:, -1]
+            gram[-1, -1], colsum[-1] = np.dot(b, b), b.sum()
+        return cls(W, copy=False, _caches=(gram, colsum), **kw)
 
     def row(self, c: int) -> np.ndarray:
         """Row c of the represented matrix, in O(d^2)."""
@@ -273,7 +314,7 @@ class FactoredOutputLayer:
         """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h, in O(d^2)
         per row, or O(d) when forward_stats started the step."""
         H, c, a, bq, g, one, R, HQ = self._as_step(p)
-        out = np.outer(a, self.colsum)
+        out = a[:, None] * self.colsum
         out += (2.0 * bq)[:, None] * HQ
         out += g[:, None] * R
         self.op_count += len(c) * 5 * self.d
@@ -281,20 +322,28 @@ class FactoredOutputLayer:
 
     def sgd_step(self, p: StepPartials, lr: float):
         """Apply W <- W - lr*sum_i(a_i 1h_i' + 2*bq_i Wh_ih_i' + g_i e_{c_i}h_i')
-        implicitly, as one update.
+        implicitly, as one update; an empty batch is a no-op.
 
         Matches DenseOutputLayer.sgd_step (simultaneous update) exactly in
-        exact arithmetic, repeated classes included.  The d x d corrections
-        go through ``np.dot``: ``@`` does not hand an inner dimension of 1
-        to BLAS, and a (128, 1) @ (1, 128) product took 4x as long.
+        exact arithmetic, repeated classes included.  One path for every m:
+        H H' is formed once and gives both K and the step's rows in the new
+        pre-mixer coordinates, H A^-1 + (H H') K^-1 (B H A^-1), so five
+        products of the step have a d x d output and the rest are of size
+        m^2 d.  The caches and the mixer and its inverse are updated in
+        place through one reused d x d buffer; every product goes through
+        ``np.dot``, which hands an inner dimension of 1 to BLAS where ``@``
+        does not.  Rows of ``core`` take one product that sums a repeated
+        class's terms.
         """
         H, c, a, bq, g, _, R, HQ = self._as_step(p)
         self._ctx = None
         (m, d), D = H.shape, self.D
+        if not m:
+            return
         beta = 2.0 * lr * bq
-        BH = beta[:, None] * H
+        HH = np.dot(H, H.T)
         # (I - H'BH)^-1 = I + H' K^-1 BH; det K = det(I - H'BH)
-        K = np.eye(m) - BH @ H.T
+        K = np.eye(m) - beta[:, None] * HH
         try:
             K_inv = np.linalg.inv(K)
         except np.linalg.LinAlgError:
@@ -310,34 +359,45 @@ class FactoredOutputLayer:
             return
 
         # --- cache recurrences (use pre-step quantities) ---------------
-        # W_new = W M - Z H with M = I - H'BH and Z = lr(1a' + E_c diag g)
-        Q, v = self.gram, self.colsum
-        WZ = lr * (np.outer(v, a) + R.T * g)
-        P = WZ - np.dot(H.T, BH @ WZ)  # M W'Z
-        ZZ = lr * lr * (D * np.outer(a, a) + np.outer(a, g) + np.outer(g, a)
-                        + np.outer(g, g) * (c[:, None] == c[None, :]))
-        C = np.outer(beta, beta) * (HQ @ H.T) + ZZ
-        X = HQ.T * beta + P - 0.5 * np.dot(H.T, C)
-        # Q - XH - (XH)': for small m as one product [X | H'][H ; X'], which
-        # doubles the multiply-adds but skips the strided pass over (XH)'
-        # (17 against 29 us at m = 1, d = 129; 85 against 46 at m = 48)
+        # W_new = W M - Z H with M = I - H'BH and Z = 1a' + E_c diag g, lr
+        # folded into a and g; E_c'E_c = same, same[i, j] being c_i = c_j.
+        # Then Q_new = Q - XH - (XH)' with X' = BHQ + Z'W - N'H, where
+        # N = B H W'Z + (B HQH'B + Z'Z)/2 = B H U' + Z'Z/2, U = Z'W + BHQ/2
+        Q, v, buf = self.gram, self.colsum, self._buf
+        la, lg = lr * a, lr * g
+        same = c[:, None] == c
+        BHQ = beta[:, None] * HQ
+        ZW = la[:, None] * v + lg[:, None] * R  # Z'W
+        U = ZW + 0.5 * BHQ
+        N = np.dot(H, U.T)
+        N *= beta[:, None]
+        N += 0.5 * (la[:, None] * (D * la + lg) + lg[:, None] * np.where(same, la + lg, la))
+        Xt = U + 0.5 * BHQ - np.dot(N.T, H)  # X'
+        # for small m as one product [X | H'][H ; X'], which doubles the
+        # multiply-adds but skips the strided pass over (XH)' (17 against
+        # 29 us at m = 1, d = 129; 85 against 46 at m = 48)
         if 16 * m <= d:
-            self.gram = Q - np.dot(np.hstack([X, H.T]), np.vstack([H, X.T]))
+            Q -= np.dot(np.vstack([Xt, H]).T, np.vstack([H, Xt]), out=buf)
         else:
-            XH = np.dot(X, H)
-            self.gram = Q - XH
-            self.gram -= XH.T
-        self.colsum = v - np.dot(H.T, BH @ v + lr * (D * a + g))
+            Q -= np.dot(Xt.T, H, out=buf)
+            Q -= buf.T
+        v -= np.dot(H.T, beta * np.dot(H, v) + D * la + lg)
 
         # --- representation update --------------------------------------
-        self.mixer -= np.dot(np.dot(self.mixer, H.T), BH)
-        self.mixer_inv += np.dot(H.T, K_inv @ (BH @ self.mixer_inv))
-        G = H @ self.mixer_inv  # the step's rows in new pre-mixer coordinates
-        self.offset = self.offset - lr * (a @ G)
-        np.add.at(self.core, c, -(lr * g)[:, None] * G)
-        self.op_count += m * (6 * d * d + 6 * m * d + 10 * d) + 4 * d * d
+        # A <- A - (A H')(B H) and A^-1 <- A^-1 + H' T, T = K^-1 B H A^-1
+        self.mixer -= np.dot(np.dot(self.mixer, H.T), beta[:, None] * H, out=buf)
+        Y = np.dot(H, self.mixer_inv)
+        T = np.dot(K_inv, beta[:, None] * Y)
+        self.mixer_inv += np.dot(H.T, T, out=buf)
+        G = Y + np.dot(HH, T)  # H A^-1 with the new A^-1
+        self.offset -= la @ G
+        # each row of c takes its class's summed terms, so the rows of a
+        # repeated class are written with the same value
+        self.core[c] -= np.dot(same * lg, G)
+        self.op_count += m * (5 * d * d + 6 * m * d + m * m + 12 * d) + 6 * d * d
 
-        if np.linalg.norm(self.mixer) * np.linalg.norm(self.mixer_inv) > self.cond_threshold:
+        A, A_inv = self.mixer, self.mixer_inv
+        if np.sqrt(np.vdot(A, A) * np.vdot(A_inv, A_inv)) > self.cond_threshold:
             self._fold()
 
     def _fold(self):
@@ -422,16 +482,16 @@ class FactoredOutputLayer:
             np.matmul(self.core[rows] + self.offset, self.mixer, out=out[rows])
         return out
 
-    def _reset(self, W: np.ndarray):
-        """Represent W as the core itself, with the caches computed from it
-        at full precision; takes ownership of W.  O(D*d^2)."""
+    def _reset(self, W: np.ndarray, caches=None):
+        """Represent W as the core itself, with the caches (W'W, W'1) given
+        or computed from it at full precision; takes ownership of W.
+        O(D*d^2), or O(d^2) with the caches given."""
         self._ctx = None
         self.core = W
         self.mixer = np.eye(self.d)
         self.mixer_inv = np.eye(self.d)
         self.offset = np.zeros(self.d)
-        self.gram = W.T @ W
-        self.colsum = W.sum(axis=0)
+        self.gram, self.colsum = (W.T @ W, W.sum(axis=0)) if caches is None else caches
 
     # the arrays that define the layer: the representation and its caches
     _STATE = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum")

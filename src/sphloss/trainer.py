@@ -164,12 +164,10 @@ class MLP:
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             self.Ws.append(he_init(fan_in, (fan_out, fan_in), rng))
             self.bs.append(np.zeros(fan_out))
-        W = np.zeros((spec.output_dim, dims[-1] + 1))
-        if bias is not None:
-            W[:, -1] = bias
-        # the layer adopts W: a copy freed at once raises glibc's mmap
-        # threshold, and the dense trainer's peak RSS with it
-        self.out = OUTPUT_LAYERS[output_layer](W, copy=False)
+        # the layer builds its own [0 | bias]: no copy (one freed at once
+        # raises glibc's mmap threshold, and the dense trainer's peak RSS
+        # with it) and, factored, the caches in closed form
+        self.out = OUTPUT_LAYERS[output_layer]._bias_only(spec.output_dim, dims[-1] + 1, bias)
 
     def params(self) -> List[np.ndarray]:
         """The hidden layers' parameters; ``out`` holds the output layer's."""

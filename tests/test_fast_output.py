@@ -24,13 +24,13 @@ def random_partials(rng, D, d):
     )
 
 
-def random_batch(rng, D, d, m):
-    """m examples whose classes repeat and whose every fifth partial row is
-    all zero."""
+def random_batch(rng, D, d, m, classes=None):
+    """m examples whose classes repeat, drawn from ``classes`` classes (m/2
+    when None), and whose every fifth partial row is all zero."""
     a, bq, g = rng.uniform(-0.5, 0.5, size=(3, m)) * (np.arange(m) % 5 != 4)
     return StepPartials(
         a=a, bq=bq, g=g,
-        c=rng.choice(rng.integers(D, size=max(1, m // 2)), size=m),
+        c=rng.choice(rng.integers(D, size=classes or max(1, m // 2)), size=m),
         h=rng.normal(size=(m, d)),
     )
 
@@ -173,15 +173,20 @@ class TestSgdStep:
         den.sgd_step(p, lr=0.1)
         assert den.W.tobytes() == W.tobytes()
 
-    @pytest.mark.parametrize("m", [1, 7, 40])
-    def test_batch_lockstep_with_dense(self, m):
+    # the row update sums a repeated class's terms: every row of one class,
+    # and m > D, where most rows repeat a class
+    @pytest.mark.parametrize("m, D, classes", [
+        pytest.param(1, 300, None, id="1"), pytest.param(7, 300, None, id="7"),
+        pytest.param(40, 300, None, id="40"), pytest.param(40, 300, 1, id="40-one-class"),
+        pytest.param(80, 50, None, id="80-above-D")])
+    def test_batch_lockstep_with_dense(self, m, D, classes):
         rng = np.random.default_rng(20 + m)
-        D, d, lr = 300, 12, 0.01
+        d, lr = 12, 0.01
         W0 = rng.normal(scale=0.1, size=(D, d))
         fac = FactoredOutputLayer(W0)
         den = DenseOutputLayer(W0)
         for _ in range(50):
-            p = random_batch(rng, D, d, m)
+            p = random_batch(rng, D, d, m, classes)
             got, want = fac.forward_stats(p.h, p.c), den.forward_stats(p.h, p.c)
             for field in ("s", "q", "o_c"):
                 assert getattr(got, field).shape == (m,)
@@ -214,6 +219,25 @@ class TestSgdStep:
         assert rel_fro(W, den.W) < 1e-12
         assert rel_fro(fac.gram, W.T @ W) < 1e-12
         assert rel_fro(fac.colsum, W.sum(axis=0)) < 1e-12
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_empty_batch(self, factored):
+        # m = 0: empty statistics and dL/dh, and a step that changes nothing
+        W0 = np.random.default_rng(23).normal(size=(30, 5))
+        layer = FactoredOutputLayer(W0) if factored else DenseOutputLayer(W0)
+        H, c = np.zeros((0, 5)), np.zeros(0, dtype=np.int64)
+        st = layer.forward_stats(H, c)
+        assert st.s.shape == st.q.shape == st.o_c.shape == (0,)
+        p = StepPartials(a=np.zeros(0), bq=np.zeros(0), g=np.zeros(0), c=c, h=H)
+        assert layer.backward_h(p).shape == (0, 5)
+        before = layer.snapshot()
+        layer.sgd_step(p, lr=0.1)
+        after = layer.snapshot()
+        if factored:
+            assert all(np.array_equal(before[k], after[k]) for k in before)
+            assert (layer.fold_count, layer.rebase_count) == (0, 0)
+        else:
+            assert np.array_equal(before, after)
 
     def test_batch_class_out_of_range(self):
         layer = FactoredOutputLayer.zeros(10, 4)

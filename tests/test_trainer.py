@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphloss import cli, data, losses, trainer
-from sphloss.fast_output import BLOCK_ROWS, FactoredOutputLayer
+from sphloss.fast_output import BLOCK_ROWS, FactoredOutputLayer, StepPartials
 from sphloss.losses import batch_loss_grad, batch_scores
 from sphloss.trainer import (
     MLP,
@@ -71,6 +71,35 @@ class TestOutputInit:
             assert np.array_equal(W[:, :-1], np.zeros((4, 7)))
             np.testing.assert_array_equal(
                 W[:, -1], output_init(4, np.bincount(y) / len(y), "log_taylor"))
+
+    @pytest.mark.parametrize("prior", [False, True])
+    def test_factored_caches_in_closed_form(self, prior):
+        # the factored [0 | b] layer is built with no product: its caches are
+        # W'W and W'1 of the weights it represents (exactly zero without the
+        # bias), and 50 steps from it match a layer built from the explicit W
+        D, d, m = 300, 8, 10
+        rng = np.random.default_rng(24)
+        y = rng.integers(0, D, size=400)  # some classes absent: floored priors
+        cfg = TrainConfig(loss_kind="log_taylor", output_layer="factored",
+                          prior_bias_init=prior)
+        fac = init_model(MLPSpec(5, (d - 1,), D), cfg, y, rng).out
+        W = fac.materialize().W
+        if prior:
+            assert np.any(W[:, -1])
+            assert max_rel_err(fac.gram, W.T @ W) <= 1e-15
+            assert max_rel_err(fac.colsum, W.sum(axis=0)) <= 1e-15
+        else:
+            assert not np.any(fac.gram) and not np.any(fac.colsum)
+        ref = FactoredOutputLayer(W)
+        for _ in range(50):
+            a, bq, g = rng.uniform(-0.5, 0.5, size=(3, m))
+            h = np.hstack([np.maximum(rng.normal(size=(m, d - 1)), 0.0), np.ones((m, 1))])
+            p = StepPartials(a=a, bq=bq, g=g, c=rng.integers(0, D, size=m), h=h)
+            fac.sgd_step(p, 0.05)
+            ref.sgd_step(p, 0.05)
+        for got, want in ((fac.materialize().W, ref.materialize().W),
+                          (fac.gram, ref.gram), (fac.colsum, ref.colsum)):
+            assert max_rel_err(got, want) <= 1e-12
 
     def test_uniform_softmax(self):
         D = 8

@@ -18,6 +18,16 @@ from .losses import LossParams, SphericalStats, _as_logits, batch_loss_grad
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _lambda(x):
+    """lambda(x) for an array of finite x >= 0, without checks."""
+    xc = np.maximum(x, 1e-4)
+    lam = np.tanh(0.5 * xc) / (4.0 * xc)
+    small = x < 1e-4
+    if small.any():
+        lam = np.where(small, 0.125 - x * x / 192.0, lam)
+    return lam
+
+
 def lambda_xi(xi):
     """lambda(xi) = (sigmoid(xi) - 1/2) / (2*xi) = tanh(xi/2) / (4*xi), with
     the xi -> 0 limit 1/8.
@@ -29,8 +39,7 @@ def lambda_xi(xi):
     x = np.abs(np.asarray(xi, dtype=np.float64))  # |.| keeps evenness exact
     if not np.isfinite(x).all():
         raise ValueError("xi must be finite")
-    xc = np.maximum(x, 1e-4)
-    lam = np.where(x < 1e-4, 0.125 - x * x / 192.0, np.tanh(0.5 * xc) / (4.0 * xc))
+    lam = _lambda(x)
     return float(lam) if lam.ndim == 0 else lam
 
 
@@ -50,19 +59,22 @@ def optimal_alpha(s: float, D: int, xi: float) -> float:
     return s / D + (D - 2.0) / (4.0 * D * lambda_xi(xi))
 
 
-def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float:
-    """The shared-xi, optimal-alpha upper bound on -log softmax(o)_c,
-    evaluated from the spherical statistics alone; elementwise over arrays."""
-    lam = lambda_xi(xi)
+def _xi_terms(D: int, xi, lam):
+    """The terms of ``bound_from_stats`` that depend on xi alone, at
+    lam = lambda(xi), summed in its order."""
     return (
         -((D - 2.0) ** 2) / (16.0 * D * lam)
         - 0.5 * D * xi
         - D * lam * xi * xi
         + D * np.logaddexp(0.0, xi)
-        + s / D
-        + (q - s * s / D) * lam
-        - o_c
     )
+
+
+def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float:
+    """The shared-xi, optimal-alpha upper bound on -log softmax(o)_c,
+    evaluated from the spherical statistics alone; elementwise over arrays."""
+    lam = lambda_xi(xi)
+    return _xi_terms(D, xi, lam) + s / D + (q - s * s / D) * lam - o_c
 
 
 def golden_section_minimize(f, a, b, tol: float = 1e-10):
@@ -72,6 +84,10 @@ def golden_section_minimize(f, a, b, tol: float = 1e-10):
     points to an array of values.  Each element stops once its own bracket
     is no wider than ``tol``, or no longer shrinks at float resolution, so
     its result does not depend on the other elements.  Floats give a float.
+
+    Every element steps on every iteration: an element's result is the
+    midpoint of its bracket on the iteration it stops, and the steps it
+    takes after that are not read.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     a, b = np.minimum(a, b), np.maximum(a, b)
@@ -80,21 +96,22 @@ def golden_section_minimize(f, a, b, tol: float = 1e-10):
     fc, fd = f(c), f(d)
     width = b - a
     live = width > tol
+    mid = 0.5 * (a + b)
     while live.any():
-        left = live & (fc < fd)  # the minimizer is in [a, d]
-        right = live & ~left
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        x = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        left = fc < fd  # the minimizer is in [a, d], else in [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = _GOLDEN * (b - a)
+        x = np.where(left, b - step, a + step)
         fx = f(x)
         # left: (c, d) <- (x, c); right: (c, d) <- (d, x)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-        live &= (b - a > tol) & (b - a < width)
-        width = b - a
-    mid = 0.5 * (a + b)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        w = b - a
+        stop = live & ~((w > tol) & (w < width))
+        if stop.any():
+            mid = np.where(stop, 0.5 * (a + b), mid)
+            live = live & ~stop
+        width = w
     return float(mid) if mid.ndim == 0 else mid
 
 
@@ -114,11 +131,24 @@ def _minimize_xi(s, q, D: int):
     needs no restarts.  For xi >= ln(4D), tanh^2(xi/2) - r^2 >= 1/D, so
     h >= 0 once also xi >= sqrt(Q); the bracket [0, ln(4D) + sqrt(q)] thus
     holds the minimizer.
+
+    What the search resolves: it stops at a 1e-10 bracket, but near its
+    minimizer the bound is flat at float resolution, so the xi it returns
+    is only as close to the root of h as that flatness allows.  At D = 2000,
+    on 24 rows of normal logits (xi* from 8.5 to 61), it was 5e-9 to 1.8e-5
+    away from the root computed to 50 digits, at most 5e-7 relative.
+    lambda(xi), the partial dL/dq, moves at first order in xi, so a
+    last-bit change in q can move the optimized bound's partials by about
+    that much.
     """
     hi = np.log(4.0 * D) + np.sqrt(np.maximum(q, 0.0))
-    return golden_section_minimize(
-        lambda xi: bound_from_stats(s, q, 0.0, D, xi), np.zeros_like(hi), hi
-    )
+    s_D, Q = s / D, q - s * s / D  # bound_from_stats' terms in s and q
+
+    def bound(xi):  # bound_from_stats(s, q, 0, D, xi), bitwise, for xi >= 0
+        lam = _lambda(xi)
+        return _xi_terms(D, xi, lam) + s_D + Q * lam
+
+    return golden_section_minimize(bound, np.zeros_like(hi), hi)
 
 
 def optimize_xi(stats: SphericalStats, D: int) -> float:
@@ -126,6 +156,8 @@ def optimize_xi(stats: SphericalStats, D: int) -> float:
     case of the batch search."""
     if D < 2:
         raise ValueError("D must be >= 2")
+    if not (math.isfinite(stats.s) and math.isfinite(stats.q)):
+        raise ValueError("s and q must be finite")
     return float(_minimize_xi(np.array([stats.s]), np.array([stats.q]), D)[0])
 
 

@@ -341,6 +341,26 @@ def loss_grad(kind: str, o, c: int, *, eps: float = DEFAULT_EPS,
 # ---------------------------------------------------------------------------
 
 
+# most logits one row group holds (one row at least): a pass over a group's
+# scratch (half a MiB) stays in a core's cache, where a whole block's would
+# not; the no-gradient baselines and trainer._target_rank take their rows
+# in groups
+GROUP_ELEMENTS = 1 << 16
+
+
+def _log_softmax(rec: LossKind, O: np.ndarray, y: np.ndarray, E: np.ndarray):
+    """A baseline's loss logsumexp(Z) - Z_y for each row of O with target
+    y, where Z is the record's key (O or |O|).  E, an array of O's shape,
+    takes the key and is left holding exp(Z - max Z).  Returns (losses,
+    the row sums of E)."""
+    Z = rec.key(O, out=E)
+    np.subtract(Z, Z.max(axis=1, keepdims=True), out=E)
+    losses = -E[np.arange(len(y)), y]
+    S = np.exp(E, out=E).sum(axis=1)
+    losses += np.log(S)
+    return losses, S
+
+
 def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
     """(losses (n,), dense gradient (n, D) or None, partials (a, bq, g) or
     None): the one body of the batch and per-example forms."""
@@ -354,23 +374,24 @@ def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
         # the registry entry on the rows' (s, q, o_c)
         losses, *partials = rec.entry(*_row_stats(O, y), O.shape[1], params)
         return losses, _dense_grad(O, y, *partials) if with_grad else None, partials
-    # a baseline: the log-softmax of its key Z, O or |O|, as logsumexp(Z) -
-    # Z_y through one exp buffer (Z itself when the key is a fresh array);
-    # log_softmax_abs takes the subgradient 0 at O = 0
-    Z = rec.key(O)
-    rows = np.arange(O.shape[0])
-    m = Z.max(axis=1, keepdims=True)
-    E = Z - m if Z is O else np.subtract(Z, m, out=Z)
-    losses = -E[rows, y]
-    S = np.exp(E, out=E).sum(axis=1)
-    losses += np.log(S)
     if not with_grad:
+        # a baseline's losses, one row group at a time through one scratch
+        n, D = O.shape
+        g = max(1, GROUP_ELEMENTS // D)
+        buf = np.empty((min(g, n), D))
+        losses = np.empty(n)
+        for lo in range(0, n, g):
+            Og, yg = O[lo:lo + g], y[lo:lo + g]
+            losses[lo:lo + g] = _log_softmax(rec, Og, yg, buf[:len(yg)])[0]
         return losses, None, None
+    E = np.empty(O.shape)
+    losses, S = _log_softmax(rec, O, y, E)
     grad = np.divide(E, S[:, None], out=E)  # softmax(Z) - e_y
-    grad[rows, y] -= 1.0
+    grad[np.arange(len(y)), y] -= 1.0
     if rec.rank_shift is not None:
         # times sign(O + shift) through boolean masks, not a third float
-        # array; with the baselines' shift of 0 the compares are exact
+        # array; with the baselines' shift of 0 the compares are exact, and
+        # log_softmax_abs takes the subgradient 0 at O = 0
         np.negative(grad, out=grad, where=O < -rec.rank_shift)
         np.multiply(grad, 0.0, out=grad, where=O == -rec.rank_shift)
     return losses, grad, None

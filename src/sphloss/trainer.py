@@ -219,9 +219,6 @@ def init_model(spec: MLPSpec, cfg: TrainConfig, ytr: np.ndarray,
 # most logits evaluate scores in one block (one row at least): bounds its
 # (rows, D) arrays in D
 EVAL_BLOCK_ELEMENTS = 1 << 22
-# most logits _target_rank keys at once: the key and its compare stay in a
-# core's cache (half a MiB of key), where a whole block's would not
-RANK_GROUP_ELEMENTS = 1 << 16
 
 
 def _target_rank(O: np.ndarray, y: np.ndarray, rec: losses.LossKind,
@@ -265,13 +262,16 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
     top-10 error when it is at least min(10, D): a class whose score ties
     the target's counts as above it when its index is lower, the rule by
     which ``argmax`` picks the first of tied maxima, for top-10 as well.
+    An empty split is a ValueError.
     """
     rec = losses.loss_record(loss_kind)
     n = X.shape[0]
+    if n == 0:
+        raise ValueError("cannot evaluate on an empty split")
     D = model(X[:0]).shape[1]
     rows = max(1, EVAL_BLOCK_ELEMENTS // D)
     # the key's scratch, one row group, allocated once for every block
-    buf = np.empty((min(max(1, RANK_GROUP_ELEMENTS // D), n), D))
+    buf = np.empty((min(max(1, losses.GROUP_ELEMENTS // D), n), D))
     negll_sum = 0.0
     loss_sum = 0.0
     err = 0

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphloss import bound
@@ -236,6 +236,80 @@ class TestOptimizeXi:
     def test_rejects_small_D(self):
         with pytest.raises(ValueError):
             optimize_xi(summary_stats(np.zeros(2), 0), 1)
+
+    @pytest.mark.parametrize("s, q", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)])
+    def test_rejects_nonfinite_stats(self, s, q):
+        with pytest.raises(ValueError):
+            optimize_xi(SphericalStats(s=s, q=q, o_c=0.0), 10)
+
+
+def frozen_golden_section(f, a, b, tol=1e-10):
+    """Reference golden-section search: each iteration updates only the
+    elements still live, through masks, so a stopped element's bracket
+    stays frozen, and the result is the final brackets' midpoints."""
+    G = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    c, d = b - G * (b - a), a + G * (b - a)
+    fc, fd = f(c), f(d)
+    width = b - a
+    live = width > tol
+    while live.any():
+        left = live & (fc < fd)
+        right = live & ~left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        x = np.where(left, b - G * (b - a), a + G * (b - a))
+        fx = f(x)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live &= (b - a > tol) & (b - a < width)
+        width = b - a
+    mid = 0.5 * (a + b)
+    return float(mid) if mid.ndim == 0 else mid
+
+
+class TestSearchBitwise:
+    """``_minimize_xi`` and ``golden_section_minimize`` return exactly the
+    reference search's points on ``bound_from_stats``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 10, 2000, 100_000, 1_000_000]),
+        st.lists(st.tuples(
+            st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+            st.one_of(st.just(0.0), st.floats(-6.0, 20.0).map(lambda e: 10.0 ** e)),
+        ), min_size=1, max_size=40),
+    )
+    @example(2, [(0.0, 0.0), (0.5, 0.0), (1.0, 1e20), (0.0, 1e-6)])
+    def test_batch(self, D, rows):
+        # rows with Q = 0 next to rows with Q up to 1e20 stop on different
+        # iterations, some at float resolution; D = 2 with Q = 0 has its
+        # minimizer at xi = 0, in lambda's series branch
+        s, Q = np.array(rows).T
+        q = Q + s * s / D
+        hi = np.log(4.0 * D) + np.sqrt(q)
+        expected = frozen_golden_section(lambda xi: bound_from_stats(s, q, 0.0, D, xi),
+                                         np.zeros_like(hi), hi)
+        assert np.array_equal(bound._minimize_xi(s, q, D), expected)
+
+    def test_series_branch_is_reached(self, monkeypatch):
+        # D = 2, Q = 0 evaluates the bound below xi = 1e-4
+        seen, lam = [], bound._lambda
+        monkeypatch.setattr(bound, "_lambda", lambda x: seen.append(np.min(x)) or lam(x))
+        bound._minimize_xi(np.zeros(1), np.zeros(1), 2)
+        assert min(seen) < 1e-4
+
+    @pytest.mark.parametrize("lo, hi", [(-2.0, 5.0), (5.0, -2.0)])
+    def test_scalar(self, lo, hi):
+        def f(xi):
+            return bound_from_stats(0.3, 4.0, 0.0, 10, xi)
+
+        xi = golden_section_minimize(f, lo, hi)
+        assert type(xi) is float
+        assert xi == frozen_golden_section(f, lo, hi) == golden_section_minimize(f, -2.0, 5.0)
 
 
 class TestBatchForms:

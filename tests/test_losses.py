@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -448,6 +450,84 @@ class TestBatchForms:
     def test_integer_valued_labels_accepted_as_int64(self, y):
         out = losses._as_labels(y, 3)
         assert out.dtype == np.int64 and np.array_equal(out, y)
+
+
+def whole_log_softmax(O, y, abs_key):
+    """A baseline's loss over the whole (n, D) array at once:
+    logsumexp(Z) - Z_y with Z = O or |O|."""
+    Z = np.abs(O) if abs_key else O
+    E = Z - Z.max(axis=1, keepdims=True)
+    return np.log(np.exp(E).sum(axis=1)) - E[np.arange(len(y)), y]
+
+
+# the kinds whose negll is a baseline's log-softmax, and whether its key is |O|
+LOG_SOFTMAX_NEGLL = [("log_softmax", False), ("log_softmax_abs", True),
+                     ("spherical_bound_fixed", False), ("spherical_bound_optimized", False)]
+
+
+def group_edge_cases():
+    for D in (2, 2**16 - 1, 2**16 + 1, 10**5):
+        g = max(1, losses.GROUP_ELEMENTS // D)
+        for n in sorted({1, g - 1, g, g + 1} - {0}):
+            yield D, n
+
+
+class TestGroupedLogSoftmax:
+    """Without a gradient, a baseline's rows go through one cache-sized
+    scratch a group at a time, with the whole array's results."""
+
+    @pytest.mark.parametrize("D, n", list(group_edge_cases()))
+    def test_bitwise_equal_to_whole_array(self, D, n):
+        rng = np.random.default_rng(D + n)
+        O = rng.normal(scale=4.0, size=(n, D))
+        O[:, ::5] = 0.0  # on the kink of |O|
+        y = rng.integers(0, D, size=n)
+        for kind, abs_key in LOG_SOFTMAX_NEGLL:
+            expected = whole_log_softmax(O, y, abs_key)
+            assert np.array_equal(losses.batch_negll(kind, O, y), expected)
+            if losses.LOSSES[kind].entry is None:
+                assert np.array_equal(losses.batch_loss(kind, O, y), expected)
+
+    @pytest.mark.parametrize("kind, abs_key", LOG_SOFTMAX_NEGLL)
+    def test_nonfinite_rows_as_whole_array(self, kind, abs_key, monkeypatch):
+        # rows with NaN, +inf and -inf logits, split over groups of two rows:
+        # the same values and the same RuntimeWarnings
+        monkeypatch.setattr(losses, "GROUP_ELEMENTS", 14)
+        O = np.random.default_rng(20).normal(size=(9, 7))
+        O[1, 3] = np.nan
+        O[2, 0] = np.inf
+        O[4, 2] = -np.inf
+        O[5] = -np.inf
+        O[6, [1, 6]] = np.inf, -np.inf
+        O[8, 5] = np.nan
+        y = np.array([0, 1, 0, 2, 2, 3, 1, 4, 5])
+
+        def run(fn):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                out = fn()
+            return out, {(w.category, str(w.message)) for w in seen}
+
+        got, got_warnings = run(lambda: losses.batch_negll(kind, O, y))
+        expected, expected_warnings = run(lambda: whole_log_softmax(O, y, abs_key))
+        np.testing.assert_array_equal(got, expected)
+        assert got_warnings == expected_warnings
+        assert (RuntimeWarning, "invalid value encountered in subtract") in got_warnings
+
+    @pytest.mark.parametrize("kind", [k for k, _ in LOG_SOFTMAX_NEGLL])
+    def test_peak_memory_is_one_group(self, kind):
+        # the group's scratch, not an (n, D) temporary
+        n, D = 200, 20_000
+        rng = np.random.default_rng(21)
+        O = rng.normal(size=(n, D))
+        y = rng.integers(0, D, size=n)
+        tracemalloc.start()
+        try:
+            losses.batch_negll(kind, O, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * n * D * 8
 
 
 class TestFiniteDiffGrad:

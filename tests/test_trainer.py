@@ -329,6 +329,11 @@ class TestEvaluate:
         assert err == 0.0
         assert negll < 1e-12
 
+    def test_empty_split_rejected(self):
+        with pytest.raises(ValueError, match="empty split"):
+            evaluate(lambda X: np.zeros((len(X), 5)), np.zeros((0, 1)),
+                     np.zeros(0, dtype=np.int64), "log_softmax")
+
     def test_argmax_divergence_witness(self):
         # spherical scoring ranks by o^2, so a dominant negative coordinate
         # wins even though softmax would pick the largest o
@@ -395,7 +400,7 @@ class TestEvaluate:
         whole = evaluate(self.rows_of(O), X, y, kind)
         budget = 7 * D + 5
         monkeypatch.setattr(trainer, "EVAL_BLOCK_ELEMENTS", budget)
-        monkeypatch.setattr(trainer, "RANK_GROUP_ELEMENTS", 2 * D + 1)
+        monkeypatch.setattr(losses, "GROUP_ELEMENTS", 2 * D + 1)
         calls = []
         predictor = self.rows_of(O)
         blocked = evaluate(lambda X: calls.append(len(X)) or predictor(X), X, y, kind)

@@ -47,6 +47,9 @@ forming W.  ``materialize`` builds W for tests and export only.
 ``DenseOutputLayer`` is the naive O(D*d) layer: both the reference the
 factored layer is tested against in lockstep and the dense trainer's
 output layer, with the same ``logits``, ``snapshot`` and ``restore``.
+Each takes the trainer's step on a batch's mean loss, ``train_step``: a
+Nesterov step of W for the dense layer, the plain SGD step above for the
+factored one.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import losses
 from .losses import SphericalStats, _as_labels, _dense_grad, _row_stats
 
 # rows per block in the passes over core: 512 x 128 doubles is 512 KiB
@@ -153,29 +157,37 @@ def _rel_diff(x: np.ndarray, ref: np.ndarray) -> float:
     return float(diff / scale if scale > 0 else diff)
 
 
-def row_blocks(n: int):
-    """Slices of BLOCK_ROWS rows, the last of up to BLOCK_ROWS + 1, that
-    cover range(n).  A product taken block by block is then bitwise the
-    whole product: numpy would take a one-row tail as a matrix-vector
-    product, whose sums round otherwise than the GEMM's."""
+def _blocked_products(dO: np.ndarray, H: np.ndarray):
+    """(rows, dO[:, rows]' H) over slices of BLOCK_ROWS rows, the last of up
+    to BLOCK_ROWS + 1, that cover range(D), each in one reused buffer: the
+    D x d product dO'H is never formed, and the blocks are bitwise its rows
+    (numpy would take a one-row tail as a matrix-vector product, whose sums
+    round otherwise).  ``np.dot`` hands an inner dimension of 1 to BLAS
+    where ``@`` does not."""
+    D = dO.shape[1]
+    buf = np.empty((min(BLOCK_ROWS + 1, D), H.shape[1]))
     lo = 0
-    for hi in [*range(BLOCK_ROWS, n - 1, BLOCK_ROWS), n]:
-        yield slice(lo, hi)
+    for hi in [*range(BLOCK_ROWS, D - 1, BLOCK_ROWS), D]:
+        yield slice(lo, hi), np.dot(dO[:, lo:hi].T, H, out=buf[:hi - lo])
         lo = hi
 
 
+def nesterov_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
+                  lr: float, mu: float):
+    """In-place Nesterov update: v <- mu*v - lr*g; p <- p + mu*v - lr*g."""
+    velocity *= mu
+    velocity -= lr * grad
+    params += mu * velocity
+    params -= lr * grad
+
+
 def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
-    """W <- W - lr*sum_i(a_i 1h_i' + 2*bq_i Wh_ih_i' + g_i e_{c_i}h_i') in
-    place, O(D*d*m), one ``row_blocks`` block at a time, so no other D x d
-    array is formed.  The products go through ``np.dot``, which hands an
-    inner dimension of 1 to BLAS where ``@`` does not."""
-    WH = W @ H.T  # simultaneous update: every term uses the pre-step W
-    aH, BH = lr * (a @ H), (2.0 * lr * bq)[:, None] * H
-    buf = np.empty((min(BLOCK_ROWS + 1, len(W)), W.shape[1]))
-    for rows in row_blocks(len(W)):
-        W[rows] -= aH
-        W[rows] -= np.dot(WH[rows], BH, out=buf[:rows.stop - rows.start])
-    np.add.at(W, c, -(lr * g)[:, None] * H)
+    """W <- W - lr*dO'H in place, O(D*d*m), dO being the dense gradient of
+    the rows of H W' at the pre-step W (a simultaneous update)."""
+    dO = _dense_grad(H @ W.T, c, a, bq, g)
+    for rows, G in _blocked_products(dO, H):
+        G *= lr
+        W[rows] -= G
 
 
 class DenseOutputLayer:
@@ -183,6 +195,9 @@ class DenseOutputLayer:
 
     def __init__(self, W: np.ndarray, *, copy: bool = True):
         self.W = _as_weights(W, copy)
+        # train_step's Nesterov velocity of W: zero pages, left unwritten
+        # (so not resident) until the first step
+        self.velocity = np.zeros(self.W.shape)
 
     @classmethod
     def _bias_only(cls, D: int, d: int, bias) -> "DenseOutputLayer":
@@ -203,8 +218,22 @@ class DenseOutputLayer:
     def sgd_step(self, p: StepPartials, lr: float):
         _dense_sgd_step(self.W, *_as_partials(p, *self.W.shape)[:5], lr)
 
-    def row(self, c: int) -> np.ndarray:
-        return self.W[c].copy()
+    def train_step(self, H: np.ndarray, y: np.ndarray, kind: str, params: losses.LossParams,
+                   lr: float, mu: float, backward: bool = True):
+        """A Nesterov step of W on the mean loss of the rows of H (m, d) with
+        targets y, at the cost of its three (m x D x d) products: bitwise
+        ``nesterov_step`` on the whole gradient dO'H, dO being the mean
+        loss's gradient over the logits.  Returns (the rows' losses, dL/dH =
+        dO W at the pre-step W, or None without ``backward``)."""
+        # O lives through the update: the step's freed (m, D) arrays then
+        # leave heap room for evaluate's logits
+        O = self.logits(H)
+        step_losses, dO = losses.batch_loss_grad(kind, O, y, eps=params.eps, xi=params.xi)
+        dO /= len(y)
+        dH = dO @ self.W if backward else None
+        for rows, G in _blocked_products(dO, H):
+            nesterov_step(self.W[rows], self.velocity[rows], G, lr, mu)
+        return step_losses, dH
 
     def logits(self, H: np.ndarray) -> np.ndarray:
         """O = H W' for the rows of H, (n, D)."""
@@ -270,21 +299,10 @@ class FactoredOutputLayer:
             gram[-1, -1], colsum[-1] = np.dot(b, b), b.sum()
         return cls(W, copy=False, _caches=(gram, colsum), **kw)
 
-    def row(self, c: int) -> np.ndarray:
-        """Row c of the represented matrix, in O(d^2)."""
-        if not 0 <= c < self.D:
-            raise ValueError(f"class index {c} out of range")
-        return self._rows(np.array([c]))[0]
-
-    def _rows(self, c: np.ndarray) -> np.ndarray:
-        """Rows c of the represented matrix, (m, d)."""
-        self.op_count += len(c) * (self.d * self.d + self.d)
-        return (self.core[c] + self.offset) @ self.mixer
-
     def _step_terms(self, H: np.ndarray, c: np.ndarray):
         """The rows R = (core[c] + u)A and H Q of a step, (m, d) each."""
-        self.op_count += len(c) * self.d * self.d
-        return self._rows(c), H @ self.gram
+        self.op_count += len(c) * (2 * self.d * self.d + self.d)
+        return (self.core[c] + self.offset) @ self.mixer, H @ self.gram
 
     def _as_step(self, p: StepPartials):
         """(H, c, a, bq, g, one, R, HQ) of ``p``: R and HQ are the ones
@@ -399,6 +417,20 @@ class FactoredOutputLayer:
         A, A_inv = self.mixer, self.mixer_inv
         if np.sqrt(np.vdot(A, A) * np.vdot(A_inv, A_inv)) > self.cond_threshold:
             self._fold()
+
+    def train_step(self, H: np.ndarray, y: np.ndarray, kind: str, params: losses.LossParams,
+                   lr: float, mu: float, backward: bool = True):
+        """The exact plain SGD step on the mean loss of the rows of H (m, d)
+        with targets y, through ``forward_stats``, the loss's entry,
+        ``backward_h`` and ``sgd_step``; returns what the dense layer's
+        does.  ``mu`` is not applied: exact momentum is not implemented."""
+        m = len(y)
+        st = self.forward_stats(H, y)
+        step_losses, a, bq, g = losses.loss_record(kind).entry(st.s, st.q, st.o_c, self.D, params)
+        p = StepPartials(a=a, bq=bq, g=g, c=y, h=H)
+        dH = self.backward_h(p) / m if backward else None
+        self.sgd_step(p, lr / m)
+        return step_losses, dH
 
     def _fold(self):
         """Move the mixer's collapsed singular directions into the core, or

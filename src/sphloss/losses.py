@@ -343,8 +343,7 @@ def loss_grad(kind: str, o, c: int, *, eps: float = DEFAULT_EPS,
 
 # most logits one row group holds (one row at least): a pass over a group's
 # scratch (half a MiB) stays in a core's cache, where a whole block's would
-# not; the no-gradient baselines and trainer._target_rank take their rows
-# in groups
+# not; the baselines and trainer._target_rank take their rows in groups
 GROUP_ELEMENTS = 1 << 16
 
 
@@ -374,27 +373,27 @@ def _batch(kind: str, O, y, params: LossParams, with_grad: bool):
         # the registry entry on the rows' (s, q, o_c)
         losses, *partials = rec.entry(*_row_stats(O, y), O.shape[1], params)
         return losses, _dense_grad(O, y, *partials) if with_grad else None, partials
-    if not with_grad:
-        # a baseline's losses, one row group at a time through one scratch
-        n, D = O.shape
-        g = max(1, GROUP_ELEMENTS // D)
-        buf = np.empty((min(g, n), D))
-        losses = np.empty(n)
-        for lo in range(0, n, g):
-            Og, yg = O[lo:lo + g], y[lo:lo + g]
-            losses[lo:lo + g] = _log_softmax(rec, Og, yg, buf[:len(yg)])[0]
-        return losses, None, None
-    E = np.empty(O.shape)
-    losses, S = _log_softmax(rec, O, y, E)
-    grad = np.divide(E, S[:, None], out=E)  # softmax(Z) - e_y
-    grad[np.arange(len(y)), y] -= 1.0
-    if rec.rank_shift is not None:
-        # times sign(O + shift) through boolean masks, not a third float
-        # array; with the baselines' shift of 0 the compares are exact, and
-        # log_softmax_abs takes the subgradient 0 at O = 0
-        np.negative(grad, out=grad, where=O < -rec.rank_shift)
-        np.multiply(grad, 0.0, out=grad, where=O == -rec.rank_shift)
-    return losses, grad, None
+    # a baseline's losses, one row group at a time: through one scratch, or
+    # into the rows of the returned gradient
+    n, D = O.shape
+    g = max(1, GROUP_ELEMENTS // D)
+    buf = np.empty((n if with_grad else min(g, n), D))
+    losses = np.empty(n)
+    for lo in range(0, n, g):
+        Og, yg = O[lo:lo + g], y[lo:lo + g]
+        E = buf[lo:lo + g] if with_grad else buf[:len(yg)]
+        losses[lo:lo + g], S = _log_softmax(rec, Og, yg, E)
+        if with_grad:
+            np.divide(E, S[:, None], out=E)  # softmax(Z) - e_y
+            E[np.arange(len(yg)), yg] -= 1.0
+            if rec.rank_shift is not None:
+                # times sign(O + shift) through boolean masks, not a third
+                # float array; with the baselines' shift of 0 the compares
+                # are exact, and log_softmax_abs takes the subgradient 0 at
+                # O = 0
+                np.negative(E, out=E, where=Og < -rec.rank_shift)
+                np.multiply(E, 0.0, out=E, where=Og == -rec.rank_shift)
+    return losses, buf if with_grad else None, None
 
 
 def batch_loss_grad(kind: str, O, y, *, eps: float = DEFAULT_EPS, xi: float = 1.0):

@@ -16,8 +16,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import losses
-from .fast_output import (BLOCK_ROWS, DenseOutputLayer, FactoredOutputLayer, StepPartials,
-                          row_blocks)
+from .fast_output import DenseOutputLayer, FactoredOutputLayer, nesterov_step
 
 OUTPUT_LAYERS = {"dense": DenseOutputLayer, "factored": FactoredOutputLayer}
 
@@ -124,23 +123,14 @@ def output_init(
         p = np.full(D, 1.0 / D)
     else:
         p = np.asarray(class_freqs, dtype=np.float64).copy()
-        if p.shape != (D,) or np.any(p < 0):
-            raise ValueError("class_freqs must be D nonnegative reals")
+        if p.shape != (D,) or not np.all(np.isfinite(p) & (p >= 0)):
+            raise ValueError("class_freqs must be D finite nonnegative reals")
         if np.any(p == 0):
             if n_examples is None:
                 raise ValueError("zero-frequency class needs n_examples to floor")
             p[p == 0] = 1.0 / (10.0 * n_examples)
         p = p / p.sum()
     return prior_bias(p)
-
-
-def nesterov_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
-                  lr: float, mu: float):
-    """In-place Nesterov update: v <- mu*v - lr*g; p <- p + mu*v - lr*g."""
-    velocity *= mu
-    velocity -= lr * grad
-    params += mu * velocity
-    params -= lr * grad
 
 
 def _with_bias(h: np.ndarray) -> np.ndarray:
@@ -187,8 +177,9 @@ class MLP:
 
     def backward(self, hs: List[np.ndarray], dO: np.ndarray) -> List[np.ndarray]:
         """Gradients given d(mean loss)/d(logits) through a dense output
-        layer, aligned with [*params(), out.W]."""
-        grads = self.backward_hidden_from_dh(hs, dO @ self.out.W[:, :-1]) if self.Ws else []
+        layer, aligned with [*params(), out.W]; dh is sliced from dO W, as
+        the trainer slices it from ``DenseOutputLayer.train_step``."""
+        grads = self.backward_hidden_from_dh(hs, (dO @ self.out.W)[:, :-1]) if self.Ws else []
         return [*grads, dO.T @ _with_bias(hs[-1])]
 
     def backward_hidden_from_dh(self, hs: List[np.ndarray], dh: np.ndarray):
@@ -289,54 +280,19 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
     return negll_sum / n, err / n, top10_err / n, loss_sum / n
 
 
-def _train_batch_dense(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
-    """Batch Nesterov step of every parameter, the output weights included,
-    at the cost of its three (m x D x d) products: bitwise the step that
-    ``MLP.backward`` and ``nesterov_step`` take on whole arrays.
-
-    The hidden layers step first, on dh = dO W from the pre-step output
-    weights.  The output weights then step one ``row_blocks`` block at a
-    time, each block's gradient dO[:, b]'[h, 1] written into one reused
-    buffer, so neither the D x (d + 1) gradient nor a temporary of its
-    size is formed.
-    """
-    O, hs = model.forward(Xb)
-    losses_b, dO = losses.batch_loss_grad(cfg.loss_kind, O, yb, eps=cfg.eps, xi=cfg.xi)
-    dO /= Xb.shape[0]
-    W = model.out.W
+def _train_batch(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
+    """One step on the batch's mean loss, returned: the output layer takes
+    its own ``train_step``, then the hidden layers a Nesterov step (with
+    velocities ``vels``) on the dL/d[h, 1] it returns."""
+    hs = model.hidden(Xb)
+    step_losses, dH = model.out.train_step(
+        _with_bias(hs[-1]), yb, cfg.loss_kind, losses.LossParams(eps=cfg.eps, xi=cfg.xi),
+        lr, cfg.momentum, backward=bool(model.Ws))
     if model.Ws:
-        grads = model.backward_hidden_from_dh(hs, dO @ W[:, :-1])
+        grads = model.backward_hidden_from_dh(hs, dH[:, :-1])
         for p, v, g in zip(model.params(), vels, grads):
             nesterov_step(p, v, g, lr, cfg.momentum)
-    H, V = _with_bias(hs[-1]), vels[-1]
-    G = np.empty((min(BLOCK_ROWS + 1, len(W)), W.shape[1]))
-    for rows in row_blocks(len(W)):
-        Gb = np.dot(dO[:, rows].T, H, out=G[:rows.stop - rows.start])
-        nesterov_step(W[rows], V[rows], Gb, lr, cfg.momentum)
-    return float(losses_b.mean())
-
-
-def _train_batch_factored(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
-    """Hidden layers: batch Nesterov step.  Output layer: one exact plain
-    SGD step on the batch's mean loss."""
-    layer = model.out
-    hs = model.hidden(Xb)
-    m, d = hs[-1].shape
-    H = _with_bias(hs[-1])
-    st = layer.forward_stats(H, yb)
-    loss, a, bq, g = losses.loss_record(cfg.loss_kind).entry(
-        st.s, st.q, st.o_c, layer.D, losses.LossParams(eps=cfg.eps, xi=cfg.xi)
-    )
-    step = StepPartials(a=a, bq=bq, g=g, c=yb, h=H)
-
-    # hidden gradient uses the pre-update output weights (batch semantics)
-    if model.Ws:
-        grads = model.backward_hidden_from_dh(hs, layer.backward_h(step)[:, :d] / m)
-        for p, v, gr in zip(model.params(), vels, grads):
-            nesterov_step(p, v, gr, lr, cfg.momentum)
-
-    layer.sgd_step(step, lr / m)
-    return float(loss.mean())
+    return float(step_losses.mean())
 
 
 def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = None,
@@ -356,11 +312,7 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
     rng = np.random.default_rng(cfg.seed)
     model = init_model(spec, cfg, ytr, rng)
     predictor = lambda X: model.forward(X)[0]
-    if cfg.output_layer == "factored":
-        train_batch, trained = _train_batch_factored, model.params()
-    else:
-        train_batch, trained = _train_batch_dense, [*model.params(), model.out.W]
-    vels = [np.zeros_like(p) for p in trained]
+    vels = [np.zeros_like(p) for p in model.params()]
 
     metrics = RunMetrics()
     best_err = math.inf
@@ -376,7 +328,7 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             Xb, yb = Xtr[idx], ytr[idx]
-            bl = train_batch(model, Xb, yb, cfg, lr, vels)
+            bl = _train_batch(model, Xb, yb, cfg, lr, vels)
             if not math.isfinite(bl):
                 metrics.diverged = True
                 metrics.diagnostic = (

@@ -11,7 +11,7 @@ from sphloss.fast_output import (
     FactoredOutputLayer,
     StepPartials,
 )
-from sphloss.losses import LOSSES, LossParams, batch_loss_grad
+from sphloss.losses import LOSSES, LossParams, _dense_grad, batch_loss_grad
 
 
 def random_partials(rng, D, d):
@@ -161,14 +161,12 @@ class TestSgdStep:
     @pytest.mark.parametrize("D", [3, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2])
     @pytest.mark.parametrize("m", [1, 7])
     def test_dense_step_is_the_whole_array_step(self, D, m):
-        # the reference forms the whole D x d product that the step applies
+        # the reference forms the whole D x d gradient dO'H that the step
+        # applies, dO being the loss's dense gradient at the pre-step W
         rng = np.random.default_rng(D + m)
         W0 = rng.normal(size=(D, 9))
         p = random_batch(rng, D, 9, m)
-        W = W0.copy()
-        W -= 0.1 * (p.a @ p.h)
-        W -= (W0 @ p.h.T) @ ((0.2 * p.bq)[:, None] * p.h)
-        np.add.at(W, p.c, -(0.1 * p.g)[:, None] * p.h)
+        W = W0 - 0.1 * (_dense_grad(p.h @ W0.T, p.c, p.a, p.bq, p.g).T @ p.h)
         den = DenseOutputLayer(W0)
         den.sgd_step(p, lr=0.1)
         assert den.W.tobytes() == W.tobytes()
@@ -252,6 +250,54 @@ class TestSgdStep:
             layer.forward_stats(H, np.array([0]))  # one class for two rows
 
 
+def states_equal(a, b):
+    """Bitwise equality of two layers' states: snapshots, and the dense
+    layer's velocity."""
+    if isinstance(a, DenseOutputLayer):
+        return a.W.tobytes() == b.W.tobytes() and a.velocity.tobytes() == b.velocity.tobytes()
+    sa, sb = a.snapshot(), b.snapshot()
+    return all(sa[k].tobytes() == sb[k].tobytes() for k in sa)
+
+
+class TestTrainStep:
+    def test_factored_is_its_explicit_sequence(self):
+        # forward_stats -> the loss entry -> backward_h / m -> sgd_step at
+        # lr / m, over steps whose classes repeat
+        rng = np.random.default_rng(30)
+        D, d, m, lr, params = 200, 9, 12, 0.05, LossParams()
+        W0 = rng.normal(scale=0.1, size=(D, d))
+        got, want = FactoredOutputLayer(W0), FactoredOutputLayer(W0)
+        for _ in range(5):
+            H = rng.normal(size=(m, d))
+            y = rng.choice(rng.integers(0, D, size=4), size=m)
+            losses_got, dH = got.train_step(H, y, "log_taylor", params, lr, 0.9)
+            st = want.forward_stats(H, y)
+            losses_want, a, bq, g = LOSSES["log_taylor"].entry(st.s, st.q, st.o_c, D, params)
+            p = StepPartials(a=a, bq=bq, g=g, c=y, h=H)
+            dH_want = want.backward_h(p) / m
+            want.sgd_step(p, lr / m)
+            assert losses_got.tobytes() == losses_want.tobytes()
+            assert dH.tobytes() == dH_want.tobytes()
+            assert states_equal(got, want)
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_without_backward(self, factored):
+        # no dL/dH, and the layer's state bitwise that of a step with it
+        rng = np.random.default_rng(31)
+        D, d, m = 50, 6, 8
+        W0 = rng.normal(scale=0.1, size=(D, d))
+        cls = FactoredOutputLayer if factored else DenseOutputLayer
+        with_dh, without = cls(W0), cls(W0)
+        for _ in range(3):
+            H, y = rng.normal(size=(m, d)), rng.integers(0, D, size=m)
+            step = (H, y, "log_taylor", LossParams(), 0.05, 0.9)
+            losses_with, dH = with_dh.train_step(*step)
+            losses_without, none = without.train_step(*step, backward=False)
+            assert dH.shape == (m, d) and none is None
+            assert losses_with.tobytes() == losses_without.tobytes()
+            assert states_equal(with_dh, without)
+
+
 STEP = st.integers(1, 8).flatmap(lambda m: st.tuples(
     st.lists(st.integers(0, 3), min_size=m, max_size=m),  # classes repeat
     st.lists(st.booleans(), min_size=m, max_size=m),  # all-zero partial rows
@@ -293,7 +339,7 @@ class TestBatchProperties:
 class TestRowAndMaterialize:
     def test_zero_init_row(self):
         layer = FactoredOutputLayer.zeros(20, 3)
-        assert np.array_equal(layer.row(5), np.zeros(3))
+        assert np.array_equal(layer.materialize().W[5], np.zeros(3))
 
     def test_materialize_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -310,9 +356,9 @@ class TestRowAndMaterialize:
             p = random_partials(rng, D, d)
             fac.sgd_step(p, lr=0.02)
             den.sgd_step(p, lr=0.02)
+        W = fac.materialize().W
         for c in rng.integers(0, D, size=20):
-            np.testing.assert_allclose(fac.row(int(c)), den.row(int(c)),
-                                       rtol=1e-6, atol=1e-9)
+            np.testing.assert_allclose(W[c], den.W[c], rtol=1e-6, atol=1e-9)
 
     def test_untouched_rows_share_only_global_terms(self):
         # steps that always target class 0: other rows must still track the
@@ -327,13 +373,9 @@ class TestRowAndMaterialize:
             fac.sgd_step(p, lr=0.05)
             den.sgd_step(p, lr=0.05)
         assert np.array_equal(fac.core[1:], W0[1:])
+        W = fac.materialize().W
         for c in range(1, 5):
-            np.testing.assert_allclose(fac.row(c), den.row(c), rtol=1e-8)
-
-    def test_row_out_of_range(self):
-        layer = FactoredOutputLayer.zeros(10, 4)
-        with pytest.raises(ValueError):
-            layer.row(10)
+            np.testing.assert_allclose(W[c], den.W[c], rtol=1e-8)
 
 
 class TestLogitsAndSnapshot:

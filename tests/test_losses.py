@@ -460,6 +460,19 @@ def whole_log_softmax(O, y, abs_key):
     return np.log(np.exp(E).sum(axis=1)) - E[np.arange(len(y)), y]
 
 
+def whole_log_softmax_grad(O, y, abs_key):
+    """Its gradient over the whole array at once: softmax(Z) - e_y, times
+    sign(O) with 0 at O = 0 when Z = |O|."""
+    Z = np.abs(O) if abs_key else O
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    G = E / E.sum(axis=1, keepdims=True)
+    G[np.arange(len(y)), y] -= 1.0
+    if abs_key:
+        G = np.where(O < 0, -G, G)
+        G = np.where(O == 0, G * 0.0, G)
+    return G
+
+
 # the kinds whose negll is a baseline's log-softmax, and whether its key is |O|
 LOG_SOFTMAX_NEGLL = [("log_softmax", False), ("log_softmax_abs", True),
                      ("spherical_bound_fixed", False), ("spherical_bound_optimized", False)]
@@ -473,8 +486,9 @@ def group_edge_cases():
 
 
 class TestGroupedLogSoftmax:
-    """Without a gradient, a baseline's rows go through one cache-sized
-    scratch a group at a time, with the whole array's results."""
+    """A baseline's rows go a group at a time through one cache-sized
+    scratch, or into the rows of the returned gradient, with the whole
+    array's results."""
 
     @pytest.mark.parametrize("D, n", list(group_edge_cases()))
     def test_bitwise_equal_to_whole_array(self, D, n):
@@ -487,6 +501,9 @@ class TestGroupedLogSoftmax:
             assert np.array_equal(losses.batch_negll(kind, O, y), expected)
             if losses.LOSSES[kind].entry is None:
                 assert np.array_equal(losses.batch_loss(kind, O, y), expected)
+                got, grad = losses.batch_loss_grad(kind, O, y)
+                assert got.tobytes() == expected.tobytes()
+                assert grad.tobytes() == whole_log_softmax_grad(O, y, abs_key).tobytes()
 
     @pytest.mark.parametrize("kind, abs_key", LOG_SOFTMAX_NEGLL)
     def test_nonfinite_rows_as_whole_array(self, kind, abs_key, monkeypatch):
@@ -513,6 +530,13 @@ class TestGroupedLogSoftmax:
         np.testing.assert_array_equal(got, expected)
         assert got_warnings == expected_warnings
         assert (RuntimeWarning, "invalid value encountered in subtract") in got_warnings
+        if losses.LOSSES[kind].entry is None:
+            (got, grad), got_warnings = run(lambda: losses.batch_loss_grad(kind, O, y))
+            want = lambda: (whole_log_softmax(O, y, abs_key), whole_log_softmax_grad(O, y, abs_key))
+            (expected, expected_grad), expected_warnings = run(want)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(grad, expected_grad)
+            assert got_warnings == expected_warnings
 
     @pytest.mark.parametrize("kind", [k for k, _ in LOG_SOFTMAX_NEGLL])
     def test_peak_memory_is_one_group(self, kind):

@@ -159,6 +159,12 @@ class TestOutputInit:
         with pytest.raises(ValueError):
             output_init(3, None, "mystery")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_frequency_rejected(self, bad):
+        # a NaN gave three NaN biases, and an inf a RuntimeWarning
+        with pytest.raises(ValueError, match="finite"):
+            output_init(3, [0.5, bad, 0.5], "log_softmax")
+
     def test_prior_entropy_softmax(self):
         # prior-initialized model scored on a frequency-matched stream
         p = np.array([0.75, 0.25])
@@ -283,15 +289,17 @@ class TestTrainBatchDense:
             model = MLP(MLPSpec(6, (5,), D), rng)
             model.out.W[...] = rng.normal(scale=0.3, size=model.out.W.shape)
             models.append(model)
-        vels = [[np.zeros_like(p) for p in [*m.params(), m.out.W]] for m in models]
+        ref_vels = [np.zeros_like(p) for p in [*models[0].params(), models[0].out.W]]
+        vels = [np.zeros_like(p) for p in models[1].params()]
         rng = np.random.default_rng(1)
         for _ in range(5):
             Xb, yb = rng.normal(size=(20, 6)), rng.integers(0, D, size=20)
-            want = self.whole_array_step(models[0], Xb, yb, cfg, 0.05, vels[0])
-            got = trainer._train_batch_dense(models[1], Xb, yb, cfg, 0.05, vels[1])
+            want = self.whole_array_step(models[0], Xb, yb, cfg, 0.05, ref_vels)
+            got = trainer._train_batch(models[1], Xb, yb, cfg, 0.05, vels)
             assert got == want
-            for a, b in zip([*models[0].params(), models[0].out.W, *vels[0]],
-                            [*models[1].params(), models[1].out.W, *vels[1]]):
+            for a, b in zip([*models[0].params(), models[0].out.W, *ref_vels],
+                            [*models[1].params(), models[1].out.W, *vels,
+                             models[1].out.velocity]):
                 assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("kind", ALL_LOSSES)
@@ -302,12 +310,12 @@ class TestTrainBatchDense:
         rng = np.random.default_rng(7)
         model = MLP(MLPSpec(64, (128,), D), rng)
         model.out.W[...] = rng.normal(scale=0.01, size=model.out.W.shape)
-        vels = [np.zeros_like(p) for p in [*model.params(), model.out.W]]
+        vels = [np.zeros_like(p) for p in model.params()]
         Xb, yb = rng.normal(size=(m, 64)), rng.integers(0, D, size=m)
         cfg = TrainConfig(loss_kind=kind)
         tracemalloc.start()
         try:
-            trainer._train_batch_dense(model, Xb, yb, cfg, 0.01, vels)
+            trainer._train_batch(model, Xb, yb, cfg, 0.01, vels)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

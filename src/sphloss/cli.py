@@ -254,6 +254,8 @@ def _load_splits(cfg):
         raise config.ConfigError(f"{cfg['dataset']} {cfg['split']} split: {e}") from None
     if test is not None:
         parts = (*parts[:2], test)
+    elif parts[2] is None:
+        raise config.ConfigError(f"{cfg['dataset']} {cfg['split']} split: test_n must be >= 1")
     splits = tuple((p.features, p.labels) for p in parts)
     return splits, parts[0].D, parts[0].features.shape[1]
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -91,8 +91,10 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
     )
 
 
-def random_split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset, Dataset]:
-    """Disjoint (train, valid, test) from a seeded shuffle."""
+def random_split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset, Optional[Dataset]]:
+    """Disjoint (train, valid, test) from a seeded shuffle.  The test part
+    is None when ``test_n`` is 0, for a dataset whose test rows come from
+    elsewhere; an empty train or valid part is a ValueError."""
     if min(spec.train_n, spec.valid_n, spec.test_n) < 0:
         raise ValueError(f"split sizes must be >= 0, got {spec}")
     total = spec.train_n + spec.valid_n + spec.test_n
@@ -100,15 +102,15 @@ def random_split(dataset: Dataset, spec: SplitSpec) -> Tuple[Dataset, Dataset, D
         raise ValueError(f"split sizes sum to {total} > N={len(dataset)}")
     rng = np.random.default_rng(spec.seed)
     perm = rng.permutation(len(dataset))
-    bounds = (spec.train_n, spec.train_n + spec.valid_n, total)
-    parts = []
-    start = 0
-    for end in bounds:
-        idx = perm[start:end]
-        parts.append(Dataset(features=dataset.features[idx],
-                             labels=dataset.labels[idx], D=dataset.D))
-        start = end
-    return tuple(parts)
+
+    def part(lo: int, hi: int) -> Dataset:
+        idx = perm[lo:hi]
+        return Dataset(features=dataset.features[idx], labels=dataset.labels[idx],
+                       D=dataset.D)
+
+    valid_end = spec.train_n + spec.valid_n
+    return (part(0, spec.train_n), part(spec.train_n, valid_end),
+            part(valid_end, total) if spec.test_n else None)
 
 
 def zipf_frequencies(D: int, exponent: float) -> np.ndarray:

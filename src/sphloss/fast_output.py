@@ -69,8 +69,11 @@ BLOCK_ROWS = 512
 FOLD_CUT = 1e-2
 # more than FOLD_MAX_RANK * d collapsed directions take a full rebase, which
 # caps the fold's 2*D*d*k multiply-adds at a quarter of the rebase's D*d^2;
-# with d < 8 every crossing rebases.  The fold is memory-bound: at D = 1e5,
-# d = 128 it took 53-76 ms for k = 1 to 16 against the rebase's 137-182 ms
+# with d < 8 every crossing rebases.  The fold is bound by OpenBLAS's narrow
+# products, not by memory: at D = 1e5, d = 128 (2 vCPUs, one BLAS thread) a
+# whole fold took 45-54 ms against the rebase's 137-182 ms; its (512, 128) @
+# (128, 5) products took 20.6 ms in total and its rank-1 updates 11.6 ms,
+# where a plain read-and-write pass over core took 11.4 ms
 FOLD_MAX_RANK = 1 / 8
 # drift after a fold above this takes a full rebase (Gram) or the exact
 # column sums: 10x under the benchmark's 1e-9 exactness gate.  The Gram
@@ -200,7 +203,7 @@ class DenseOutputLayer:
         self.velocity = np.zeros(self.W.shape)
 
     @classmethod
-    def _bias_only(cls, D: int, d: int, bias) -> "DenseOutputLayer":
+    def zeros(cls, D: int, d: int, bias=None) -> "DenseOutputLayer":
         """The layer whose D x d weights are zero but for a last column
         ``bias`` (zero when None)."""
         return cls(_bias_weights(D, d, bias), copy=False)
@@ -269,7 +272,7 @@ class FactoredOutputLayer:
     def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8,
                  copy: bool = True, _caches=None):
         # _caches: the (W0'W0, W0'1) of a W0 whose caches its builder knows
-        # in closed form (``_bias_only``), which skips their O(D*d^2) product
+        # in closed form (``zeros``), which skips their O(D*d^2) product
         # and the pass over W0
         W0 = _as_weights(W0, copy) if _caches is None else W0
         self.D, self.d = W0.shape
@@ -283,21 +286,17 @@ class FactoredOutputLayer:
         self.last_drift = None
 
     @classmethod
-    def zeros(cls, D: int, d: int, **kw) -> "FactoredOutputLayer":
-        """The all-zero layer, in O(d^2): no product, no pass over core."""
-        return cls._bias_only(D, d, None, **kw)
-
-    @classmethod
-    def _bias_only(cls, D: int, d: int, bias, **kw) -> "FactoredOutputLayer":
+    def zeros(cls, D: int, d: int, bias=None) -> "FactoredOutputLayer":
         """The layer whose D x d weights are zero but for a last column
-        ``bias`` (zero when None), with its caches in closed form: with e
-        the last coordinate, W'W = (b.b) e e' and W'1 = (sum b) e."""
+        ``bias`` (zero when None), with its caches in closed form, in
+        O(D + d^2): with e the last coordinate, W'W = (b.b) e e' and
+        W'1 = (sum b) e; no product, and with no bias no pass over core."""
         W = _bias_weights(D, d, bias)
         gram, colsum = np.zeros((d, d)), np.zeros(d)
         if bias is not None:
             b = W[:, -1]
             gram[-1, -1], colsum[-1] = np.dot(b, b), b.sum()
-        return cls(W, copy=False, _caches=(gram, colsum), **kw)
+        return cls(W, copy=False, _caches=(gram, colsum))
 
     def _step_terms(self, H: np.ndarray, c: np.ndarray):
         """The rows R = (core[c] + u)A and H Q of a step, (m, d) each."""

@@ -152,36 +152,24 @@ def quadratic_normalizer(o, p: QuadraticNormalizerParams) -> np.ndarray:
     return num / den
 
 
+def _spherical(eps: float) -> QuadraticNormalizerParams:
+    """The spherical softmax's numerator o^2 + eps; eps must be > 0."""
+    return QuadraticNormalizerParams(eps, 0.0, 1.0)
+
+
+# the second-order expansion of exp around zero, 1 + o + o^2/2 =
+# ((1 + o)^2 + 1)/2 >= 1/2, so no stabilizer is needed
+TAYLOR = QuadraticNormalizerParams(1.0, 1.0, 0.5)
+
+
 def spherical_softmax(o, eps: float = DEFAULT_EPS) -> np.ndarray:
     """(o_k^2 + eps) / sum_i (o_i^2 + eps) with eps > 0."""
-    if not eps > 0:
-        raise ValueError("eps must be > 0; use spherical_softmax_unchecked for eps=0")
-    return spherical_softmax_unchecked(o, eps)
-
-
-def spherical_softmax_unchecked(o, eps: float) -> np.ndarray:
-    """Same as :func:`spherical_softmax` but admits eps = 0 (q > 0 required).
-
-    Exists so the eps=0 scale-invariance and evenness properties can be
-    exercised; 0/0 at o = 0 is still rejected.
-    """
-    o = _as_logits(o)
-    num = o * o + eps
-    den = num.sum()
-    if den == 0.0:
-        raise ValueError("eps=0 with a zero vector is undefined (0/0)")
-    return num / den
+    return quadratic_normalizer(o, _spherical(eps))
 
 
 def taylor_softmax(o) -> np.ndarray:
-    """Normalizer from the second-order expansion of exp around zero.
-
-    Numerators 1 + o_k + o_k^2/2 are bounded below by 0.5, so no
-    stabilizer is needed.
-    """
-    o = _as_logits(o)
-    num = 1.0 + o + 0.5 * o * o
-    return num / num.sum()
+    """(1 + o_k + o_k^2/2) / sum_i (1 + o_i + o_i^2/2)."""
+    return quadratic_normalizer(o, TAYLOR)
 
 
 def grad_from_partials(partials: Partials, o, c: int) -> np.ndarray:
@@ -234,31 +222,31 @@ def _mse(s, q, o_c, D, p: LossParams):
     return q - 2.0 * o_c + 1.0, np.zeros(n), np.ones(n), np.full(n, -2.0)
 
 
-def _log_spherical(s, q, o_c, D, p: LossParams):
-    """-log spherical_softmax(o)_c = log(q + D*eps) - log(o_c^2 + eps):
+def _log_quadratic(s, q, o_c, D, f: QuadraticNormalizerParams):
+    """-log quadratic_normalizer(o, f)_c = log Z - log f(o_c) with
+    f(x) = a1 + a2*x + a3*x^2 and Z = sum_k f(o_k) = D*a1 + a2*s + a3*q:
 
-    dL/do_c = 2*o_c/(q + D*eps) - 2*o_c/(o_c^2 + eps)
-    dL/do_k = 2*o_k/(q + D*eps)   for k != c
+    dL/do_c = f'(o_c)/Z - f'(o_c)/f(o_c)
+    dL/do_k = f'(o_k)/Z = a2/Z + 2*(a3/Z)*o_k   for k != c
+
+    Both quadratic losses are this entry at their coefficients.  At
+    ``TAYLOR`` the products D*1, 1*s and (2*0.5)*o_c are exact, so with
+    these sum orders log_taylor rounds as its direct formula does.
     """
-    if not p.eps > 0:
-        raise ValueError("eps must be > 0")
-    den = q + D * p.eps
-    num_c = o_c * o_c + p.eps
-    value = np.log(den) - np.log(num_c)
-    return value, np.zeros(q.shape[0]), 1.0 / den, -2.0 * o_c / num_c
+    Z = (D * f.a1 + f.a2 * s) + f.a3 * q
+    f_c = (f.a1 + f.a2 * o_c) + f.a3 * o_c * o_c
+    # target-coordinate split: the f'(o_c)/Z part lives in the s/q partials
+    return np.log(Z) - np.log(f_c), f.a2 / Z, f.a3 / Z, -(f.a2 + 2.0 * f.a3 * o_c) / f_c
+
+
+def _log_spherical(s, q, o_c, D, p: LossParams):
+    """-log spherical_softmax(o)_c = log(q + D*eps) - log(o_c^2 + eps)."""
+    return _log_quadratic(s, q, o_c, D, _spherical(p.eps))
 
 
 def _log_taylor(s, q, o_c, D, p: LossParams):
-    """-log taylor_softmax(o)_c = log Z - log(1 + o_c + o_c^2/2) with
-    Z = D + s + q/2:
-
-    dL/do_c = (1+o_c)/Z - (1+o_c)/(1+o_c+o_c^2/2)
-    dL/do_k = (1+o_k)/Z   for k != c
-    """
-    Z = D + s + 0.5 * q
-    num_c = 1.0 + o_c + 0.5 * o_c * o_c
-    # target-coordinate split: the (1+o_c)/Z part lives in the s/q partials
-    return np.log(Z) - np.log(num_c), 1.0 / Z, 0.5 / Z, -(1.0 + o_c) / num_c
+    """-log taylor_softmax(o)_c = log(D + s + q/2) - log(1 + o_c + o_c^2/2)."""
+    return _log_quadratic(s, q, o_c, D, TAYLOR)
 
 
 def _spherical_bound(s, q, o_c, D, p: LossParams, optimize: bool = False):

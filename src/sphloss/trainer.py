@@ -157,7 +157,7 @@ class MLP:
         # the layer builds its own [0 | bias]: no copy (one freed at once
         # raises glibc's mmap threshold, and the dense trainer's peak RSS
         # with it) and, factored, the caches in closed form
-        self.out = OUTPUT_LAYERS[output_layer]._bias_only(spec.output_dim, dims[-1] + 1, bias)
+        self.out = OUTPUT_LAYERS[output_layer].zeros(spec.output_dim, dims[-1] + 1, bias)
 
     def params(self) -> List[np.ndarray]:
         """The hidden layers' parameters; ``out`` holds the output layer's."""

@@ -267,16 +267,17 @@ def test_criterion_7_invariance_suite():
                                    atol=1e-12)
 
     # spherical softmax (eps=0): scale invariance and evenness
+    eps0 = losses.QuadraticNormalizerParams(0.0, 0.0, 1.0, unchecked=True)
     for _ in range(200):
         o = rng.uniform(-5, 5, size=10)
         if np.all(o == 0):
             continue
         k = float(rng.uniform(0.1, 10))
-        base = losses.spherical_softmax_unchecked(o, 0.0)
+        base = losses.quadratic_normalizer(o, eps0)
         np.testing.assert_allclose(
-            losses.spherical_softmax_unchecked(k * o, 0.0), base, atol=1e-12)
+            losses.quadratic_normalizer(k * o, eps0), base, atol=1e-12)
         np.testing.assert_allclose(
-            losses.spherical_softmax_unchecked(-o, 0.0), base, atol=1e-12)
+            losses.quadratic_normalizer(-o, eps0), base, atol=1e-12)
 
     # Taylor softmax is NOT even: witness
     o = np.array([1.0, 0.0])

@@ -76,6 +76,12 @@ class TestGeneralBound:
             xis = rng.uniform(-4, 4, size=D)
             assert bouchard_lse_bound_general(o, alpha, xis) >= logsumexp(o) - 1e-9
 
+    @pytest.mark.parametrize("xis", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 1.0],
+                             ids=["short", "long", "2-D", "scalar"])
+    def test_rejects_wrong_xis_shape(self, xis):
+        with pytest.raises(ValueError, match="one entry per coordinate"):
+            bouchard_lse_bound_general([1.0, 2.0], 0.0, xis)
+
 
 def fixed(o, c, xi):
     return loss_grad("spherical_bound_fixed", o, c, xi=xi)

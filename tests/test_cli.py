@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from sphloss import cli, config, losses, trainer
+from sphloss import cli, config, data, losses, trainer
 from sphloss.trainer import TrainConfig, train
 
 
@@ -184,6 +184,9 @@ class TestTrain:
          "--set", "test_n=5"],
         ["--set", "seed=-1"],
         ["--set", "initial_lr=inf"],
+        # an empty test split
+        ["--set", "split=random", "--set", "train_n=5", "--set", "valid_n=5",
+         "--set", "test_n=0"],
     ])
     def test_invalid_train_config_exits_2_before_io(self, tmp_path, capsys, settings):
         out_dir = tmp_path / "x"
@@ -228,6 +231,10 @@ class TestTrain:
         ["--set", "split=random", "--set", "train_n=10", "--set", "valid_n=5",
          "--set", "test_n=5"],  # 20 rows asked of 16
         ["--set", "split=official", "--set", "valid_n=13"],  # 12 training rows
+        ["--set", "split=official", "--set", "valid_n=12"],  # an empty train split
+        ["--set", "split=official", "--set", "valid_n=0"],  # an empty valid split
+        ["--set", "split=random", "--set", "train_n=10", "--set", "valid_n=5",
+         "--set", "test_n=0"],  # an empty test split
     ])
     def test_oversized_mnist_split_exits_2_before_io(self, tmp_path, capsys, settings):
         out_dir = tmp_path / "x"
@@ -244,6 +251,31 @@ class TestTrain:
                   "--set", "batch_size=4"])
         assert rc == 0
         assert (out_dir / "run_seed0.txt").exists()
+
+    def test_official_mnist_split_trains(self, tmp_path, monkeypatch):
+        # train: the training file but valid_n rows; valid: those rows;
+        # test: the test file
+        seen = []
+
+        def spy(spec, cfg, splits, **kwargs):
+            seen.append(splits)
+            return train(spec, cfg, splits, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        settings = mnist_settings(tmp_path)
+        rc = run(["train", "--out-dir", str(tmp_path / "x"), *settings,
+                  "--set", "split=official", "--set", "valid_n=3", "--set", "hidden_dims=4",
+                  "--set", "max_epochs=1", "--set", "batch_size=4"])
+        assert rc == 0
+        (Xtr, ytr), (Xva, yva), (Xte, yte) = seen[0]
+        assert (len(ytr), len(yva)) == (9, 3)
+        pool = data.load_mnist(str(tmp_path / "train_images.idx"),
+                               str(tmp_path / "train_labels.idx"))
+        rows = np.concatenate([Xtr, Xva])
+        assert np.array_equal(rows[np.lexsort(rows.T)], pool.features[np.lexsort(pool.features.T)])
+        test = data.load_mnist(str(tmp_path / "test_images.idx"),
+                               str(tmp_path / "test_labels.idx"))
+        assert np.array_equal(Xte, test.features) and np.array_equal(yte, test.labels)
 
     def test_malformed_mnist_file_exits_1(self, tmp_path, capsys):
         settings = mnist_settings(tmp_path)
@@ -293,6 +325,15 @@ def test_bad_eps_or_xi_is_usage_error_before_io(tmp_path, capsys, argv):
         run([*argv, "--output", str(out)])
     assert exc.value.code == 2
     assert "expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unparsable_eps_is_usage_error_before_io(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run(["gradcheck", "--eps", "abc", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "expected a number, got 'abc'" in capsys.readouterr().err
     assert not out.exists()
 
 

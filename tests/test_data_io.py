@@ -106,11 +106,30 @@ class TestLoadMnist:
         assert len(both) == 24
         assert np.array_equal(both.labels[:12], both.labels[12:])
 
+    @pytest.mark.parametrize("other", [
+        Dataset(features=np.zeros((2, 16)), labels=np.array([0, 1]), D=11),  # classes
+        Dataset(features=np.zeros((2, 3)), labels=np.array([0, 1]), D=10),  # input dim
+    ], ids=["D", "input_dim"])
+    def test_concat_rejects_incompatible(self, tiny_idx, other):
+        (ipath, lpath), _, _ = tiny_idx
+        ds = load_mnist(ipath, lpath)
+        assert (ds.D, ds.features.shape[1]) == (10, 16)
+        with pytest.raises(ValueError, match="not compatible"):
+            concat(ds, other)
+
 
 class TestDatasetInvariants:
     def test_rejects_label_out_of_range(self):
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((3, 2)), labels=np.array([0, 1, 5]), D=3)
+
+    @pytest.mark.parametrize("features,labels", [
+        (np.zeros(3), np.array([0, 1, 0])),  # 1-D features
+        (np.zeros((3, 2)), np.zeros((3, 1), dtype=np.int64)),  # 2-D labels
+    ], ids=["features-1-D", "labels-2-D"])
+    def test_rejects_wrong_rank(self, features, labels):
+        with pytest.raises(ValueError, match=r"features must be \(N, input_dim\)"):
+            Dataset(features=features, labels=labels, D=2)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

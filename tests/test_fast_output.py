@@ -249,6 +249,18 @@ class TestSgdStep:
         with pytest.raises(ValueError):
             layer.forward_stats(H, np.array([0]))  # one class for two rows
 
+    @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+    @pytest.mark.parametrize("field", ["a", "bq", "g"])
+    def test_partials_must_match_rows(self, factored, field):
+        layer = (FactoredOutputLayer if factored else DenseOutputLayer).zeros(10, 4)
+        H, c = np.ones((2, 4)), np.array([0, 1])
+        partials = {"a": np.zeros(2), "bq": np.zeros(2), "g": np.zeros(2), field: np.zeros(3)}
+        p = StepPartials(c=c, h=H, **partials)
+        layer.forward_stats(H, c)
+        for call in (lambda: layer.backward_h(p), lambda: layer.sgd_step(p, 0.1)):
+            with pytest.raises(ValueError, match="must match h's rows"):
+                call()
+
 
 def states_equal(a, b):
     """Bitwise equality of two layers' states: snapshots, and the dense
@@ -337,6 +349,20 @@ class TestBatchProperties:
 
 
 class TestRowAndMaterialize:
+    @pytest.mark.parametrize("layer", [DenseOutputLayer, FactoredOutputLayer])
+    @pytest.mark.parametrize("W", [np.full((3, 2), np.nan), np.array([[0.0, np.inf]]),
+                                   np.zeros(3)], ids=["nan", "inf", "1-D"])
+    def test_rejects_bad_weights(self, layer, W):
+        with pytest.raises(ValueError, match="finite"):
+            layer(W)
+
+    @pytest.mark.parametrize("layer", [DenseOutputLayer, FactoredOutputLayer])
+    @pytest.mark.parametrize("bias", [np.zeros(4), np.array([0.0, np.nan, 0.0])],
+                             ids=["length", "nan"])
+    def test_rejects_bad_bias(self, layer, bias):
+        with pytest.raises(ValueError, match="bias must be 3 finite reals"):
+            layer.zeros(3, 2, bias)
+
     def test_zero_init_row(self):
         layer = FactoredOutputLayer.zeros(20, 3)
         assert np.array_equal(layer.materialize().W[5], np.zeros(3))

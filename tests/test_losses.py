@@ -19,7 +19,6 @@ from sphloss.losses import (
     quadratic_normalizer,
     softmax,
     spherical_softmax,
-    spherical_softmax_unchecked,
     summary_stats,
     taylor_softmax,
 )
@@ -173,7 +172,8 @@ class TestQuadraticNormalizer:
         rng = np.random.default_rng(5)
         o = rng.uniform(-3, 3, size=9)
         p = QuadraticNormalizerParams(1.0, 1.0, 0.5)
-        np.testing.assert_allclose(quadratic_normalizer(o, p), taylor_softmax(o),
+        num = 1.0 + o + o * o / 2.0
+        np.testing.assert_allclose(quadratic_normalizer(o, p), num / num.sum(),
                                    atol=1e-15)
 
     def test_specializes_to_spherical(self):
@@ -181,8 +181,9 @@ class TestQuadraticNormalizer:
         o = rng.uniform(-3, 3, size=9)
         eps = 0.01
         p = QuadraticNormalizerParams(eps, 0.0, 1.0)
-        np.testing.assert_allclose(quadratic_normalizer(o, p),
-                                   spherical_softmax(o, eps), atol=1e-15)
+        num = o * o + eps
+        np.testing.assert_allclose(quadratic_normalizer(o, p), num / num.sum(),
+                                   atol=1e-15)
 
     def test_hand_value(self):
         p = QuadraticNormalizerParams(1.0, 0.0, 1.0)
@@ -202,12 +203,16 @@ class TestQuadraticNormalizer:
                                    [9 / 25, 16 / 25])
 
 
+# the spherical softmax at eps = 0: semi-definite, so only unchecked
+SPHERICAL_EPS0 = QuadraticNormalizerParams(0.0, 0.0, 1.0, unchecked=True)
+
+
 class TestSphericalSoftmax:
     def test_uniform_at_zero(self):
         np.testing.assert_allclose(spherical_softmax(np.zeros(4), 0.5), 0.25)
 
     def test_hand_value_eps_zero(self):
-        np.testing.assert_allclose(spherical_softmax_unchecked([3.0, 4.0], 0.0),
+        np.testing.assert_allclose(quadratic_normalizer([3.0, 4.0], SPHERICAL_EPS0),
                                    [0.36, 0.64])
 
     def test_scale_invariance_eps_zero(self):
@@ -215,8 +220,8 @@ class TestSphericalSoftmax:
         for lam in (2.0, -3.5, 0.1):
             o = rng.uniform(-3, 3, size=6)
             np.testing.assert_allclose(
-                spherical_softmax_unchecked(lam * o, 0.0),
-                spherical_softmax_unchecked(o, 0.0),
+                quadratic_normalizer(lam * o, SPHERICAL_EPS0),
+                quadratic_normalizer(o, SPHERICAL_EPS0),
                 atol=1e-12,
             )
 
@@ -237,7 +242,7 @@ class TestSphericalSoftmax:
         with pytest.raises(ValueError):
             spherical_softmax([1.0, 2.0], 0.0)
         with pytest.raises(ValueError):
-            spherical_softmax_unchecked([0.0, 0.0], 0.0)
+            quadratic_normalizer([0.0, 0.0], SPHERICAL_EPS0)
 
 
 class TestLogSphericalSoftmaxLoss:
@@ -363,6 +368,17 @@ class TestBatchForms:
     def test_registry_is_the_spherical_family(self):
         spherical = {k for k, r in losses.LOSSES.items() if r.entry is not None}
         assert spherical == set(losses.LOSSES) - {"log_softmax", "log_softmax_abs"}
+
+    @pytest.mark.parametrize("kind", ["log_softmax", "log_taylor"])
+    @pytest.mark.parametrize("O,y", [
+        (np.zeros((2, 3)), np.array([0])),  # fewer labels than rows
+        (np.zeros(3), np.array([0])),  # one row as a vector
+        (np.zeros((2, 3)), np.zeros((2, 1), dtype=np.int64)),  # labels as a column
+    ], ids=["rows", "O-1-D", "y-2-D"])
+    def test_mismatched_rows_rejected(self, kind, O, y):
+        for form in (losses.batch_loss, losses.batch_loss_grad, losses.batch_negll):
+            with pytest.raises(ValueError, match=r"O must be \(n, D\) and y \(n,\)"):
+                form(kind, O, y)
 
     def test_unknown_kind_rejected(self):
         O, y = np.zeros((2, 3)), np.array([0, 1])

@@ -200,10 +200,14 @@ class TestForwardBackward:
         np.testing.assert_allclose(grads[0][:, :-1], dO.T @ X)
         np.testing.assert_allclose(grads[0][:, -1], dO.sum(axis=0))
 
-    @pytest.mark.parametrize("loss_kind", ALL_LOSSES)
-    def test_end_to_end_gradient(self, loss_kind):
+    # the two-hidden-layer spec also backpropagates through a hidden layer
+    @pytest.mark.parametrize("loss_kind,hidden", [
+        *(pytest.param(k, (4,), id=k) for k in ALL_LOSSES),
+        *(pytest.param(k, (5, 4), id=f"{k}-two-hidden") for k in ALL_LOSSES),
+    ])
+    def test_end_to_end_gradient(self, loss_kind, hidden):
         rng = np.random.default_rng(2)
-        spec = MLPSpec(2, (4,), 3)
+        spec = MLPSpec(2, hidden, 3)
         model = MLP(spec, rng)
         # random output weights: several losses are stationary at W=0
         model.out.W[:, :-1] = rng.normal(scale=0.7, size=(3, 4))
@@ -279,14 +283,18 @@ class TestTrainBatchDense:
             nesterov_step(p, v, g, lr, cfg.momentum)
         return float(losses_b.mean())
 
-    @pytest.mark.parametrize("D", [3, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2])
-    @pytest.mark.parametrize("kind", ["log_taylor", "log_softmax", "spherical_bound_optimized"])
-    def test_lockstep_with_whole_array_step(self, kind, D):
+    @pytest.mark.parametrize("kind,D,hidden", [
+        *(pytest.param(kind, D, (5,), id=f"{kind}-{D}")
+          for kind in ["log_taylor", "log_softmax", "spherical_bound_optimized"]
+          for D in [3, BLOCK_ROWS - 1, BLOCK_ROWS + 1, 5 * BLOCK_ROWS // 2]),
+        pytest.param("log_taylor", BLOCK_ROWS + 1, (5, 4), id="log_taylor-513-two-hidden"),
+    ])
+    def test_lockstep_with_whole_array_step(self, kind, D, hidden):
         cfg = TrainConfig(loss_kind=kind, momentum=0.9)
         models = []
         for _ in range(2):
             rng = np.random.default_rng(D)
-            model = MLP(MLPSpec(6, (5,), D), rng)
+            model = MLP(MLPSpec(6, hidden, D), rng)
             model.out.W[...] = rng.normal(scale=0.3, size=model.out.W.shape)
             models.append(model)
         ref_vels = [np.zeros_like(p) for p in [*models[0].params(), models[0].out.W]]
@@ -558,6 +566,20 @@ class TestTrain:
     def test_rejects_factored_with_nonspherical(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_kind="log_softmax", output_layer="factored")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("momentum", -0.1, "momentum"),
+        ("momentum", 1.0, "momentum"),
+        ("batch_size", 0, "batch_size"),
+        ("patience", 0, "patience"),
+        ("max_epochs", 0, "max_epochs"),
+        ("lr_decay_factor", 0.0, "lr_decay_factor"),
+        ("lr_decay_factor", 1.0, "lr_decay_factor"),
+        ("output_layer", "sparse", "unknown output layer"),
+    ])
+    def test_rejects_bad_setting(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(loss_kind="log_taylor", **{field: value})
 
     @pytest.mark.parametrize("loss_kind", ["log_taylor", "spherical_bound_fixed"])
     def test_factored_layer_trains(self, toy_binary, loss_kind):

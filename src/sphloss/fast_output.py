@@ -33,16 +33,25 @@ dimension m (2m for the Gram matrix at small m).
 
 When the mixer's condition estimate crosses ``cond_threshold``, a few of
 its singular directions have collapsed (the rectified inputs share a mean
-direction).  A fold moves just those k directions into ``core``, an
-O(D*d*k) pass that leaves W, Q and v unchanged and measures in the same
-pass how far Q and v have drifted from W.  A full rebase, (core + 1u')A as
-the new core with the caches recomputed in O(D*d^2), runs only when the
-fold does not apply or the Gram drift is above ``DRIFT_TOL``.
+direction).  A fold moves just those k directions out of the mixer, in
+O(d^3): it updates the mixer, its inverse and the offset, and records its
+factor M = I + U_k R, by which every row of ``core`` is to be multiplied,
+instead of rewriting the D rows.  Each row carries the number of recorded
+factors it has taken; a step brings the rows it reads up to date first,
+through a cached product of the factors, in two small products.  A flush
+applies the pending factors to the rest of ``core`` in one O(D*d*r) pass,
+r being their summed rank, which also measures how far Q and v have drifted
+from W.  It runs when r passes ``FOLD_MAX_RANK * d`` and before ``logits``
+and ``snapshot``.  W, Q and v are unchanged by a fold or a flush in exact
+arithmetic.  A full rebase, (core + 1u')A as the new core with the caches
+recomputed in O(D*d^2), runs only when the fold does not apply or the
+flush finds the Gram drift above ``DRIFT_TOL``.
 
 Evaluation reads the same representation: ``logits`` gives H W' as
 (H A') core' + (H A' u) 1', and ``snapshot``/``restore`` copy and reinstate
 the arrays that define the layer, so training keeps its best state without
-forming W.  ``materialize`` builds W for tests and export only.
+forming W.  ``materialize`` builds W for tests and export only, composing
+the pending factors into its product without writing ``core``.
 
 ``DenseOutputLayer`` is the naive O(D*d) layer: both the reference the
 factored layer is tested against in lockstep and the dense trainer's
@@ -67,16 +76,17 @@ BLOCK_ROWS = 512
 # each threshold crossing of a D = 5000, d = 128 stream of rectified inputs
 # one singular value was near 9e-8 and the rest above 0.4
 FOLD_CUT = 1e-2
-# more than FOLD_MAX_RANK * d collapsed directions take a full rebase, which
-# caps the fold's 2*D*d*k multiply-adds at a quarter of the rebase's D*d^2;
-# with d < 8 every crossing rebases.  The fold is bound by OpenBLAS's narrow
+# more than FOLD_MAX_RANK * d collapsed directions take a full rebase, and a
+# pending rank above it takes a flush, so one flush applies at most twice
+# that: its 2*D*d*r multiply-adds are at most half of the rebase's D*d^2;
+# with d < 8 every crossing rebases.  The pass is bound by OpenBLAS's narrow
 # products, not by memory: at D = 1e5, d = 128 (2 vCPUs, one BLAS thread) a
-# whole fold took 45-54 ms against the rebase's 137-182 ms; its (512, 128) @
-# (128, 5) products took 20.6 ms in total and its rank-1 updates 11.6 ms,
-# where a plain read-and-write pass over core took 11.4 ms
+# one-direction pass took 45-54 ms against the rebase's 137-182 ms; its
+# (512, 128) @ (128, 5) products took 20.6 ms in total and its rank-1
+# updates 11.6 ms, where a plain read-and-write pass over core took 11.4 ms
 FOLD_MAX_RANK = 1 / 8
-# drift after a fold above this takes a full rebase (Gram) or the exact
-# column sums: 10x under the benchmark's 1e-9 exactness gate.  The Gram
+# drift that a flush measures above this takes a full rebase (Gram) or the
+# exact column sums: 10x under the benchmark's 1e-9 exactness gate.  The Gram
 # estimate was 0.6-1.9x the drift that the rebase after it measured, on
 # D = 5000 and D = 1e5 streams of rectified inputs
 DRIFT_TOL = 1e-10
@@ -258,18 +268,20 @@ class FactoredOutputLayer:
 
     ``op_count`` counts the arithmetic done by ``forward_stats``,
     ``backward_h`` and ``sgd_step`` (array element operations); it
-    deliberately excludes folds and rebases, which are amortized
+    deliberately excludes folds, flushes, rebases and bringing a step's
+    rows up to date with the pending folds, which are amortized
     maintenance.  The rows and H Q of a step are counted each time they
     are computed: once per step when ``forward_stats`` starts it; the
     step's m x m inverse counts as m^3.
-    ``fold_count`` and ``rebase_count`` count folds and full rebases,
-    ``q_clamps`` the rows whose cached q fell below zero and was clamped,
-    and ``last_drift`` is the (Gram, column-sum) relative drift of the
-    caches from the represented matrix as the last fold or rebase measured
-    it, a fold's Gram part through a probe (None before either).
+    ``fold_count``, ``flush_count`` and ``rebase_count`` count folds,
+    flushes and full rebases, ``q_clamps`` the rows whose cached q fell
+    below zero and was clamped, and ``last_drift`` is the (Gram,
+    column-sum) relative drift of the caches from the represented matrix
+    as the last flush or rebase measured it, a flush's Gram part through a
+    probe (None before either).
     """
 
-    def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e8,
+    def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e5,
                  copy: bool = True, _caches=None):
         # _caches: the (W0'W0, W0'1) of a W0 whose caches its builder knows
         # in closed form (``zeros``), which skips their O(D*d^2) product
@@ -282,6 +294,7 @@ class FactoredOutputLayer:
         self.op_count = 0
         self.rebase_count = 0
         self.fold_count = 0
+        self.flush_count = 0
         self.q_clamps = 0
         self.last_drift = None
 
@@ -299,9 +312,26 @@ class FactoredOutputLayer:
         return cls(W, copy=False, _caches=(gram, colsum))
 
     def _step_terms(self, H: np.ndarray, c: np.ndarray):
-        """The rows R = (core[c] + u)A and H Q of a step, (m, d) each."""
+        """The rows R = (core[c] + u)A and H Q of a step, (m, d) each, the
+        rows of core brought up to date with the pending folds first."""
         self.op_count += len(c) * (2 * self.d * self.d + self.d)
-        return (self.core[c] + self.offset) @ self.mixer, H @ self.gram
+        X = self.core[c]
+        if self._pending and len(c):
+            tags = self._tag[c]
+            if tags.min() < self._pending:  # rows that are current take zeros
+                X = self._with_pending(X, tags)
+                self.core[c] = X
+                self._tag[c] = self._pending
+        return (X + self.offset) @ self.mixer, H @ self.gram
+
+    def _with_pending(self, X: np.ndarray, tags: np.ndarray) -> np.ndarray:
+        """Rows X of core, which have taken ``tags`` folds each, times the
+        factors they lack: X S_t, S_t = I + U_t C_t being the product of the
+        factors after the t-th.  U_t C_t is U C with the columns of U (and
+        rows of C) of the first t folds left out, so masking X U does it."""
+        XU = np.dot(X, self._fold_U)
+        XU *= self._fold_of > tags[:, None]
+        return X + np.dot(XU, self._fold_C)
 
     def _as_step(self, p: StepPartials):
         """(H, c, a, bq, g, one, R, HQ) of ``p``: R and HQ are the ones
@@ -432,19 +462,19 @@ class FactoredOutputLayer:
         return step_losses, dH
 
     def _fold(self):
-        """Move the mixer's collapsed singular directions into the core, or
+        """Move the mixer's collapsed singular directions out of it, or
         rebase when none or more than FOLD_MAX_RANK * d have collapsed.
 
         With A = U S V' and U_k, S_k the k directions whose singular value
-        is below FOLD_CUT * sigma_max, M = I + U_k (S_k - I) U_k' gives
-        W = (core M + 1 (M u)') (M^-1 A), so the fold sets core <- core M
-        in place, u <- M u and A <- M^-1 A = A + U_k (I - S_k) V_k', whose
-        inverse comes from the same SVD with S_k set to 1.  W, Q and v are
-        unchanged in exact arithmetic, so the caches are kept.  The same
-        pass over core gives the new representation's exact W'1 and, through
-        a fixed probe, an estimate of its Gram drift.  Gram drift above
-        DRIFT_TOL takes a full rebase; column sums that far off are replaced
-        by the exact ones.  O(D*d*k + d^3).
+        is below FOLD_CUT * sigma_max, M = I + U_k R with R = (S_k - I) U_k'
+        gives W = (core M + 1 (M u)') (M^-1 A), so the fold sets u <- M u
+        and A <- M^-1 A = A + U_k (I - S_k) V_k', whose inverse comes from
+        the same SVD with S_k set to 1, and records M as pending on every
+        row of core.  W, Q and v are unchanged in exact arithmetic, so the
+        caches are kept.  The pending factors are kept as one U C: U holds
+        each factor's U_k and C its R times the factors after it, so that
+        the product of all of them is I + U C.  A pending rank above
+        FOLD_MAX_RANK * d takes a flush.  O(d^3), or O(D*d*r) with the flush.
         """
         self._ctx = None
         U, sig, Vt = np.linalg.svd(self.mixer)
@@ -453,32 +483,55 @@ class FactoredOutputLayer:
         if not 0 < k <= FOLD_MAX_RANK * self.d:
             self.rebase()
             return
-        Uk, Sk, D = U[:, cut], sig[cut], self.D
+        Uk, Sk = U[:, cut], sig[cut]
         R = (Sk - 1.0)[:, None] * Uk.T  # core M = core + (core U_k) R
         self.offset = self.offset + (self.offset @ Uk) @ R
         self.mixer = self.mixer + (Uk * (1.0 - Sk)) @ Vt[cut]
         sig[cut] = 1.0
         self.mixer_inv = (Vt.T / sig) @ U.T
-        # Gram drift is estimated as ||Q X - W'W X|| / ||W'W X|| through a
-        # fixed probe X.  Each block of core is read once for its fold
-        # columns and probe columns, core [U_k | AX], where (core M) AX =
-        # core AX + (core U_k)(R AX), and once more, folded, for core'core AX
-        # and core'1 as core' [core M AX | 1]
+        C = self._fold_C
+        self._pending += 1
+        self._fold_U = np.hstack([self._fold_U, Uk])
+        self._fold_C = np.vstack([C + (C @ Uk) @ R, R])
+        self._fold_of = np.append(self._fold_of, np.full(k, self._pending))
+        self.fold_count += 1
+        if self._fold_of.size > FOLD_MAX_RANK * self.d:
+            self._flush()
+
+    def _flush(self):
+        """Apply the pending folds to the rows of core that lack them, in one
+        pass that also measures the caches' drift; a no-op with none pending.
+
+        Each block of core is read once for its fold and probe columns,
+        core [U | AX], with the columns of the folds a row has taken zeroed,
+        and once more, updated, for core'core AX and core'1 as
+        core' [core S AX | 1], where (core S) AX = core AX + (core U)(C AX).
+        The Gram drift is estimated as ||Q X - W'W X|| / ||W'W X|| through
+        the fixed probe X.  Gram drift above DRIFT_TOL takes a full rebase;
+        column sums that far off are replaced by the exact ones.  O(D*d*r).
+        """
+        if not self._pending:
+            return
+        self._ctx = None
+        U, C, of, tag, D = self._fold_U, self._fold_C, self._fold_of, self._tag, self.D
+        r = len(of)
         X = np.random.default_rng(0).standard_normal((self.d, 4))
         A, u = self.mixer, self.offset
         AX = A @ X
-        cols, RAX = np.hstack([Uk, AX]), R @ AX
+        cols, CAX = np.hstack([U, AX]), C @ AX
         buf = np.empty((BLOCK_ROWS, self.d))
-        probe = np.ones((BLOCK_ROWS, 5))  # a block's [core M AX | 1]
+        probe = np.ones((BLOCK_ROWS, 5))  # a block's [core S AX | 1]
         acc = np.zeros((self.d, 5))
         for lo in range(0, D, BLOCK_ROWS):
             blk = self.core[lo:lo + BLOCK_ROWS]
             n = len(blk)
             Y = np.dot(blk, cols)
-            CU = Y[:, :k]
-            np.add(Y[:, k:], np.dot(CU, RAX), out=probe[:n, :4])
-            blk += np.dot(CU, R, out=buf[:n])
+            CU = Y[:, :r]
+            CU *= of > tag[lo:lo + n, None]
+            np.add(Y[:, r:], np.dot(CU, CAX), out=probe[:n, :4])
+            blk += np.dot(CU, C, out=buf[:n])
             acc += np.dot(blk.T, probe[:n])
+        self._no_pending()
         CCAX, sum_core = acc[:, :4], acc[:, 4]  # core'core AX and core'1
         # W = (core + 1u')A, so W'1 = A'(core'1 + D u) and, with WX = core AX
         # + 1 u'AX, W'WX = A'(core'core AX + core'1 u'AX + u 1'WX)
@@ -486,7 +539,7 @@ class FactoredOutputLayer:
         WWX = A.T @ (CCAX + np.outer(sum_core, uAX) + np.outer(u, sum_core @ AX + D * uAX))
         colsum = A.T @ (sum_core + D * u)
         self.last_drift = (_rel_diff(self.gram @ X, WWX), _rel_diff(self.colsum, colsum))
-        self.fold_count += 1
+        self.flush_count += 1
         if self.last_drift[0] > DRIFT_TOL:
             self.rebase()
         elif self.last_drift[1] > DRIFT_TOL:
@@ -506,11 +559,20 @@ class FactoredOutputLayer:
         self.rebase_count += 1
 
     def _weights(self, out: np.ndarray) -> np.ndarray:
-        """W = (core + 1u')A written into ``out`` one block of rows at a
-        time, so no other D x d array is formed; ``out`` may be ``core``."""
+        """W = (core S + 1u')A written into ``out`` one block of rows at a
+        time, so no other D x d array is formed; ``out`` may be ``core``.
+        S = I + U C is the product of the pending folds, which rows that
+        have taken none lack, so they take core (S A) + 1 (u'A); the rows
+        that have taken some are computed on their own.  Writes no state."""
+        A, fixed = self.mixer, np.flatnonzero(self._tag)
+        SA = A + self._fold_U @ (self._fold_C @ A)
+        uA = self.offset @ A
+        W_fixed = (self._with_pending(self.core[fixed], self._tag[fixed]) + self.offset) @ A
         for lo in range(0, self.D, BLOCK_ROWS):
             rows = slice(lo, lo + BLOCK_ROWS)
-            np.matmul(self.core[rows] + self.offset, self.mixer, out=out[rows])
+            np.matmul(self.core[rows], SA, out=out[rows])
+            out[rows] += uA
+        out[fixed] = W_fixed
         return out
 
     def _reset(self, W: np.ndarray, caches=None):
@@ -523,24 +585,36 @@ class FactoredOutputLayer:
         self.mixer_inv = np.eye(self.d)
         self.offset = np.zeros(self.d)
         self.gram, self.colsum = (W.T @ W, W.sum(axis=0)) if caches is None else caches
+        self._no_pending()
+
+    def _no_pending(self):
+        """No fold pending: every row of core is up to date."""
+        self._pending = 0  # folds recorded since the last flush
+        self._tag = np.zeros(self.D, dtype=np.int32)  # the folds each row has taken
+        # the pending factors' product I + U C, and the fold of each column of U
+        self._fold_U, self._fold_C = np.empty((self.d, 0)), np.empty((0, self.d))
+        self._fold_of = np.empty(0, dtype=int)
 
     # the arrays that define the layer: the representation and its caches
     _STATE = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum")
 
     def logits(self, H: np.ndarray) -> np.ndarray:
         """O = H W' for the rows of H, (n, D), as (H A') core' + (H A' u) 1':
-        O(n*d^2 + n*d*D) with no D x d temporary.  Evaluation, so not
-        counted in ``op_count``."""
+        O(n*d^2 + n*d*D) with no D x d temporary, after a flush of the
+        pending folds.  Evaluation, so not counted in ``op_count``."""
         H = np.asarray(H, dtype=np.float64)
         if H.ndim != 2 or H.shape[1] != self.d:
             raise ValueError(f"H must have shape (n, {self.d}), got {H.shape}")
+        self._flush()
         G = H @ self.mixer.T
         O = G @ self.core.T
         O += (G @ self.offset)[:, None]
         return O
 
     def snapshot(self) -> dict:
-        """Copies of the arrays that define the layer; O(D*d), no product."""
+        """Copies of the arrays that define the layer, after a flush of the
+        pending folds; O(D*d), no product when none are pending."""
+        self._flush()
         return {name: getattr(self, name).copy() for name in self._STATE}
 
     def restore(self, snapshot: dict):
@@ -549,6 +623,7 @@ class FactoredOutputLayer:
         self._ctx = None
         for name in self._STATE:
             setattr(self, name, snapshot[name])
+        self._no_pending()
 
     def materialize(self) -> DenseOutputLayer:
         """Dense copy of the represented matrix; for tests and export only."""

@@ -14,6 +14,7 @@ import dataclasses
 import math
 import statistics
 import sys
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -78,11 +79,7 @@ def cmd_gradcheck(args) -> int:
                 if err > worst[2]:
                     worst = (name, D, err)
                 ok = ok and err < GRADCHECK_TOL
-    out = _open_out(args.output)
-    w = csv.writer(out)
-    w.writerow(["loss", "D", "trial", "max_rel_err"])
-    w.writerows(rows)
-    _close_out(out)
+    _write_csv(args.output, ["loss", "D", "trial", "max_rel_err"], rows)
     if not ok:
         print(f"FAIL: worst offender loss={worst[0]} D={worst[1]} "
               f"max_rel_err={worst[2]:.3e} (tolerance {GRADCHECK_TOL:g})", file=sys.stderr)
@@ -104,11 +101,7 @@ def cmd_bound_eval(args) -> int:
         value = float(losses.batch_loss(kind, O, y, xi=args.xi)[0])
         true_loss = float(losses.batch_negll(kind, O, y)[0])
         rows.append((true_loss, value, value - true_loss))
-    out = _open_out(args.output)
-    w = csv.writer(out)
-    w.writerow(["true_loss", "bound", "gap"])
-    w.writerows(rows)
-    _close_out(out)
+    _write_csv(args.output, ["true_loss", "bound", "gap"], rows)
     gaps = [gap for _, _, gap in rows]
     mean_gap = statistics.fmean(gaps)
     print(f"samples={args.samples} xi_mode={args.xi_mode} mean_gap={mean_gap:.6f} "
@@ -235,12 +228,10 @@ def _load_splits(cfg):
             raise config.ConfigError(f"synthetic dataset: {e}") from None
         n = len(pool)
         official = (int(0.7 * n), int(0.15 * n), n - int(0.7 * n) - int(0.15 * n))
-    elif cfg["dataset"] == "mnist":
+    else:  # mnist
         pool = data.load_mnist(cfg["mnist_train_images"], cfg["mnist_train_labels"])
         test = data.load_mnist(cfg["mnist_test_images"], cfg["mnist_test_labels"])
         official = (len(pool) - cfg["valid_n"], cfg["valid_n"], 0)
-    else:
-        raise config.ConfigError(f"unknown dataset {cfg['dataset']!r}")
     if cfg["split"] == "official":
         sizes = official
     else:
@@ -260,15 +251,14 @@ def _load_splits(cfg):
     return splits, parts[0].D, parts[0].features.shape[1]
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout
-    return open(path, "w", newline="")
-
-
-def _close_out(f):
-    if f is not sys.stdout:
-        f.close()
+def _write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV to ``path``, or to stdout when
+    ``path`` is None or "-"."""
+    out = open(path, "w", newline="") if path not in (None, "-") else nullcontext(sys.stdout)
+    with out as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _int_at_least(minimum: int):

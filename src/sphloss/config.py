@@ -49,7 +49,7 @@ KNOWN_KEYS = {
     # model
     "hidden_dims": (_int_list, (500, 500)),
     # dataset
-    "dataset": (str, "synthetic"),  # "synthetic" | "mnist"
+    "dataset": (_choice("synthetic", "mnist"), "synthetic"),
     "mnist_train_images": (str, ""),
     "mnist_train_labels": (str, ""),
     "mnist_test_images": (str, ""),

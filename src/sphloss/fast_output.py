@@ -38,14 +38,14 @@ O(d^3): it updates the mixer, its inverse and the offset, and records its
 factor M = I + U_k R, by which every row of ``core`` is to be multiplied,
 instead of rewriting the D rows.  Each row carries the number of recorded
 factors it has taken; a step brings the rows it reads up to date first,
-through a cached product of the factors, in two small products.  A flush
-applies the pending factors to the rest of ``core`` in one O(D*d*r) pass,
-r being their summed rank, which also measures how far Q and v have drifted
-from W.  It runs when r passes ``FOLD_MAX_RANK * d`` and before ``logits``
-and ``snapshot``.  W, Q and v are unchanged by a fold or a flush in exact
-arithmetic.  A full rebase, (core + 1u')A as the new core with the caches
-recomputed in O(D*d^2), runs only when the fold does not apply or the
-flush finds the Gram drift above ``DRIFT_TOL``.
+through a cached product of the factors, in two small products.  W, Q and
+v are unchanged by a fold in exact arithmetic.  A rebase, (core S + 1u')A
+as the new core, S being the product of the pending factors, with the
+caches recomputed in O(D*d^2), is the one pass that applies them to the
+rest of ``core``, and it records how far Q and v had drifted from W.  It
+runs when the fold does not apply, when the factors' summed rank passes
+``FOLD_MAX_RANK * d``, and before ``logits`` and ``snapshot`` with folds
+pending.
 
 Evaluation reads the same representation: ``logits`` gives H W' as
 (H A') core' + (H A' u) 1', and ``snapshot``/``restore`` copy and reinstate
@@ -76,20 +76,12 @@ BLOCK_ROWS = 512
 # each threshold crossing of a D = 5000, d = 128 stream of rectified inputs
 # one singular value was near 9e-8 and the rest above 0.4
 FOLD_CUT = 1e-2
-# more than FOLD_MAX_RANK * d collapsed directions take a full rebase, and a
-# pending rank above it takes a flush, so one flush applies at most twice
-# that: its 2*D*d*r multiply-adds are at most half of the rebase's D*d^2;
-# with d < 8 every crossing rebases.  The pass is bound by OpenBLAS's narrow
-# products, not by memory: at D = 1e5, d = 128 (2 vCPUs, one BLAS thread) a
-# one-direction pass took 45-54 ms against the rebase's 137-182 ms; its
-# (512, 128) @ (128, 5) products took 20.6 ms in total and its rank-1
-# updates 11.6 ms, where a plain read-and-write pass over core took 11.4 ms
+# more than FOLD_MAX_RANK * d collapsed directions take a full rebase, as
+# does a pending rank above it: the cap bounds the rank of the pending
+# product I + U C between rebases, at twice the cap, and with it the cost
+# of a stale row's update and of each fold's refresh of C; with d < 8 every
+# crossing rebases
 FOLD_MAX_RANK = 1 / 8
-# drift that a flush measures above this takes a full rebase (Gram) or the
-# exact column sums: 10x under the benchmark's 1e-9 exactness gate.  The Gram
-# estimate was 0.6-1.9x the drift that the rebase after it measured, on
-# D = 5000 and D = 1e5 streams of rectified inputs
-DRIFT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -268,17 +260,16 @@ class FactoredOutputLayer:
 
     ``op_count`` counts the arithmetic done by ``forward_stats``,
     ``backward_h`` and ``sgd_step`` (array element operations); it
-    deliberately excludes folds, flushes, rebases and bringing a step's
+    deliberately excludes folds, rebases and bringing a step's
     rows up to date with the pending folds, which are amortized
     maintenance.  The rows and H Q of a step are counted each time they
     are computed: once per step when ``forward_stats`` starts it; the
     step's m x m inverse counts as m^3.
-    ``fold_count``, ``flush_count`` and ``rebase_count`` count folds,
-    flushes and full rebases, ``q_clamps`` the rows whose cached q fell
-    below zero and was clamped, and ``last_drift`` is the (Gram,
-    column-sum) relative drift of the caches from the represented matrix
-    as the last flush or rebase measured it, a flush's Gram part through a
-    probe (None before either).
+    ``fold_count`` and ``rebase_count`` count folds and rebases,
+    ``q_clamps`` the rows whose cached q fell below zero and was clamped,
+    and ``last_drift`` is the (Gram, column-sum) relative drift of the
+    caches from the represented matrix as the last rebase measured it
+    (None before one).
     """
 
     def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e5,
@@ -294,7 +285,6 @@ class FactoredOutputLayer:
         self.op_count = 0
         self.rebase_count = 0
         self.fold_count = 0
-        self.flush_count = 0
         self.q_clamps = 0
         self.last_drift = None
 
@@ -474,7 +464,8 @@ class FactoredOutputLayer:
         caches are kept.  The pending factors are kept as one U C: U holds
         each factor's U_k and C its R times the factors after it, so that
         the product of all of them is I + U C.  A pending rank above
-        FOLD_MAX_RANK * d takes a flush.  O(d^3), or O(D*d*r) with the flush.
+        FOLD_MAX_RANK * d takes a rebase.  O(d^3), or O(D*d^2) with the
+        rebase.
         """
         self._ctx = None
         U, sig, Vt = np.linalg.svd(self.mixer)
@@ -496,58 +487,12 @@ class FactoredOutputLayer:
         self._fold_of = np.append(self._fold_of, np.full(k, self._pending))
         self.fold_count += 1
         if self._fold_of.size > FOLD_MAX_RANK * self.d:
-            self._flush()
-
-    def _flush(self):
-        """Apply the pending folds to the rows of core that lack them, in one
-        pass that also measures the caches' drift; a no-op with none pending.
-
-        Each block of core is read once for its fold and probe columns,
-        core [U | AX], with the columns of the folds a row has taken zeroed,
-        and once more, updated, for core'core AX and core'1 as
-        core' [core S AX | 1], where (core S) AX = core AX + (core U)(C AX).
-        The Gram drift is estimated as ||Q X - W'W X|| / ||W'W X|| through
-        the fixed probe X.  Gram drift above DRIFT_TOL takes a full rebase;
-        column sums that far off are replaced by the exact ones.  O(D*d*r).
-        """
-        if not self._pending:
-            return
-        self._ctx = None
-        U, C, of, tag, D = self._fold_U, self._fold_C, self._fold_of, self._tag, self.D
-        r = len(of)
-        X = np.random.default_rng(0).standard_normal((self.d, 4))
-        A, u = self.mixer, self.offset
-        AX = A @ X
-        cols, CAX = np.hstack([U, AX]), C @ AX
-        buf = np.empty((BLOCK_ROWS, self.d))
-        probe = np.ones((BLOCK_ROWS, 5))  # a block's [core S AX | 1]
-        acc = np.zeros((self.d, 5))
-        for lo in range(0, D, BLOCK_ROWS):
-            blk = self.core[lo:lo + BLOCK_ROWS]
-            n = len(blk)
-            Y = np.dot(blk, cols)
-            CU = Y[:, :r]
-            CU *= of > tag[lo:lo + n, None]
-            np.add(Y[:, r:], np.dot(CU, CAX), out=probe[:n, :4])
-            blk += np.dot(CU, C, out=buf[:n])
-            acc += np.dot(blk.T, probe[:n])
-        self._no_pending()
-        CCAX, sum_core = acc[:, :4], acc[:, 4]  # core'core AX and core'1
-        # W = (core + 1u')A, so W'1 = A'(core'1 + D u) and, with WX = core AX
-        # + 1 u'AX, W'WX = A'(core'core AX + core'1 u'AX + u 1'WX)
-        uAX = u @ AX
-        WWX = A.T @ (CCAX + np.outer(sum_core, uAX) + np.outer(u, sum_core @ AX + D * uAX))
-        colsum = A.T @ (sum_core + D * u)
-        self.last_drift = (_rel_diff(self.gram @ X, WWX), _rel_diff(self.colsum, colsum))
-        self.flush_count += 1
-        if self.last_drift[0] > DRIFT_TOL:
             self.rebase()
-        elif self.last_drift[1] > DRIFT_TOL:
-            self.colsum = colsum  # the column sums a rebase would give
 
     def rebase(self):
-        """Make (core + 1u')A the core, in place, with an identity mixer and
-        a zero offset.
+        """Make (core S + 1u')A the core, in place, S being the product of
+        the pending folds, with an identity mixer, a zero offset and no fold
+        pending.
 
         The represented matrix is unchanged; the caches are recomputed at
         full precision, and ``last_drift`` records how far the ones they
@@ -589,7 +534,7 @@ class FactoredOutputLayer:
 
     def _no_pending(self):
         """No fold pending: every row of core is up to date."""
-        self._pending = 0  # folds recorded since the last flush
+        self._pending = 0  # folds recorded since the last rebase
         self._tag = np.zeros(self.D, dtype=np.int32)  # the folds each row has taken
         # the pending factors' product I + U C, and the fold of each column of U
         self._fold_U, self._fold_C = np.empty((self.d, 0)), np.empty((0, self.d))
@@ -600,21 +545,23 @@ class FactoredOutputLayer:
 
     def logits(self, H: np.ndarray) -> np.ndarray:
         """O = H W' for the rows of H, (n, D), as (H A') core' + (H A' u) 1':
-        O(n*d^2 + n*d*D) with no D x d temporary, after a flush of the
-        pending folds.  Evaluation, so not counted in ``op_count``."""
+        O(n*d^2 + n*d*D) with no D x d temporary, after a rebase when folds
+        are pending.  Evaluation, so not counted in ``op_count``."""
         H = np.asarray(H, dtype=np.float64)
         if H.ndim != 2 or H.shape[1] != self.d:
             raise ValueError(f"H must have shape (n, {self.d}), got {H.shape}")
-        self._flush()
+        if self._pending:
+            self.rebase()
         G = H @ self.mixer.T
         O = G @ self.core.T
         O += (G @ self.offset)[:, None]
         return O
 
     def snapshot(self) -> dict:
-        """Copies of the arrays that define the layer, after a flush of the
-        pending folds; O(D*d), no product when none are pending."""
-        self._flush()
+        """Copies of the arrays that define the layer, after a rebase when
+        folds are pending; O(D*d), or O(D*d^2) with the rebase."""
+        if self._pending:
+            self.rebase()
         return {name: getattr(self, name).copy() for name in self._STATE}
 
     def restore(self, snapshot: dict):

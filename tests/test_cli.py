@@ -129,6 +129,24 @@ class TestTrain:
         assert cfg["synth_D"] == 5
         assert cfg["hidden_dims"] == (8,)
 
+    def test_empty_hidden_dims_trains_a_linear_model(self, tmp_path, monkeypatch):
+        specs = []
+
+        def spy(spec, cfg, splits, **kwargs):
+            specs.append(spec.hidden_dims)
+            return train(spec, cfg, splits, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        first = tmp_path / "first"
+        rc = run(["train", "--out-dir", str(first), *FAST_TRAIN, "--set", "hidden_dims="])
+        assert rc == 0
+        written = (first / "effective_config.txt").read_text().splitlines()
+        assert "hidden_dims = " in written
+        rc = run(["train", "--config", str(first / "effective_config.txt"),
+                  "--out-dir", str(tmp_path / "second")])
+        assert rc == 0
+        assert specs == [(), ()]
+
     def test_config_file_plus_overrides(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from sphloss import data
 from sphloss.fast_output import (
     BLOCK_ROWS,
-    DRIFT_TOL,
     DenseOutputLayer,
     FactoredOutputLayer,
     StepPartials,
@@ -534,6 +533,15 @@ class TestRebase:
         assert rel_fro(layer.gram, W.T @ W) < 1e-15
 
 
+def assert_caches_exact(fac):
+    """No fold is pending and the caches are the represented matrix's own
+    W'W and W'1, as a rebase leaves them."""
+    assert not fac._pending
+    W = fac.materialize().W
+    assert rel_fro(fac.gram, W.T @ W) < 1e-15
+    assert rel_fro(fac.colsum, W.sum(axis=0)) < 1e-15
+
+
 def collapse(fac, rng, means, lr=0.1):
     """ReLU-like steps around the rows of ``means`` in turn until the mixer's
     condition estimate passes 1e8.  Each step has 2*lr*bq*h'h = 0.9, so it
@@ -567,17 +575,17 @@ class TestFold:
         W, gram, colsum = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
         fac.cond_threshold = 1e8
         fac._fold()
-        assert (fac.fold_count, fac.flush_count, fac.rebase_count) == (1, 0, 0)
+        assert (fac.fold_count, fac.rebase_count) == (1, 0)
         assert cond_estimate(fac) < fac.cond_threshold
         assert rel_fro(fac.materialize().W, W) < 1e-12
-        # the drift is measured at the flush that applies the fold
-        fac.snapshot()
-        assert (fac.fold_count, fac.flush_count, fac.rebase_count) == (1, 1, 0)
-        assert rel_fro(fac.materialize().W, W) < 1e-12
-        assert rel_fro(fac.gram, gram) == 0.0
-        assert rel_fro(fac.colsum, colsum) < 1e-12
-        assert max(fac.last_drift) < DRIFT_TOL
+        assert np.array_equal(fac.gram, gram) and np.array_equal(fac.colsum, colsum)
         np.testing.assert_allclose(fac.mixer @ fac.mixer_inv, np.eye(self.d), atol=1e-10)
+        # the drift is measured at the rebase that applies the fold
+        fac.snapshot()
+        assert (fac.fold_count, fac.rebase_count) == (1, 1)
+        assert_caches_exact(fac)
+        assert rel_fro(fac.materialize().W, W) < 1e-12
+        assert max(fac.last_drift) < 1e-10
 
     def test_two_collapsed_directions_fold_together(self):
         # k = 2 = d/8 collapsed directions: the fold's multi-column update
@@ -606,35 +614,36 @@ class TestFold:
         assert np.array_equal(fac.mixer, np.eye(self.d))
         assert rel_fro(fac.materialize().W, W) < 1e-10
 
-    @pytest.mark.parametrize("cache, rebases", [("gram", 1), ("colsum", 0)])
-    def test_drift_above_tolerance_is_mended(self, cache, rebases):
-        # Gram drift takes the full rebase; column sums are replaced by the
-        # exact ones the fold's pass computed.  Either way the mended cache
-        # is the represented matrix's own W'W or W'1 (over seeds 30-189:
-        # Gram 0, column sums at most 3.9e-15), not the pre-fold cache,
-        # which differs from it by rounding noise
+    @pytest.mark.parametrize("cache", ["gram", "colsum"])
+    def test_drift_is_measured_and_mended(self, cache):
+        # a fold keeps the drifted cache; the rebase that applies it
+        # records the drift and replaces the cache with the represented
+        # matrix's own W'W or W'1, not the pre-fold cache, which differs
+        # from it by rounding noise
         fac, rng = self.layer(42)
         collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)))
         exact = getattr(fac, cache).copy()
         E = rng.normal(size=exact.shape)
         E = E + E.T if cache == "gram" else E
         setattr(fac, cache, exact + E * (1e-8 * np.linalg.norm(exact) / np.linalg.norm(E)))
+        drifted = getattr(fac, cache).copy()
         fac._fold()
-        assert (fac.fold_count, fac.flush_count, fac.rebase_count) == (1, 0, 0)
-        fac.snapshot()  # the flush that applies the fold audits the caches
-        assert (fac.fold_count, fac.flush_count, fac.rebase_count) == (1, 1, rebases)
-        W = fac.materialize().W
-        assert rel_fro(getattr(fac, cache), W.T @ W if cache == "gram" else W.sum(axis=0)) < 1e-13
+        assert (fac.fold_count, fac.rebase_count) == (1, 0)
+        assert np.array_equal(getattr(fac, cache), drifted)
+        fac.snapshot()
+        assert (fac.fold_count, fac.rebase_count) == (1, 1)
+        assert_caches_exact(fac)
         drift = fac.last_drift[0 if cache == "gram" else 1]
         assert drift == pytest.approx(1e-8, rel=0.01)
 
     def test_lockstep_across_folds(self):
         # rectified inputs share a mean direction, so the mixer collapses
-        # along one direction: folds, whose flush here finds the Gram drift
-        # above DRIFT_TOL and takes a rebase in the step that folded, against
-        # the dense layer with fixed-xi bound partials.  At the default
-        # threshold this stream takes no rebase (9 folds, 2 flushes); at 1e8
-        # the layer ends 7.8e-9 from the dense one, 1e6 keeps it near 5e-11
+        # along one direction: folds, against the dense layer with fixed-xi
+        # bound partials.  The fold that takes the pending rank above the
+        # cap, d/8 = 4, rebases in the step that folded, and two folds
+        # follow it (7 folds, 1 rebase).  At the default threshold this
+        # stream takes 9 folds and 1 rebase; at 1e8 the layer ends 7.8e-9
+        # from the dense one, 1e6 keeps it near 5e-11
         D, d, steps, lr = 5000, 32, 2000, 0.03
         ds = data.synthetic_categorical(D=D, input_dim=d, N=steps, zipf_exponent=1.0,
                                         seed=0, separation=2.0)
@@ -681,7 +690,7 @@ def stream_drift(D, d, steps, seed):
 
 class TestDeferredFolds:
     # a fold records its factor; a step brings the rows it reads up to date,
-    # and a flush (pending rank above the cap, logits, snapshot) the rest
+    # and a rebase (pending rank above the cap, logits, snapshot) the rest
     D, d, lr = 2000, 16, 0.05
 
     def pending_pair(self, seed):
@@ -697,7 +706,7 @@ class TestDeferredFolds:
         fac._fold()
         den = DenseOutputLayer(fac.materialize().W)
         self.step(fac, den, random_batch(rng, 20, self.d, 3))  # rows < 20 take tag 2
-        assert (fac.fold_count, fac.flush_count, fac.rebase_count, fac._pending) == (2, 0, 0, 2)
+        assert (fac.fold_count, fac.rebase_count, fac._pending) == (2, 0, 2)
         assert set(fac._tag[:40]) == {0, 1, 2}
         return fac, den, rng
 
@@ -720,15 +729,17 @@ class TestDeferredFolds:
                                          h=np.maximum(rng.normal(size=(9, self.d)), 0.0)))
         assert set(fac._tag[c]) == {2}
         self.assert_lockstep(fac, den)
-        fac._flush()
-        assert fac.flush_count == 1 and not fac._pending
+        fac.rebase()
+        assert fac.rebase_count == 1
+        assert_caches_exact(fac)
         self.assert_lockstep(fac, den)
 
     def test_across_logits(self):
         fac, den, rng = self.pending_pair(81)
         X = rng.normal(size=(7, self.d))
         assert rel_fro(fac.logits(X), X @ den.W.T) < 1e-8
-        assert (fac.flush_count, fac._pending) == (1, 0)
+        assert fac.rebase_count == 1
+        assert_caches_exact(fac)
         for _ in range(5):
             self.step(fac, den, random_batch(rng, self.D, self.d, 4))
         self.assert_lockstep(fac, den)
@@ -736,7 +747,8 @@ class TestDeferredFolds:
     def test_across_snapshot_and_restore(self):
         fac, den, rng = self.pending_pair(82)
         snaps = fac.snapshot(), den.snapshot()
-        assert (fac.flush_count, fac._pending) == (1, 0)
+        assert fac.rebase_count == 1
+        assert_caches_exact(fac)
         kept = fac.materialize().W
         for _ in range(5):
             self.step(fac, den, random_batch(rng, self.D, self.d, 4))
@@ -753,28 +765,26 @@ class TestDeferredFolds:
 
     @pytest.mark.parametrize("seed", [83, 84, 85])
     def test_fold_flush_and_materialize_keep_the_matrix(self, seed):
-        fac, den, rng = self.pending_pair(seed)
-        collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)))
-        before = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
-
-        def assert_kept():
-            W = fac.materialize().W
-            assert rel_fro(W, before[0]) < 1e-12
-            assert rel_fro(fac.gram, before[1]) < 1e-12
-            assert rel_fro(fac.colsum, before[2]) < 1e-12
-
-        fac._fold()  # the third fold takes the pending rank above d/8 = 2
-        assert (fac.fold_count, fac.flush_count, fac.rebase_count) == (3, 1, 0)
-        assert_kept()
-        fac.sgd_step(random_batch(rng, 40, self.d, 4), 0.0)  # lr 0: no change
-        collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)))
-        before = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
-        fac._fold()
-        assert fac._pending == 1
-        assert_kept()
-        fac._flush()
-        assert (fac.flush_count, fac._pending) == (2, 0)
-        assert_kept()
+        # the pending folds are flushed, applied to all of core, by a
+        # rebase: the cap's, when a third fold takes the pending rank above
+        # d/8 = 2, or an explicit one, each from a fresh pair
+        for cap in (True, False):
+            fac, _, rng = self.pending_pair(seed)
+            if cap:
+                collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)))
+            W, gram, colsum = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
+            if cap:
+                fac._fold()
+                assert fac.fold_count == 3
+            else:
+                fac.rebase()
+            assert fac.rebase_count == 1
+            assert rel_fro(fac.materialize().W, W) < 1e-12
+            # the caches it replaced differ from W'W and W'1 by their drift
+            assert_caches_exact(fac)
+            drift = rel_fro(fac.gram, gram), rel_fro(fac.colsum, colsum)
+            assert fac.last_drift == pytest.approx(drift, rel=1e-9)
+            assert max(drift) < 1e-10
 
     def test_empty_batch_with_folds_pending(self):
         fac, den, _ = self.pending_pair(87)
@@ -791,7 +801,7 @@ class TestDeferredFolds:
         kept = {name: getattr(fac, name).copy() for name in names}
         fac.materialize()
         assert all(np.array_equal(getattr(fac, name), kept[name]) for name in names)
-        assert (fac._pending, fac.flush_count) == (2, 0)
+        assert (fac._pending, fac.rebase_count) == (2, 0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_long_stream_stays_within_the_exactness_gate(self, seed):

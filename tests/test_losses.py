@@ -47,6 +47,14 @@ class TestSummaryStats:
         with pytest.raises(ValueError):
             summary_stats([1.0, np.inf], 0)
 
+    def test_rejects_a_2d_vector(self):
+        with pytest.raises(ValueError, match="1-D pre-activation vector"):
+            summary_stats([[1.0, 2.0]], 0)
+
+    def test_rejects_fewer_than_2_classes(self):
+        with pytest.raises(ValueError, match="at least 2 classes"):
+            summary_stats([1.0], 0)
+
     def test_rejects_bad_target(self):
         with pytest.raises(ValueError):
             summary_stats([1.0, 2.0], 2)

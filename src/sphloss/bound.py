@@ -9,6 +9,7 @@ a function of (s, q, o_c) only, i.e. a member of the spherical family.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -41,6 +42,14 @@ def lambda_xi(xi):
         raise ValueError("xi must be finite")
     lam = _lambda(x)
     return float(lam) if lam.ndim == 0 else lam
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_lambda(xi: float) -> float:
+    """lambda_xi(xi) for one fixed xi, remembered: a fixed-xi loss asks for
+    the same xi on every step.  Bitwise the elementwise form's value; a
+    non-finite xi raises, and is not cached."""
+    return lambda_xi(xi)
 
 
 def bouchard_lse_bound_general(o, alpha: float, xis) -> float:
@@ -186,8 +195,7 @@ def select_xis(s: np.ndarray, q: np.ndarray, D: int, *, xi: float, optimize: boo
     return xis, ~ok
 
 
-def _bound_partials(s, xis, D: int):
-    lams = lambda_xi(xis)
+def _bound_partials(s, lams, D: int):
     return 1.0 / D - 2.0 * s * lams / D, lams, np.full(s.shape[0], -1.0)
 
 
@@ -199,17 +207,19 @@ def spherical_bound_entry(s, q, o_c, D: int, p: LossParams, optimize: bool = Fal
     differentiation (envelope argument: the inner optimum makes
     d(bound)/d(xi) vanish)."""
     xis, _ = select_xis(s, q, D, xi=p.xi, optimize=optimize)
-    a, lams, g = _bound_partials(s, xis, D)
+    a, lams, g = _bound_partials(s, lambda_xi(xis), D)
     return bound_from_stats(s, q, o_c, D, xis), a, lams, g
 
 
 def batch_bound_partials(s, q, D: int, *, xi: float = 1.0, optimize: bool = False):
     """(dL/ds, dL/dq, dL/do_c) arrays for the bound loss over a batch,
-    without its value."""
+    without its value.  A fixed xi takes lambda(xi) once, not per row, and
+    gives bitwise the per-row form's partials."""
     s = np.asarray(s, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    xis, _ = select_xis(s, q, D, xi=xi, optimize=optimize)
-    return _bound_partials(s, xis, D)
+    if not optimize:
+        return _bound_partials(s, np.full(s.shape[0], _fixed_lambda(float(xi))), D)
+    xis, _ = select_xis(s, np.asarray(q, dtype=np.float64), D, xi=xi, optimize=True)
+    return _bound_partials(s, lambda_xi(xis), D)
 
 
 def batch_bound_loss_grad(O, y, *, xi: float = 1.0, optimize: bool = False):

@@ -8,8 +8,8 @@ minibatch whose hidden vectors are the rows of H (m x d),
     W <- W - lr * sum_i (a_i 1h_i' + 2*bq_i W h_i h_i' + g_i e_{c_i} h_i'),
 
 is a rank-structured update that is absorbed into an implicit
-representation in O(m*d^2 + m^2*d) arithmetic, independent of D.  A single
-example is the m = 1 case.
+representation in O(m*d^2 + m^2*d + m^3) arithmetic, which is O(m*d^2)
+while m <= d, independent of D.  A single example is the m = 1 case.
 
 Representation:  W = (core + 1 u') @ A
 with cached Gram matrix Q = W'W and column sums v = W'1 maintained by exact
@@ -23,13 +23,15 @@ Q = (b.b) e e' and v = (sum b) e for e the last coordinate: no product and
 no pass over core.
 
 A training step is three calls on the same (h, c): ``forward_stats``
-starts it and always computes afresh the rows R = (core[c] + u)A and H Q;
-``backward_h`` and ``sgd_step`` reuse them while the bytes of (h, c) are
-unchanged and no step, fold, rebase or restore came between, and compute
-them again otherwise.  ``sgd_step`` forms H H' once, for K and for the
-step's rows in the new pre-mixer coordinates, and updates Q, v, A and its
-inverse in place: every d x d correction is one BLAS product of inner
-dimension m (2m for the Gram matrix at small m).
+starts it, validates (h, c) and always computes afresh the rows
+R = (core[c] + u)A and H Q; ``backward_h`` and ``sgd_step`` reuse the
+validated labels, R and H Q while (h, c) keep their shapes, bytes and
+label values and no step, fold, rebase or restore came between, and
+validate only the partials; otherwise they validate and compute all
+again.  ``sgd_step`` forms H H' once, for K and for the step's rows in
+the new pre-mixer coordinates, and updates Q, v, A and its inverse in
+place: every d x d correction is one BLAS product of inner dimension m
+(2m for the Gram matrix at small m).
 
 When the mixer's condition estimate crosses ``cond_threshold``, a few of
 its singular directions have collapsed (the rectified inputs share a mean
@@ -63,7 +65,9 @@ factored one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,13 +101,24 @@ class StepPartials:
     h: np.ndarray
 
 
-@dataclass(frozen=True)
-class _StepContext:
-    """What forward_stats computed for one (H, c) at one layer state."""
+class _StepContext(NamedTuple):
+    """What a step validated and computed for one (h, c) at one layer
+    state, before it reads the partials."""
 
-    key: tuple  # the bytes of H and c, so that an in-place edit shows
-    R: np.ndarray  # rows c of the represented matrix
+    key: tuple | None  # _step_key of (h, c) as given
+    c: np.ndarray  # the validated labels, (m,) int64, the layer's own copy
+    X: np.ndarray  # rows c of core, up to date with the pending folds
+    R: np.ndarray  # (X + u)A, rows c of the represented matrix
     HQ: np.ndarray  # H @ gram
+
+
+def _step_key(h: np.ndarray, c: np.ndarray):
+    """(h, c) by shape and bytes, so that an in-place edit shows; an integer
+    c by its int64 value, so that an equal c of another integer type
+    matches.  None, which matches nothing, for a c of another kind."""
+    if c.dtype.kind not in "iu":
+        return None
+    return h.shape, c.shape, h.tobytes(), c.astype(np.int64, copy=False).tobytes()
 
 
 def _as_batch(h, c, D: int, d: int):
@@ -120,13 +135,35 @@ def _as_batch(h, c, D: int, d: int):
     return H, _as_labels(c, D).reshape(-1), one
 
 
-def _as_partials(p: StepPartials, D: int, d: int):
-    """(H, c, a, bq, g, one) of ``p``, each partial an (m,) array."""
-    H, c, one = _as_batch(p.h, p.c, D, d)
+def _as_partials(p: StepPartials, c: np.ndarray):
+    """(a, bq, g) of ``p`` as (m,) arrays, m being the rows of the validated
+    labels c."""
     a, bq, g = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (p.a, p.bq, p.g))
     if not a.shape == bq.shape == g.shape == c.shape:
         raise ValueError("a, bq and g must match h's rows")
-    return H, c, a, bq, g, one
+    return a, bq, g
+
+
+def _as_step_args(p: StepPartials, D: int, d: int):
+    """(H, c, a, bq, g, one) of ``p``, validated in full."""
+    H, c, one = _as_batch(p.h, p.c, D, d)
+    return H, c, *_as_partials(p, c), one
+
+
+@functools.lru_cache(maxsize=4)
+def _identity(m: int) -> np.ndarray:
+    """The m x m identity, read-only: a step's m repeats from step to step."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
+def _as_rows(H, d: int) -> np.ndarray:
+    """H as an (n, d) float64 matrix of rows, or ValueError."""
+    H = np.asarray(H, dtype=np.float64)
+    if H.ndim != 2 or H.shape[1] != d:
+        raise ValueError(f"H must have shape (n, {d}), got {H.shape}")
+    return H
 
 
 def _stats(s, q, o_c, one: bool) -> SphericalStats:
@@ -216,12 +253,12 @@ class DenseOutputLayer:
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
         """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h."""
-        H, c, a, bq, g, one = _as_partials(p, *self.W.shape)
+        H, c, a, bq, g, one = _as_step_args(p, *self.W.shape)
         out = _dense_grad(H @ self.W.T, c, a, bq, g) @ self.W
         return out[0] if one else out
 
     def sgd_step(self, p: StepPartials, lr: float):
-        _dense_sgd_step(self.W, *_as_partials(p, *self.W.shape)[:5], lr)
+        _dense_sgd_step(self.W, *_as_step_args(p, *self.W.shape)[:5], lr)
 
     def train_step(self, H: np.ndarray, y: np.ndarray, kind: str, params: losses.LossParams,
                    lr: float, mu: float, backward: bool = True):
@@ -242,7 +279,7 @@ class DenseOutputLayer:
 
     def logits(self, H: np.ndarray) -> np.ndarray:
         """O = H W' for the rows of H, (n, D)."""
-        return H @ self.W.T
+        return _as_rows(H, self.W.shape[1]) @ self.W.T
 
     def snapshot(self) -> np.ndarray:
         """A copy of W."""
@@ -255,8 +292,8 @@ class DenseOutputLayer:
 
 class FactoredOutputLayer:
     """Implicit D x d output weight matrix with exact spherical-loss
-    minibatch SGD updates in O(m*d^2) and loss statistics in O(d^2) per
-    example.
+    minibatch SGD updates in O(m*d^2 + m^2*d + m^3), O(m*d^2) while
+    m <= d, and loss statistics in O(d^2) per example.
 
     ``op_count`` counts the arithmetic done by ``forward_stats``,
     ``backward_h`` and ``sgd_step`` (array element operations); it
@@ -281,7 +318,11 @@ class FactoredOutputLayer:
         self.D, self.d = W0.shape
         self._reset(W0, _caches)
         self._buf = np.empty((self.d, self.d))  # the step's d x d product
+        # ||A|| ||A^-1|| is at least 1, so any threshold below 1 folds at
+        # every step; NaN, which would switch folds off, is refused
         self.cond_threshold = float(cond_threshold)
+        if not self.cond_threshold >= 0.0:
+            raise ValueError(f"cond_threshold must be >= 0, got {cond_threshold}")
         self.op_count = 0
         self.rebase_count = 0
         self.fold_count = 0
@@ -301,60 +342,69 @@ class FactoredOutputLayer:
             gram[-1, -1], colsum[-1] = np.dot(b, b), b.sum()
         return cls(W, copy=False, _caches=(gram, colsum))
 
-    def _step_terms(self, H: np.ndarray, c: np.ndarray):
-        """The rows R = (core[c] + u)A and H Q of a step, (m, d) each, the
-        rows of core brought up to date with the pending folds first."""
+    def _context(self, key, H: np.ndarray, c: np.ndarray) -> _StepContext:
+        """The context of a step on validated (H, c): the rows X of core,
+        brought up to date with the pending folds first, and the step's
+        rows R = (X + u)A and H Q, (m, d) each."""
         self.op_count += len(c) * (2 * self.d * self.d + self.d)
-        X = self.core[c]
+        X = self.core[c]  # a copy, updated in place
         if self._pending and len(c):
             tags = self._tag[c]
             if tags.min() < self._pending:  # rows that are current take zeros
-                X = self._with_pending(X, tags)
-                self.core[c] = X
+                self.core[c] = self._with_pending(X, tags)
                 self._tag[c] = self._pending
-        return (X + self.offset) @ self.mixer, H @ self.gram
+        return _StepContext(key, c, X, np.dot(X + self.offset, self.mixer), np.dot(H, self.gram))
 
     def _with_pending(self, X: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Rows X of core, which have taken ``tags`` folds each, times the
-        factors they lack: X S_t, S_t = I + U_t C_t being the product of the
-        factors after the t-th.  U_t C_t is U C with the columns of U (and
-        rows of C) of the first t folds left out, so masking X U does it."""
+        factors they lack, in place: X S_t, S_t = I + U_t C_t being the
+        product of the factors after the t-th.  U_t C_t is U C with the
+        columns of U (and rows of C) of the first t folds left out, so
+        masking X U by row t of the fold mask does it."""
         XU = np.dot(X, self._fold_U)
-        XU *= self._fold_of > tags[:, None]
-        return X + np.dot(XU, self._fold_C)
+        XU *= self._fold_mask[tags]
+        X += np.dot(XU, self._fold_C)
+        return X
 
     def _as_step(self, p: StepPartials):
-        """(H, c, a, bq, g, one, R, HQ) of ``p``: R and HQ are the ones
-        forward_stats computed when p has its (h, c) and no step, fold,
-        rebase or restore came between, else computed afresh."""
-        H, c, a, bq, g, one = _as_partials(p, self.D, self.d)
-        ctx = self._ctx
-        if ctx is not None and ctx.key == (H.tobytes(), c.tobytes()):
-            return H, c, a, bq, g, one, ctx.R, ctx.HQ
-        return H, c, a, bq, g, one, *self._step_terms(H, c)
+        """(H, context, a, bq, g, one) of ``p``.  When p has the (h, c)
+        that forward_stats validated, equal in shape, bytes and label
+        values, and no step, fold, rebase or restore came between, the
+        context forward_stats computed is reused and only the partials are
+        validated; otherwise all are validated and computed afresh."""
+        h, c = np.asarray(p.h, dtype=np.float64), np.asarray(p.c)
+        ctx, key = self._ctx, _step_key(h, c)
+        if ctx is not None and key is not None and key == ctx.key:
+            one = h.ndim == 1
+            H = h[None, :] if one else h
+        else:
+            H, c, one = _as_batch(h, c, self.D, self.d)
+            ctx = self._context(None, H, c)
+        return H, ctx, *_as_partials(p, ctx.c), one
 
     def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
         """(s, q, o_c) of o = Wh for each row of h, from the caches, never
-        forming o.  Always computed afresh; starts the step that
-        ``backward_h`` and ``sgd_step`` on the same (h, c) continue."""
+        forming o.  Always validated and computed afresh; starts the step
+        that ``backward_h`` and ``sgd_step`` on the same (h, c) continue."""
+        h, c = np.asarray(h, dtype=np.float64), np.asarray(c)
+        key = _step_key(h, c)
         H, c, one = _as_batch(h, c, self.D, self.d)
-        R, HQ = self._step_terms(H, c)
-        self._ctx = _StepContext((H.tobytes(), c.tobytes()), R, HQ)
-        s = H @ self.colsum
-        q = np.einsum("ij,ij->i", HQ, H)
-        o_c = np.einsum("ij,ij->i", R, H)
+        self._ctx = ctx = self._context(key, H, c)
+        s = np.dot(H, self.colsum)
+        q = np.einsum("ij,ij->i", ctx.HQ, H)
+        o_c = np.einsum("ij,ij->i", ctx.R, H)
         self.op_count += len(c) * 4 * self.d
-        self.q_clamps += int(np.count_nonzero(q < 0.0))
+        self.q_clamps += np.count_nonzero(q < 0.0)
         return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
         """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h, in O(d^2)
         per row, or O(d) when forward_stats started the step."""
-        H, c, a, bq, g, one, R, HQ = self._as_step(p)
+        H, ctx, a, bq, g, one = self._as_step(p)
         out = a[:, None] * self.colsum
-        out += (2.0 * bq)[:, None] * HQ
-        out += g[:, None] * R
-        self.op_count += len(c) * 5 * self.d
+        out += (2.0 * bq)[:, None] * ctx.HQ
+        out += g[:, None] * ctx.R
+        self.op_count += len(a) * 5 * self.d
         return out[0] if one else out
 
     def sgd_step(self, p: StepPartials, lr: float):
@@ -367,20 +417,22 @@ class FactoredOutputLayer:
         pre-mixer coordinates, H A^-1 + (H H') K^-1 (B H A^-1), so five
         products of the step have a d x d output and the rest are of size
         m^2 d.  The caches and the mixer and its inverse are updated in
-        place through one reused d x d buffer; every product goes through
-        ``np.dot``, which hands an inner dimension of 1 to BLAS where ``@``
-        does not.  Rows of ``core`` take one product that sums a repeated
-        class's terms.
+        place through one reused d x d buffer; every product whose inner
+        dimension is m goes through ``np.dot``, which hands an inner
+        dimension of 1 to BLAS where ``@`` does not.  Rows of ``core`` take
+        one product that sums a repeated class's terms.
         """
-        H, c, a, bq, g, _, R, HQ = self._as_step(p)
+        H, ctx, a, bq, g, _ = self._as_step(p)
+        c, R, HQ = ctx.c, ctx.R, ctx.HQ
         self._ctx = None
         (m, d), D = H.shape, self.D
         if not m:
             return
         beta = 2.0 * lr * bq
+        B = beta[:, None]
         HH = np.dot(H, H.T)
         # (I - H'BH)^-1 = I + H' K^-1 BH; det K = det(I - H'BH)
-        K = np.eye(m) - beta[:, None] * HH
+        K = _identity(m) - B * HH
         try:
             K_inv = np.linalg.inv(K)
         except np.linalg.LinAlgError:
@@ -402,39 +454,53 @@ class FactoredOutputLayer:
         # N = B H W'Z + (B HQH'B + Z'Z)/2 = B H U' + Z'Z/2, U = Z'W + BHQ/2
         Q, v, buf = self.gram, self.colsum, self._buf
         la, lg = lr * a, lr * g
-        same = c[:, None] == c
-        BHQ = beta[:, None] * HQ
-        ZW = la[:, None] * v + lg[:, None] * R  # Z'W
-        U = ZW + 0.5 * BHQ
+        Dla = D * la
+        same_lg = (c[:, None] == c) * lg  # E_c'E_c diag(lg), also for core's rows
+        hBHQ = B * HQ
+        hBHQ *= 0.5
+        U = la[:, None] * v
+        U += lg[:, None] * R  # Z'W
+        U += hBHQ
         N = np.dot(H, U.T)
-        N *= beta[:, None]
-        N += 0.5 * (la[:, None] * (D * la + lg) + lg[:, None] * np.where(same, la + lg, la))
-        Xt = U + 0.5 * BHQ - np.dot(N.T, H)  # X'
+        N *= B
+        ZZ = la + same_lg  # 2 Z'Z = la (D la + lg)' + lg (la + same lg)'
+        ZZ *= lg[:, None]
+        ZZ += la[:, None] * (Dla + lg)
+        ZZ *= 0.5
+        N += ZZ
+        Xt = U  # X' = U + BHQ/2 - N'H
+        Xt += hBHQ
+        Xt -= np.dot(N.T, H)
         # for small m as one product [X | H'][H ; X'], which doubles the
         # multiply-adds but skips the strided pass over (XH)' (17 against
-        # 29 us at m = 1, d = 129; 85 against 46 at m = 48)
+        # 29 us at m = 1, d = 129; 85 against 46 at m = 48); its inner
+        # dimension is at least 2, and ``np.matmul`` calls BLAS with less
+        # overhead than ``np.dot`` (8 against 9 us at m = 1, d = 128)
         if 16 * m <= d:
-            Q -= np.dot(np.vstack([Xt, H]).T, np.vstack([H, Xt]), out=buf)
+            XHX = np.concatenate([Xt, H, Xt])
+            Q -= np.matmul(XHX[:2 * m].T, XHX[m:], out=buf)
         else:
             Q -= np.dot(Xt.T, H, out=buf)
             Q -= buf.T
-        v -= np.dot(H.T, beta * np.dot(H, v) + D * la + lg)
+        v -= np.dot(H.T, beta * np.dot(H, v) + Dla + lg)
 
         # --- representation update --------------------------------------
         # A <- A - (A H')(B H) and A^-1 <- A^-1 + H' T, T = K^-1 B H A^-1
-        self.mixer -= np.dot(np.dot(self.mixer, H.T), beta[:, None] * H, out=buf)
+        self.mixer -= np.dot(np.dot(self.mixer, H.T), B * H, out=buf)
         Y = np.dot(H, self.mixer_inv)
-        T = np.dot(K_inv, beta[:, None] * Y)
+        T = np.dot(K_inv, B * Y)
         self.mixer_inv += np.dot(H.T, T, out=buf)
-        G = Y + np.dot(HH, T)  # H A^-1 with the new A^-1
-        self.offset -= la @ G
+        G = np.dot(HH, T)
+        G += Y  # H A^-1 with the new A^-1
+        self.offset -= np.dot(la, G)
         # each row of c takes its class's summed terms, so the rows of a
         # repeated class are written with the same value
-        self.core[c] -= np.dot(same * lg, G)
+        self.core[c] = ctx.X - np.dot(same_lg, G)
         self.op_count += m * (5 * d * d + 6 * m * d + m * m + 12 * d) + 6 * d * d
 
-        A, A_inv = self.mixer, self.mixer_inv
-        if np.sqrt(np.vdot(A, A) * np.vdot(A_inv, A_inv)) > self.cond_threshold:
+        # the condition estimate ||A|| ||A^-1|| against the threshold, squared
+        A, A_inv, t = self.mixer, self.mixer_inv, self.cond_threshold
+        if np.vdot(A, A) * np.vdot(A_inv, A_inv) > t * t:
             self._fold()
 
     def train_step(self, H: np.ndarray, y: np.ndarray, kind: str, params: losses.LossParams,
@@ -484,9 +550,12 @@ class FactoredOutputLayer:
         self._pending += 1
         self._fold_U = np.hstack([self._fold_U, Uk])
         self._fold_C = np.vstack([C + (C @ Uk) @ R, R])
-        self._fold_of = np.append(self._fold_of, np.full(k, self._pending))
+        # the new columns come after every earlier fold; no column after this one
+        mask = self._fold_mask
+        self._fold_mask = np.vstack([np.hstack([mask, np.ones((self._pending, k))]),
+                                     np.zeros(self._fold_U.shape[1])])
         self.fold_count += 1
-        if self._fold_of.size > FOLD_MAX_RANK * self.d:
+        if self._fold_U.shape[1] > FOLD_MAX_RANK * self.d:
             self.rebase()
 
     def rebase(self):
@@ -536,9 +605,10 @@ class FactoredOutputLayer:
         """No fold pending: every row of core is up to date."""
         self._pending = 0  # folds recorded since the last rebase
         self._tag = np.zeros(self.D, dtype=np.int32)  # the folds each row has taken
-        # the pending factors' product I + U C, and the fold of each column of U
+        # the pending factors' product I + U C; row t of the fold mask is 1 at
+        # the columns of U that folds after the t-th recorded, else 0
         self._fold_U, self._fold_C = np.empty((self.d, 0)), np.empty((0, self.d))
-        self._fold_of = np.empty(0, dtype=int)
+        self._fold_mask = np.empty((1, 0))
 
     # the arrays that define the layer: the representation and its caches
     _STATE = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum")
@@ -547,9 +617,7 @@ class FactoredOutputLayer:
         """O = H W' for the rows of H, (n, D), as (H A') core' + (H A' u) 1':
         O(n*d^2 + n*d*D) with no D x d temporary, after a rebase when folds
         are pending.  Evaluation, so not counted in ``op_count``."""
-        H = np.asarray(H, dtype=np.float64)
-        if H.ndim != 2 or H.shape[1] != self.d:
-            raise ValueError(f"H must have shape (n, {self.d}), got {H.shape}")
+        H = _as_rows(H, self.d)
         if self._pending:
             self.rebase()
         G = H @ self.mixer.T

@@ -16,6 +16,7 @@ from sphloss.bound import (
     optimize_xi,
 )
 from sphloss.losses import (
+    LossParams,
     SphericalStats,
     batch_loss,
     finite_diff_grad,
@@ -329,6 +330,26 @@ class TestBatchForms:
             assert xis[i] == optimize_xi(SphericalStats(s=s[i], q=q[i], o_c=0.0), 10)
         a, bq, g = bound.batch_bound_partials(s, q, 10, optimize=True)
         assert bq[1] == bq[2] == lambda_xi(1.0)
+
+    @pytest.mark.parametrize("xi", [0.0, 1e-5, 1.0, -2.5])
+    def test_fixed_xi_partials_are_the_per_row_form(self, xi):
+        # lambda(xi) is taken once; the registry entry takes it per row
+        rng = np.random.default_rng(12)
+        for n in (1, 7):
+            s, q = rng.normal(size=n), rng.uniform(0, 5, size=n)
+            got = bound.batch_bound_partials(s, q, 50, xi=xi)
+            _, *ref = bound.spherical_bound_entry(s, q, np.zeros(n), 50, LossParams(xi=xi))
+            assert all(x.tobytes() == r.tobytes() for x, r in zip(got, ref))
+
+    def test_fixed_xi_rejects_nonfinite_and_its_cache_is_bounded(self):
+        s, q = np.ones(3), np.ones(3)
+        for xi in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="xi must be finite"):
+                bound.batch_bound_partials(s, q, 10, xi=xi)
+        for xi in np.linspace(0.0, 3.0, 300):
+            bound.batch_bound_partials(s, q, 10, xi=xi)
+        info = bound._fixed_lambda.cache_info()
+        assert info.currsize <= info.maxsize < 300
 
     def test_batch_matches_per_example(self):
         rng = np.random.default_rng(11)

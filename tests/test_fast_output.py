@@ -434,6 +434,16 @@ class TestLogitsAndSnapshot:
         with pytest.raises(ValueError):
             fac.logits(X[:, :-1])
 
+    @pytest.mark.parametrize("layer", [DenseOutputLayer, FactoredOutputLayer])
+    @pytest.mark.parametrize("shape", [(6,), (4, 5), (4, 7), (2, 3, 6)],
+                             ids=["1-D", "narrow", "wide", "3-D"])
+    def test_logits_reject_rows_of_another_shape(self, layer, shape):
+        # a (d,) h used to give a (D,) vector from the dense layer
+        fac = layer.zeros(10, 6)
+        with pytest.raises(ValueError, match=r"H must have shape \(n, 6\)"):
+            fac.logits(np.ones(shape))
+        assert fac.logits(np.ones((3, 6))).shape == (3, 10)
+
     def test_snapshot_survives_steps_and_restores_exactly(self):
         rng = np.random.default_rng(31)
         D, d = 100, 5
@@ -560,6 +570,22 @@ def collapse(fac, rng, means, lr=0.1):
 
 class TestFold:
     D, d = 2000, 16
+
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0])
+    def test_rejects_a_nan_or_negative_threshold(self, threshold):
+        # a NaN threshold switched off every fold and rebase without a word
+        with pytest.raises(ValueError, match="cond_threshold must be >= 0"):
+            FactoredOutputLayer(np.zeros((5, 3)), cond_threshold=threshold)
+
+    def test_zero_and_infinite_thresholds_are_kept(self):
+        rng = np.random.default_rng(44)
+        never = FactoredOutputLayer(rng.normal(size=(50, 4)), cond_threshold=np.inf)
+        always = FactoredOutputLayer(rng.normal(size=(50, 4)), cond_threshold=0.0)
+        p = random_batch(rng, 50, 4, 2)
+        never.sgd_step(p, 0.1)
+        always.sgd_step(p, 0.1)
+        assert (never.fold_count, never.rebase_count) == (0, 0)
+        assert always.fold_count + always.rebase_count == 1
 
     def layer(self, seed):
         # cond_threshold inf: the layer never folds or rebases on its own
@@ -797,7 +823,7 @@ class TestDeferredFolds:
     def test_materialize_writes_no_state(self):
         fac, _, _ = self.pending_pair(86)
         names = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum",
-                 "_tag", "_fold_U", "_fold_C", "_fold_of")
+                 "_tag", "_fold_U", "_fold_C", "_fold_mask")
         kept = {name: getattr(fac, name).copy() for name in names}
         fac.materialize()
         assert all(np.array_equal(getattr(fac, name), kept[name]) for name in names)
@@ -901,6 +927,48 @@ class TestStepContext:
         fac.sgd_step(p, self.lr)
         den.sgd_step(p, self.lr)
         self.assert_gram_exact(fac, den)
+
+    def test_partials_of_another_length_raise_after_forward_stats(self):
+        # one example; TestSgdStep::test_partials_must_match_rows has batches
+        fac, _, p = self.pair(75)
+        h, c = p.h[0], int(p.c[0])
+        q = StepPartials(a=np.zeros(2), bq=0.0, g=0.0, c=c, h=h)
+        for call in (lambda: fac.backward_h(q), lambda: fac.sgd_step(q, self.lr)):
+            fac.forward_stats(h, c)
+            with pytest.raises(ValueError, match="must match h's rows"):
+                call()
+
+    @pytest.mark.parametrize("label", [400, -1, 2**64 - 1, 1.5], ids=["D", "-1", "wraps", "1.5"])
+    def test_bad_label_in_new_partials_raises(self, label):
+        # forward_stats validated other labels: the new ones are validated
+        fac, _, p = self.pair(76)
+        fac.forward_stats(p.h, p.c)
+        c = np.array([p.c[0], label, p.c[2]], dtype=np.uint64 if label == 2**64 - 1 else None)
+        bad = StepPartials(a=p.a, bq=p.bq, g=p.g, c=c, h=p.h)
+        for call in (lambda: fac.backward_h(bad), lambda: fac.sgd_step(bad, self.lr)):
+            with pytest.raises(ValueError, match="class"):
+                call()
+
+    @pytest.mark.parametrize("kind", ["int32", "python int"])
+    def test_equal_labels_of_another_type_reuse_the_context(self, kind):
+        # the reused step is bitwise the step computed afresh
+        reused, _, p = self.pair(77)
+        fresh, _, _ = self.pair(77)
+        if kind == "int32":
+            labels = p.c.astype(np.int32)
+        else:
+            p = StepPartials(a=p.a[0], bq=p.bq[0], g=p.g[0], c=np.int64(p.c[0]), h=p.h[0])
+            labels = int(p.c)
+        q = StepPartials(a=p.a, bq=p.bq, g=p.g, c=labels, h=p.h)
+        reused.forward_stats(p.h, p.c)
+        dh, ops = backward_ops(reused, q)
+        assert ops == np.size(p.c) * 5 * self.d
+        reused.sgd_step(q, self.lr)
+        dh_fresh, ops_fresh = backward_ops(fresh, p)
+        assert ops_fresh > ops
+        fresh.sgd_step(p, self.lr)
+        assert dh.tobytes() == dh_fresh.tobytes()
+        assert states_equal(reused, fresh)
 
 
 class TestComplexity:

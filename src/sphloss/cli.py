@@ -126,8 +126,7 @@ def _bound_train_probe(args, kind: str) -> int:
                               batch_size=200)
     (_, ytr), _, (Xte, yte) = splits
     model0 = trainer.init_model(spec, cfg, ytr, np.random.default_rng(cfg.seed))
-    negll0, err0, _, bound0 = trainer.evaluate(lambda X: model0.forward(X)[0],
-                                               Xte, yte, kind, xi=cfg.xi)
+    negll0, err0, _, bound0 = trainer.evaluate(model0.forward, Xte, yte, kind, xi=cfg.xi)
     m = trainer.train(spec, cfg, splits)
     print("bound-training probe (minimizing the upper bound on -log softmax):")
     print(f"  initial: negll={negll0:.4f} bound={bound0:.4f} error={err0:.4f}")
@@ -261,33 +260,29 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer >= ``minimum``, so that a bad count or size
-    is a usage error (exit 2) before any output is written."""
-    def parse(text: str) -> int:
+def _checked(convert, noun: str, want: str, ok):
+    """argparse type: ``convert(text)``, which must be ``ok``, so that a bad
+    count, size, eps or xi is a usage error (exit 2) before any output is
+    written."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text}")
         return value
     return parse
+
+
+def _int_at_least(minimum: int):
+    return _checked(int, "an integer", f"an integer >= {minimum}", lambda v: v >= minimum)
 
 
 def _finite_float(positive: bool = False):
-    """argparse type: a finite float, > 0 when ``positive``, so that a bad
-    eps or xi is a usage error (exit 2) before any output is written."""
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-        if not math.isfinite(value) or (positive and not value > 0):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number{' > 0' if positive else ''}, got {text}")
-        return value
-    return parse
+    """A finite float, > 0 when ``positive``."""
+    return _checked(float, "a number", f"a finite number{' > 0' if positive else ''}",
+                    lambda v: math.isfinite(v) and (v > 0 or not positive))
 
 
 def _int_list_at_least(minimum: int):

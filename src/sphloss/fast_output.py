@@ -66,7 +66,6 @@ factored one.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -88,8 +87,7 @@ FOLD_CUT = 1e-2
 FOLD_MAX_RANK = 1 / 8
 
 
-@dataclass(frozen=True)
-class StepPartials:
+class StepPartials(NamedTuple):
     """Spherical-loss partials a = dL/ds, bq = dL/dq, g = dL/do_c with the
     target classes c and hidden vectors h: (m,) arrays and an (m, d) h for
     a minibatch, or scalars and a (d,) h for one example."""
@@ -142,12 +140,6 @@ def _as_partials(p: StepPartials, c: np.ndarray):
     if not a.shape == bq.shape == g.shape == c.shape:
         raise ValueError("a, bq and g must match h's rows")
     return a, bq, g
-
-
-def _as_step_args(p: StepPartials, D: int, d: int):
-    """(H, c, a, bq, g, one) of ``p``, validated in full."""
-    H, c, one = _as_batch(p.h, p.c, D, d)
-    return H, c, *_as_partials(p, c), one
 
 
 @functools.lru_cache(maxsize=4)
@@ -253,12 +245,14 @@ class DenseOutputLayer:
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
         """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h."""
-        H, c, a, bq, g, one = _as_step_args(p, *self.W.shape)
+        H, c, one = _as_batch(p.h, p.c, *self.W.shape)
+        a, bq, g = _as_partials(p, c)
         out = _dense_grad(H @ self.W.T, c, a, bq, g) @ self.W
         return out[0] if one else out
 
     def sgd_step(self, p: StepPartials, lr: float):
-        _dense_sgd_step(self.W, *_as_step_args(p, *self.W.shape)[:5], lr)
+        H, c, _ = _as_batch(p.h, p.c, *self.W.shape)
+        _dense_sgd_step(self.W, H, c, *_as_partials(p, c), lr)
 
     def train_step(self, H: np.ndarray, y: np.ndarray, kind: str, params: losses.LossParams,
                    lr: float, mu: float, backward: bool = True):

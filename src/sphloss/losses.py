@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ DEFAULT_EPS = 1e-2
 Partials = Tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class SphericalStats:
+class SphericalStats(NamedTuple):
     """Sufficient statistics of a pre-activation vector for spherical losses."""
 
     s: float
@@ -60,9 +59,9 @@ class LossParams:
 class QuadraticNormalizerParams:
     """Coefficients of the per-coordinate polynomial a1 + a2*x + a3*x^2.
 
-    The polynomial must be strictly positive, i.e. a3 > 0 and
-    4*a1*a3 - a2^2 > 0.  Semi-definite parameter sets (such as the pure
-    spherical softmax a1=a2=0) are only reachable through
+    The coefficients must be finite and the polynomial strictly positive,
+    i.e. a3 > 0 and 4*a1*a3 - a2^2 > 0.  Semi-definite parameter sets (such
+    as the pure spherical softmax a1=a2=0) are only reachable through
     ``unchecked=True``.
     """
 
@@ -74,9 +73,10 @@ class QuadraticNormalizerParams:
     def __post_init__(self):
         if self.unchecked:
             return
-        if not (self.a3 > 0 and 4.0 * self.a1 * self.a3 - self.a2 ** 2 > 0):
+        if not (np.isfinite((self.a1, self.a2, self.a3)).all()
+                and self.a3 > 0 and 4.0 * self.a1 * self.a3 - self.a2 ** 2 > 0):
             raise ValueError(
-                "polynomial a1 + a2*x + a3*x^2 is not strictly positive: "
+                "polynomial a1 + a2*x + a3*x^2 is not finite and strictly positive: "
                 f"a1={self.a1}, a2={self.a2}, a3={self.a3}"
             )
 
@@ -135,11 +135,6 @@ def softmax(o) -> np.ndarray:
     z = o - o.max()
     e = np.exp(z)
     return e / e.sum()
-
-
-def logsumexp(o: np.ndarray) -> float:
-    m = o.max()
-    return float(m + np.log(np.exp(o - m).sum()))
 
 
 def quadratic_normalizer(o, p: QuadraticNormalizerParams) -> np.ndarray:

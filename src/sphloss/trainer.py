@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -85,8 +85,8 @@ class EpochRecord:
 class RunMetrics:
     """Per-epoch records and test metrics of one training run.
 
-    ``model`` is the predictor X -> logits of the trained model at its
-    best-validation state, for either output layer; ``evaluate`` takes it.
+    ``model`` is ``MLP.forward``, the predictor X -> logits of the trained
+    model at its best-validation state, for either output layer.
     """
 
     epochs: List[EpochRecord] = field(default_factory=list)
@@ -147,7 +147,6 @@ class MLP:
 
     def __init__(self, spec: MLPSpec, rng: np.random.Generator,
                  output_layer: str = "dense", bias: Optional[np.ndarray] = None):
-        self.spec = spec
         dims = (spec.input_dim, *spec.hidden_dims)
         self.Ws: List[np.ndarray] = []
         self.bs: List[np.ndarray] = []
@@ -170,10 +169,9 @@ class MLP:
             hs.append(np.maximum(hs[-1] @ W.T + b, 0.0))
         return hs
 
-    def forward(self, X: np.ndarray):
-        """Returns (logits, hidden activations including the input)."""
-        hs = self.hidden(X)
-        return self.out.logits(_with_bias(hs[-1])), hs
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """The logits of the rows of X."""
+        return self.out.logits(_with_bias(self.hidden(X)[-1]))
 
     def backward(self, hs: List[np.ndarray], dO: np.ndarray) -> List[np.ndarray]:
         """Gradients given d(mean loss)/d(logits) through a dense output
@@ -311,7 +309,6 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
     (Xtr, ytr), (Xva, yva), (Xte, yte) = splits
     rng = np.random.default_rng(cfg.seed)
     model = init_model(spec, cfg, ytr, rng)
-    predictor = lambda X: model.forward(X)[0]
     vels = [np.zeros_like(p) for p in model.params()]
 
     metrics = RunMetrics()
@@ -340,7 +337,7 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
             nb += 1
 
         _, valid_error, _, valid_loss = evaluate(
-            predictor, Xva, yva, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
+            model.forward, Xva, yva, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
         )
         rec = EpochRecord(epoch=epoch, lr=lr, train_loss=loss_acc / max(nb, 1),
                           valid_loss=valid_loss, valid_error=valid_error)
@@ -368,7 +365,7 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
             p[...] = s
         model.out.restore(out_state)
     test_negll, test_error, top10_error, test_loss = evaluate(
-        predictor, Xte, yte, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
+        model.forward, Xte, yte, cfg.loss_kind, eps=cfg.eps, xi=cfg.xi
     )
     metrics.test_negll = test_negll
     metrics.test_error = test_error
@@ -377,16 +374,15 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
 
     if csv_path is not None:
         write_epoch_csv(csv_path, metrics)
-    metrics.model = predictor
+    metrics.model = model.forward
     return metrics
 
 
 def write_epoch_csv(path: str, metrics: RunMetrics):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["epoch", "lr", "train_loss", "valid_loss", "valid_error"])
-        for r in metrics.epochs:
-            w.writerow([r.epoch, r.lr, r.train_loss, r.valid_loss, r.valid_error])
+        w.writerow([f.name for f in fields(EpochRecord)])
+        w.writerows(astuple(r) for r in metrics.epochs)
 
 
 def format_run_record(metrics: RunMetrics) -> str:

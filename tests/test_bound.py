@@ -20,7 +20,6 @@ from sphloss.losses import (
     SphericalStats,
     batch_loss,
     finite_diff_grad,
-    logsumexp,
     loss_grad,
     summary_stats,
 )
@@ -75,7 +74,7 @@ class TestGeneralBound:
             o = rng.uniform(-5, 5, size=D)
             alpha = float(rng.uniform(-3, 3))
             xis = rng.uniform(-4, 4, size=D)
-            assert bouchard_lse_bound_general(o, alpha, xis) >= logsumexp(o) - 1e-9
+            assert bouchard_lse_bound_general(o, alpha, xis) >= np.logaddexp.reduce(o) - 1e-9
 
     @pytest.mark.parametrize("xis", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 1.0],
                              ids=["short", "long", "2-D", "scalar"])

@@ -204,6 +204,25 @@ class TestQuadraticNormalizer:
             QuadraticNormalizerParams(1.0, 0.0, -1.0)
         with pytest.raises(ValueError):
             QuadraticNormalizerParams(1.0, 3.0, 1.0)  # negative discriminant test
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticNormalizerParams(math.inf, 0.0, 1.0)  # a3 > 0 and 4*a1*a3 - a2^2 = inf
+
+    def test_infinite_a3_rejected_through_normalizer(self):
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_normalizer([1.0, 2.0], QuadraticNormalizerParams(1.0, 0.0, math.inf))
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: loss_grad("log_spherical", [1.0, 2.0, 3.0], 1, eps=math.inf),
+                     id="loss_grad"),
+        pytest.param(lambda: losses.batch_loss_grad("log_spherical", np.ones((2, 3)), [0, 1],
+                                                    eps=math.inf), id="batch_loss_grad"),
+        pytest.param(lambda: losses.batch_negll("log_spherical", np.ones((2, 3)), [0, 1],
+                                                eps=math.inf), id="batch_negll"),
+        pytest.param(lambda: spherical_softmax([1.0, 2.0], math.inf), id="spherical_softmax"),
+    ])
+    def test_infinite_eps_rejected(self, call):
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
     def test_unchecked_path(self):
         p = QuadraticNormalizerParams(0.0, 0.0, 1.0, unchecked=True)

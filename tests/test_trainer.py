@@ -181,7 +181,7 @@ class TestForwardBackward:
     def test_zero_input_zero_logits(self):
         spec = MLPSpec(4, (6,), 3)
         model = MLP(spec, np.random.default_rng(0))
-        O, _ = model.forward(np.zeros((5, 4)))
+        O = model.forward(np.zeros((5, 4)))
         assert np.array_equal(O, np.zeros((5, 3)))
 
     def test_single_linear_layer(self):
@@ -192,10 +192,10 @@ class TestForwardBackward:
         W[:, :-1] = rng.normal(size=(4, 3))
         W[:, -1] = rng.normal(size=4)  # the bias column
         X = rng.normal(size=(6, 3))
-        O, hs = model.forward(X)
+        O = model.forward(X)
         np.testing.assert_allclose(O, X @ W[:, :-1].T + W[:, -1])
         dO = rng.normal(size=(6, 4))
-        grads = model.backward(hs, dO)
+        grads = model.backward(model.hidden(X), dO)
         assert len(grads) == 1
         np.testing.assert_allclose(grads[0][:, :-1], dO.T @ X)
         np.testing.assert_allclose(grads[0][:, -1], dO.sum(axis=0))
@@ -216,13 +216,13 @@ class TestForwardBackward:
         y = rng.integers(0, 3, size=8)
 
         def mean_loss():
-            O, _ = model.forward(X)
+            O = model.forward(X)
             losses_b, _ = batch_loss_grad(loss_kind, O, y)
             return float(losses_b.mean())
 
-        O, hs = model.forward(X)
+        O = model.forward(X)
         _, grad_O = batch_loss_grad(loss_kind, O, y)
-        analytic = model.backward(hs, grad_O / 8)
+        analytic = model.backward(model.hidden(X), grad_O / 8)
 
         eps = 1e-6
         for p, g in zip([*model.params(), model.out.W], analytic):
@@ -276,9 +276,9 @@ class TestTrainBatchDense:
     def whole_array_step(model, Xb, yb, cfg, lr, vels):
         """The reference step: MLP.backward and nesterov_step on the whole
         arrays, with the D x (d + 1) output gradient."""
-        O, hs = model.forward(Xb)
+        O = model.forward(Xb)
         losses_b, grad_O = batch_loss_grad(cfg.loss_kind, O, yb, eps=cfg.eps, xi=cfg.xi)
-        grads = model.backward(hs, grad_O / Xb.shape[0])
+        grads = model.backward(model.hidden(Xb), grad_O / Xb.shape[0])
         for p, v, g in zip([*model.params(), model.out.W], vels, grads):
             nesterov_step(p, v, g, lr, cfg.momentum)
         return float(losses_b.mean())
@@ -562,6 +562,22 @@ class TestTrain:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "epoch,lr,train_loss,valid_loss,valid_error"
         assert len(lines) == 1 + metrics.epochs_run
+
+    def test_epoch_csv_bytes(self, tmp_path):
+        # floats are written by repr; valid_loss is an np.float64, as evaluate gives it
+        metrics = RunMetrics(epochs=[
+            trainer.EpochRecord(epoch=1, lr=0.1, train_loss=2 / 3,
+                                valid_loss=np.float64(0.5), valid_error=1e-20),
+            trainer.EpochRecord(epoch=2, lr=0.05, train_loss=math.nan,
+                                valid_loss=np.float64(2.5e300), valid_error=0.0),
+        ])
+        out = tmp_path / "epochs.csv"
+        trainer.write_epoch_csv(str(out), metrics)
+        assert out.read_bytes() == (
+            b"epoch,lr,train_loss,valid_loss,valid_error\r\n"
+            b"1,0.1,0.6666666666666666,0.5,1e-20\r\n"
+            b"2,0.05,nan,2.5e+300,0.0\r\n"
+        )
 
     def test_rejects_factored_with_nonspherical(self):
         with pytest.raises(ValueError):

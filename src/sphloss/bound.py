@@ -68,22 +68,23 @@ def optimal_alpha(s: float, D: int, xi: float) -> float:
     return s / D + (D - 2.0) / (4.0 * D * lambda_xi(xi))
 
 
-def _xi_terms(D: int, xi, lam):
-    """The terms of ``bound_from_stats`` that depend on xi alone, at
-    lam = lambda(xi), summed in its order."""
+def _bound_at(s_D, Q, D: int, xi, lam):
+    """The bound's one closed form, at o_c = 0: from s_D = s/D,
+    Q = q - s^2/D and lam = lambda(xi); elementwise over arrays."""
     return (
         -((D - 2.0) ** 2) / (16.0 * D * lam)
         - 0.5 * D * xi
         - D * lam * xi * xi
         + D * np.logaddexp(0.0, xi)
+        + s_D
+        + Q * lam
     )
 
 
 def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float:
     """The shared-xi, optimal-alpha upper bound on -log softmax(o)_c,
     evaluated from the spherical statistics alone; elementwise over arrays."""
-    lam = lambda_xi(xi)
-    return _xi_terms(D, xi, lam) + s / D + (q - s * s / D) * lam - o_c
+    return _bound_at(s / D, q - s * s / D, D, xi, lambda_xi(xi)) - o_c
 
 
 def golden_section_minimize(f, a, b, tol: float = 1e-10):
@@ -151,13 +152,9 @@ def _minimize_xi(s, q, D: int):
     that much.
     """
     hi = np.log(4.0 * D) + np.sqrt(np.maximum(q, 0.0))
-    s_D, Q = s / D, q - s * s / D  # bound_from_stats' terms in s and q
-
-    def bound(xi):  # bound_from_stats(s, q, 0, D, xi), bitwise, for xi >= 0
-        lam = _lambda(xi)
-        return _xi_terms(D, xi, lam) + s_D + Q * lam
-
-    return golden_section_minimize(bound, np.zeros_like(hi), hi)
+    s_D, Q = s / D, q - s * s / D
+    return golden_section_minimize(lambda xi: _bound_at(s_D, Q, D, xi, _lambda(xi)),
+                                   np.zeros_like(hi), hi)
 
 
 def optimize_xi(stats: SphericalStats, D: int) -> float:
@@ -180,19 +177,20 @@ def select_xis(s: np.ndarray, q: np.ndarray, D: int, *, xi: float, optimize: boo
 
     One search runs over the rows with finite (s, q).  The other rows, and
     the rows whose bound is non-finite at the found xi, fall back to xi = 1.
-    Returns (xis, fallback mask).
+    Returns (xis, lambda(xis), fallback mask).
     """
     n = s.shape[0]
     if not optimize:
-        return np.full(n, float(xi)), np.zeros(n, dtype=bool)
+        return (np.full(n, float(xi)), np.full(n, _fixed_lambda(float(xi))),
+                np.zeros(n, dtype=bool))
     ok = np.isfinite(s) & np.isfinite(q)
-    with np.errstate(over="ignore", invalid="ignore"):  # caught by the mask
-        found = _minimize_xi(s[ok], q[ok], D)
-        good = np.isfinite(bound_from_stats(s[ok], q[ok], 0.0, D, found))
     xis = np.ones(n)
-    xis[ok] = np.where(good, found, 1.0)
-    ok[ok] = good
-    return xis, ~ok
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the mask
+        xis[ok] = _minimize_xi(s[ok], q[ok], D)
+        lams = _lambda(xis)
+        ok &= np.isfinite(_bound_at(s / D, q - s * s / D, D, xis, lams))
+    xis[~ok], lams[~ok] = 1.0, _fixed_lambda(1.0)
+    return xis, lams, ~ok
 
 
 def _bound_partials(s, lams, D: int):
@@ -206,9 +204,8 @@ def spherical_bound_entry(s, q, o_c, D: int, p: LossParams, optimize: bool = Fal
     With ``optimize``, each row's xi* is treated as a constant during
     differentiation (envelope argument: the inner optimum makes
     d(bound)/d(xi) vanish)."""
-    xis, _ = select_xis(s, q, D, xi=p.xi, optimize=optimize)
-    a, lams, g = _bound_partials(s, lambda_xi(xis), D)
-    return bound_from_stats(s, q, o_c, D, xis), a, lams, g
+    xis, lams, _ = select_xis(s, q, D, xi=p.xi, optimize=optimize)
+    return (_bound_at(s / D, q - s * s / D, D, xis, lams) - o_c, *_bound_partials(s, lams, D))
 
 
 def batch_bound_partials(s, q, D: int, *, xi: float = 1.0, optimize: bool = False):
@@ -218,8 +215,8 @@ def batch_bound_partials(s, q, D: int, *, xi: float = 1.0, optimize: bool = Fals
     s = np.asarray(s, dtype=np.float64)
     if not optimize:
         return _bound_partials(s, np.full(s.shape[0], _fixed_lambda(float(xi))), D)
-    xis, _ = select_xis(s, np.asarray(q, dtype=np.float64), D, xi=xi, optimize=True)
-    return _bound_partials(s, lambda_xi(xis), D)
+    _, lams, _ = select_xis(s, np.asarray(q, dtype=np.float64), D, xi=xi, optimize=True)
+    return _bound_partials(s, lams, D)
 
 
 def batch_bound_loss_grad(O, y, *, xi: float = 1.0, optimize: bool = False):

@@ -63,10 +63,6 @@ def gradcheck_trials(name: str, D: int, trials: int, seed: int,
 
 
 def cmd_gradcheck(args) -> int:
-    if args.loss != "all" and args.loss not in losses.LOSSES:
-        print(f"error: unknown loss {args.loss!r}; choose from "
-              f"{', '.join(losses.LOSSES)} or 'all'", file=sys.stderr)
-        return 2
     names = tuple(losses.LOSSES) if args.loss == "all" else (args.loss,)
     rows = []
     worst = ("", 0, -1.0)
@@ -143,11 +139,7 @@ def _bound_train_probe(args, kind: str) -> int:
 
 def cmd_train(args) -> int:
     cfg_dict = config.load_config(args.config) if args.config else config.default_config()
-    for setting in args.set or []:
-        if "=" not in setting:
-            print(f"error: --set expects key=value, got {setting!r}", file=sys.stderr)
-            return 2
-        k, v = setting.split("=", 1)
+    for k, v in args.set or []:
         config.apply_setting(cfg_dict, k.strip(), v.strip())
     # usage errors (exit 2) and missing dataset files (exit 1) surface
     # before the output directory is written
@@ -262,8 +254,8 @@ def _write_csv(path, header, rows):
 
 def _checked(convert, noun: str, want: str, ok):
     """argparse type: ``convert(text)``, which must be ``ok``, so that a bad
-    count, size, eps or xi is a usage error (exit 2) before any output is
-    written."""
+    count, size, eps, xi or setting is a usage error (exit 2) before any
+    output is written."""
     def parse(text: str):
         try:
             value = convert(text)
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    g.add_argument("--loss", default="all")
+    g.add_argument("--loss", choices=("all", *losses.LOSSES), default="all")
     g.add_argument("--dims", type=_int_list_at_least(2), default="2,10,1000")
     g.add_argument("--trials", type=_int_at_least(1), default=100)
     g.add_argument("--seed", type=_int_at_least(0), default=0)
@@ -319,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--config", default=None)
     t.add_argument("--seeds", type=_int_at_least(1), default=1)
     t.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   type=_checked(lambda text: text.split("=", 1), "key=value",
+                                 "key=value", lambda kv: len(kv) == 2),
                    help="override a config key (repeatable)")
     t.add_argument("--out-dir", default="sphloss_out")
     t.set_defaults(fn=cmd_train)

@@ -62,7 +62,7 @@ class QuadraticNormalizerParams:
     The coefficients must be finite and the polynomial strictly positive,
     i.e. a3 > 0 and 4*a1*a3 - a2^2 > 0.  Semi-definite parameter sets (such
     as the pure spherical softmax a1=a2=0) are only reachable through
-    ``unchecked=True``.
+    ``unchecked=True``, which skips the positivity condition alone.
     """
 
     a1: float
@@ -71,10 +71,8 @@ class QuadraticNormalizerParams:
     unchecked: bool = False
 
     def __post_init__(self):
-        if self.unchecked:
-            return
-        if not (np.isfinite((self.a1, self.a2, self.a3)).all()
-                and self.a3 > 0 and 4.0 * self.a1 * self.a3 - self.a2 ** 2 > 0):
+        if not (np.isfinite((self.a1, self.a2, self.a3)).all() and (
+                self.unchecked or self.a3 > 0 and 4.0 * self.a1 * self.a3 - self.a2 ** 2 > 0)):
             raise ValueError(
                 "polynomial a1 + a2*x + a3*x^2 is not finite and strictly positive: "
                 f"a1={self.a1}, a2={self.a2}, a3={self.a3}"

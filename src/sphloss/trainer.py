@@ -212,11 +212,12 @@ EVAL_BLOCK_ELEMENTS = 1 << 22
 
 def _target_rank(O: np.ndarray, y: np.ndarray, rec: losses.LossKind,
                  buf: np.ndarray) -> np.ndarray:
-    """Per row of logits ``O`` with target ``c = y``, the target's rank
-    r = #{k : key_k > key_c} + #{k < c : key_k = key_c} by ``rec.key``:
-    the target's position in a stable sort of the classes by descending
-    key; D when the target's key is NaN.  ``O`` is only read.  The rows are
-    keyed in groups the size of ``buf``, a (g, D) scratch array.
+    """Per row of logits ``O`` with target ``c = y``, the target's rank by
+    ``rec.key``: r = #{k : key_k > key_c} + #{k < c : key_k = key_c}, its
+    position in a stable sort by descending key, where the strict count is
+    below min(10, D); from there on the ties are not counted, so r is a
+    lower bound.  D when the target's key is NaN.  ``O`` is only read.  The
+    rows are keyed in groups the size of ``buf``, a (g, D) scratch array.
     """
     y = np.asarray(y, dtype=np.intp)
     n, D = O.shape

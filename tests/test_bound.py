@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -322,9 +323,10 @@ class TestBatchForms:
     def test_optimized_xi_falls_back_on_nonfinite_stats(self):
         s = np.array([0.5, np.nan, 1.0, 0.0, -3.0, 40.0, 1e-8])
         q = np.array([2.0, 1.0, np.inf, 0.0, 9.5, 1e4, 1e-12])
-        xis, fallback = bound.select_xis(s, q, 10, xi=3.0, optimize=True)
+        xis, lams, fallback = bound.select_xis(s, q, 10, xi=3.0, optimize=True)
         assert fallback.tolist() == [False, True, True, False, False, False, False]
         assert xis[1] == xis[2] == 1.0
+        assert lams.tobytes() == lambda_xi(xis).tobytes()
         for i in (0, 3, 4, 5, 6):
             assert xis[i] == optimize_xi(SphericalStats(s=s[i], q=q[i], o_c=0.0), 10)
         a, bq, g = bound.batch_bound_partials(s, q, 10, optimize=True)
@@ -332,13 +334,24 @@ class TestBatchForms:
 
     @pytest.mark.parametrize("xi", [0.0, 1e-5, 1.0, -2.5])
     def test_fixed_xi_partials_are_the_per_row_form(self, xi):
-        # lambda(xi) is taken once; the registry entry takes it per row
+        # both kinds: a fixed xi's lambda is taken once per call, an
+        # optimized row's once from its xi; the entry's value is
+        # bound_from_stats at the row's xi and its partials are
+        # batch_bound_partials', byte for byte, the NaN-s and infinite-q
+        # rows (the search's fallback) included
         rng = np.random.default_rng(12)
-        for n in (1, 7):
-            s, q = rng.normal(size=n), rng.uniform(0, 5, size=n)
-            got = bound.batch_bound_partials(s, q, 50, xi=xi)
-            _, *ref = bound.spherical_bound_entry(s, q, np.zeros(n), 50, LossParams(xi=xi))
+        for n, optimize in itertools.product((1, 7), (False, True)):
+            s, q, o_c = rng.normal(size=n), rng.uniform(0, 5, size=n), rng.normal(size=n)
+            if n > 1:
+                s[1], q[2] = np.nan, np.inf
+            value, *ref = bound.spherical_bound_entry(s, q, o_c, 50, LossParams(xi=xi),
+                                                      optimize)
+            got = bound.batch_bound_partials(s, q, 50, xi=xi, optimize=optimize)
             assert all(x.tobytes() == r.tobytes() for x, r in zip(got, ref))
+            xis = bound.select_xis(s, q, 50, xi=xi, optimize=optimize)[0]
+            for i in range(n):
+                row = np.float64(bound_from_stats(s[i], q[i], o_c[i], 50, xis[i]))
+                assert value[i:i + 1].tobytes() == row.tobytes()
 
     def test_fixed_xi_rejects_nonfinite_and_its_cache_is_bounded(self):
         s, q = np.ones(3), np.ones(3)

@@ -56,12 +56,15 @@ class TestGradcheck:
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 4
 
-    def test_unknown_loss_is_usage_error(self, capsys):
+    def test_unknown_loss_is_usage_error(self, tmp_path, capsys):
         # gradcheck takes the LOSSES names, as train does: no bare spherical_bound
+        out = tmp_path / "grad.csv"
         for name in ("mystery", "spherical_bound"):
-            rc = run(["gradcheck", "--loss", name])
-            assert rc == 2
-            assert "unknown loss" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                run(["gradcheck", "--loss", name, "--output", str(out)])
+            assert exc.value.code == 2
+            assert f"invalid choice: {name!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_broken_gradient_fails(self, tmp_path, monkeypatch, capsys):
         real = cli._loss_grad_fns
@@ -97,6 +100,25 @@ class TestBoundEval:
             return np.mean([float(line.split(",")[2]) for line in lines])
 
         assert mean_gap("optimized") <= mean_gap("fixed") + 1e-12
+
+    def test_bound_below_true_loss_fails(self, tmp_path, monkeypatch, capsys):
+        # shift only the bound's value: the true loss (batch_negll) also goes
+        # through batch_loss, and shifting both would leave the gap at 0
+        real = losses.batch_loss
+
+        def low(kind, O, y, **kw):
+            value = real(kind, O, y, **kw)
+            return value - 1e3 if kind.startswith("spherical_bound_") else value
+        monkeypatch.setattr(losses, "batch_loss", low)
+        out = tmp_path / "bound.csv"
+        for mode in ("fixed", "optimized"):
+            rc = run(["bound-eval", "--samples", "5", "--xi-mode", mode,
+                      "--output", str(out)])
+            assert rc == 1
+            assert "FAIL: bound fell below the true loss" in capsys.readouterr().err
+            lines = out.read_text().strip().splitlines()
+            assert lines[0] == "true_loss,bound,gap" and len(lines) == 6
+            assert all(float(line.split(",")[2]) < 0 for line in lines[1:])
 
     def test_train_probe_reports(self, capsys):
         rc = run(["bound-eval", "--train-probe"])
@@ -232,8 +254,11 @@ class TestTrain:
         assert seen == [sizes]
 
     def test_malformed_set_exits_2(self, tmp_path, capsys):
-        rc = run(["train", "--out-dir", str(tmp_path / "x"), "--set", "oops"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--out-dir", str(tmp_path / "x"), "--set", "oops"])
+        assert exc.value.code == 2
+        assert "expected key=value, got oops" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_mnist_files_exit_1(self, tmp_path, capsys):
         rc = run(["train", "--out-dir", str(tmp_path / "x"),

@@ -229,6 +229,13 @@ class TestQuadraticNormalizer:
         np.testing.assert_allclose(quadratic_normalizer([3.0, 4.0], p),
                                    [9 / 25, 16 / 25])
 
+    @pytest.mark.parametrize("coeffs", [(math.nan, 0.0, 1.0), (0.0, math.nan, 1.0),
+                                        (0.0, 0.0, math.inf), (-math.inf, 0.0, 1.0)])
+    def test_unchecked_still_requires_finite(self, coeffs):
+        # unchecked skips strict positivity only
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticNormalizerParams(*coeffs, unchecked=True)
+
 
 # the spherical softmax at eps = 0: semi-definite, so only unchecked
 SPHERICAL_EPS0 = QuadraticNormalizerParams(0.0, 0.0, 1.0, unchecked=True)

@@ -388,6 +388,20 @@ class TestEvaluate:
         assert err == np.count_nonzero(rank > 0) / n
         assert top10 == np.count_nonzero(rank >= min(10, D)) / n
 
+    def test_target_rank_exact_below_top10_a_lower_bound_above(self):
+        # target 25 of 30 classes.  Row 0: 3 keys above it and 4 lower-index
+        # ties, so r = 7, its stable-sort position.  Row 1: 16 keys above
+        # and 9 lower-index ties; the strict count is past min(10, D), so
+        # the ties are not counted and r = 16 against a position of 25
+        O = np.full((2, 30), -1.0)
+        O[0, 26:29], O[0, :4], O[0, 25], O[0, 29] = 1.0, 0.0, 0.0, 0.0
+        O[1, :16], O[1, 16:26] = 1.0, 0.0
+        y = np.array([25, 25])
+        r = trainer._target_rank(O, y, losses.loss_record("log_softmax"), np.empty((2, 30)))
+        position = np.flatnonzero(np.argsort(-O, axis=1, kind="stable") == 25) % 30
+        assert r.tolist() == [7, 16]
+        assert position.tolist() == [7, 25]
+
     @pytest.mark.parametrize("kind", ALL_LOSSES)
     def test_nan_target_is_an_error(self, kind):
         O = np.array([[np.nan, 1.0, 2.0], [0.0, 3.0, 1.0]])

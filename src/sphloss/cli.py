@@ -122,7 +122,7 @@ def _bound_train_probe(args, kind: str) -> int:
                               batch_size=200)
     (_, ytr), _, (Xte, yte) = splits
     model0 = trainer.init_model(spec, cfg, ytr, np.random.default_rng(cfg.seed))
-    negll0, err0, _, bound0 = trainer.evaluate(model0.forward, Xte, yte, kind, xi=cfg.xi)
+    negll0, err0, _, bound0 = trainer.evaluate(model0, Xte, yte, kind, xi=cfg.xi)
     m = trainer.train(spec, cfg, splits)
     print("bound-training probe (minimizing the upper bound on -log softmax):")
     print(f"  initial: negll={negll0:.4f} bound={bound0:.4f} error={err0:.4f}")

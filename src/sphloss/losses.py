@@ -404,4 +404,5 @@ def batch_negll(kind: str, O, y, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     "loss" column convention) and the bound losses report the true
     log-softmax negll (their record's ``negll``).
     """
-    return batch_loss(loss_record(kind).negll or kind, O, y, eps=eps)
+    params = LossParams(eps=eps)
+    return _batch(loss_record(kind).negll or kind, O, y, params, with_grad=False)[0]

@@ -820,6 +820,21 @@ class TestDeferredFolds:
         assert fac._pending == 2
         self.assert_lockstep(fac, den)
 
+    def test_read_stats_is_forward_stats_without_writes(self):
+        fac, _, rng = self.pending_pair(88)
+        by_tag = [int(np.flatnonzero(fac._tag[:40] == t)[0]) for t in (0, 1, 2)]
+        H, c = rng.normal(size=(9, self.d)), np.array(by_tag * 3)
+        names = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum",
+                 "_tag", "_fold_U", "_fold_C", "_fold_mask")
+        kept = {name: getattr(fac, name).copy() for name in names}
+        counts = fac.op_count, fac.q_clamps, fac.rebase_count
+        got = fac.read_stats(H, c)
+        assert all(np.array_equal(getattr(fac, name), kept[name]) for name in names)
+        assert (fac.op_count, fac.q_clamps, fac.rebase_count) == counts
+        assert fac._ctx is None
+        for g, w in zip(got, fac.forward_stats(H, c)):
+            np.testing.assert_array_equal(g, w)
+
     def test_materialize_writes_no_state(self):
         fac, _, _ = self.pending_pair(86)
         names = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum",

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -389,18 +390,26 @@ class TestEvaluate:
         assert top10 == np.count_nonzero(rank >= min(10, D)) / n
 
     def test_target_rank_exact_below_top10_a_lower_bound_above(self):
-        # target 25 of 30 classes.  Row 0: 3 keys above it and 4 lower-index
-        # ties, so r = 7, its stable-sort position.  Row 1: 16 keys above
-        # and 9 lower-index ties; the strict count is past min(10, D), so
-        # the ties are not counted and r = 16 against a position of 25
-        O = np.full((2, 30), -1.0)
+        # 30 classes.  Row 0, target 25: 3 keys above it and 4 lower-index
+        # ties, so r = 7, its stable-sort position.  Row 1, target 25: 16
+        # keys above and 9 lower-index ties; the strict count is past
+        # min(10, D), so the ties are not counted and r = 16 against a
+        # position of 25.  Rows 2-4 have a strict count of 9, one under
+        # min(10, D), so their ties below c are counted and r is exact:
+        # target 0 with 5 ties above it (r = 9), target 29 with 5 ties below
+        # it (r = 14), and target 15 with 3 ties below and 3 above (r = 12)
+        O = np.full((5, 30), -1.0)
         O[0, 26:29], O[0, :4], O[0, 25], O[0, 29] = 1.0, 0.0, 0.0, 0.0
         O[1, :16], O[1, 16:26] = 1.0, 0.0
-        y = np.array([25, 25])
+        O[2, 1:10], O[2, 0], O[2, 10:15] = 1.0, 0.0, 0.0
+        O[3, :9], O[3, 9:14], O[3, 29] = 1.0, 0.0, 0.0
+        O[4, 20:29], O[4, 5:8], O[4, 15], O[4, 16:19] = 1.0, 0.0, 0.0, 0.0
+        y = np.array([25, 25, 0, 29, 15])
         r = trainer._target_rank(O, y, losses.loss_record("log_softmax"), np.empty((2, 30)))
-        position = np.flatnonzero(np.argsort(-O, axis=1, kind="stable") == 25) % 30
-        assert r.tolist() == [7, 16]
-        assert position.tolist() == [7, 25]
+        order = np.argsort(-O, axis=1, kind="stable")
+        position = np.flatnonzero(order == y[:, None]) % 30
+        assert r.tolist() == [7, 16, 9, 14, 12]
+        assert position.tolist() == [7, 25, 9, 14, 12]
 
     @pytest.mark.parametrize("kind", ALL_LOSSES)
     def test_nan_target_is_an_error(self, kind):
@@ -454,6 +463,75 @@ class TestEvaluate:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * n * D * 8
+
+
+SPHERICAL_LOSSES = [k for k in ALL_LOSSES if losses.loss_record(k).entry is not None]
+
+
+def factored_mlp_with_folds_pending():
+    """A 6-32-30 MLP whose factored output layer has taken 30 batch steps
+    at a condition threshold of 1e4, which leaves 4 folds pending and no
+    rebase, and a held-out split of 100 rows."""
+    ds = data.synthetic_categorical(D=30, input_dim=6, N=500, seed=1, separation=2.0)
+    (Xtr, ytr), (X, y), _ = ((s.features, s.labels) for s in
+                             data.random_split(ds, data.SplitSpec(300, 100, 100, seed=1)))
+    cfg = TrainConfig(loss_kind="spherical_bound_fixed", initial_lr=0.1, momentum=0.0,
+                      batch_size=10, seed=2, prior_bias_init=True, output_layer="factored")
+    model = init_model(MLPSpec(6, (32,), 30), cfg, ytr, np.random.default_rng(2))
+    model.out.cond_threshold = 1e4
+    vels = [np.zeros_like(p) for p in model.params()]
+    for lo in range(0, 300, 10):
+        trainer._train_batch(model, Xtr[lo:lo + 10], ytr[lo:lo + 10], cfg, 0.1, vels)
+    assert (model.out._pending, model.out.rebase_count) == (4, 0)
+    return model, X, y
+
+
+class TestEvaluateFactored:
+    # a factored MLP and a spherical kind take the own loss from the
+    # layer's caches; the logits still give the rank and the bounds' negll
+
+    @pytest.mark.parametrize("state", ["folds pending", "restored"])
+    def test_cache_path_matches_logits_path(self, state):
+        model, X, y = factored_mlp_with_folds_pending()
+        if state == "restored":
+            # the snapshot rebases; a step after it is undone by restore
+            snap = model.out.snapshot()
+            rng = np.random.default_rng(3)
+            H = np.maximum(rng.normal(size=(10, model.out.d)), 0.0)
+            model.out.train_step(H, rng.integers(0, 30, size=10), "mse",
+                                 losses.LossParams(), 0.05, 0.0, backward=False)
+            model.out.restore(snap)
+        for kind in SPHERICAL_LOSSES:
+            fac, ref = copy.deepcopy(model), copy.deepcopy(model)
+            assert bool(fac.out._pending) == (state == "folds pending")
+            cached = evaluate(fac, X, y, kind)
+            logits = evaluate(ref.forward, X, y, kind)
+            assert cached[1:3] == logits[1:3], kind
+            for got, want in zip(cached[::3], logits[::3]):
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), kind
+        # a dense MLP keeps the logits path: bitwise its forward's metrics
+        dense = copy.deepcopy(model)
+        dense.out = model.out.materialize()
+        for kind in SPHERICAL_LOSSES:
+            assert evaluate(dense, X, y, kind) == evaluate(dense.forward, X, y, kind)
+
+    def test_spherical_kind_never_scores_the_logits(self, monkeypatch):
+        model, X, y = factored_mlp_with_folds_pending()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch_loss called on a factored MLP's logits")
+        monkeypatch.setattr(losses, "batch_loss", refuse)
+        negll_kinds = []
+        batch_negll = losses.batch_negll
+        monkeypatch.setattr(losses, "batch_negll", lambda kind, *args, **kwargs: (
+            negll_kinds.append(kind) or batch_negll(kind, *args, **kwargs)))
+        for kind in SPHERICAL_LOSSES:
+            counts = model.out.op_count, model.out.q_clamps
+            negll_kinds.clear()
+            evaluate(model, X, y, kind)
+            assert (model.out.op_count, model.out.q_clamps) == counts
+            # the bounds' log-softmax negll still reads the logits, one block
+            assert negll_kinds == ([kind] if losses.loss_record(kind).negll else [])
 
 
 # verified working (lr, prior_bias_init) settings per loss on the toy task;

@@ -51,9 +51,10 @@ pending.
 
 Evaluation reads the same representation: ``logits`` gives H W' as
 (H A') core' + (H A' u) 1', ``read_stats`` gives a spherical loss's
-(s, q, o_c) by ``forward_stats``' body in O(d^2) per row, writing no
-state, and ``snapshot``/``restore`` copy and reinstate the arrays that
-define the layer, so training keeps its best state without forming W.
+(s, q, o_c) by ``forward_stats``' body in O(d^2) per row, counting and
+starting nothing, both after a rebase when folds are pending, and
+``snapshot``/``restore`` copy and reinstate the arrays that define the
+layer, so training keeps its best state without forming W.
 ``materialize`` builds W for tests and export only, composing the
 pending factors into its product without writing ``core``.
 
@@ -338,23 +339,17 @@ class FactoredOutputLayer:
             gram[-1, -1], colsum[-1] = np.dot(b, b), b.sum()
         return cls(W, copy=False, _caches=(gram, colsum))
 
-    def _context(self, key, H: np.ndarray, c: np.ndarray,
-                 write: bool = True) -> _StepContext:
+    def _context(self, key, H: np.ndarray, c: np.ndarray) -> _StepContext:
         """The context of a step on validated (H, c): the rows X of core,
         brought up to date with the pending folds first, and the step's
-        rows R = (X + u)A and H Q, (m, d) each.  With ``write`` the rows
-        are written back to core and counted in ``op_count``; without it
-        no state is written."""
+        rows R = (X + u)A and H Q, (m, d) each, which the caller counts in
+        ``op_count``: (2 d^2 + d) per row."""
         X = self.core[c]  # a copy, updated in place
         if self._pending and len(c):
             tags = self._tag[c]
             if tags.min() < self._pending:  # rows that are current take zeros
-                self._with_pending(X, tags)
-                if write:
-                    self.core[c] = X
-                    self._tag[c] = self._pending
-        if write:
-            self.op_count += len(c) * (2 * self.d * self.d + self.d)
+                self.core[c] = self._with_pending(X, tags)
+                self._tag[c] = self._pending
         return _StepContext(key, c, X, np.dot(X + self.offset, self.mixer), np.dot(H, self.gram))
 
     def _with_pending(self, X: np.ndarray, tags: np.ndarray) -> np.ndarray:
@@ -382,6 +377,7 @@ class FactoredOutputLayer:
         else:
             H, c, one = _as_batch(h, c, self.D, self.d)
             ctx = self._context(None, H, c)
+            self.op_count += len(c) * (2 * self.d * self.d + self.d)
         return H, ctx, *_as_partials(p, ctx.c), one
 
     def forward_stats(self, h: np.ndarray, c) -> SphericalStats:
@@ -393,16 +389,19 @@ class FactoredOutputLayer:
         H, c, one = _as_batch(h, c, self.D, self.d)
         self._ctx = ctx = self._context(key, H, c)
         s, q, o_c = self._moments(H, ctx)
-        self.op_count += len(c) * 4 * self.d
+        self.op_count += len(c) * (2 * self.d * self.d + 5 * self.d)  # ctx and moments
         self.q_clamps += np.count_nonzero(q < 0.0)
         return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def read_stats(self, h: np.ndarray, c) -> SphericalStats:
-        """``forward_stats``' (s, q, o_c), by its body, but writing no layer
+        """``forward_stats``' (s, q, o_c), by its body, after a rebase when
+        folds are pending, as ``logits``; otherwise it writes no layer
         state: no ``op_count``, ``q_clamps``, step context, ``core`` rows
         or tags.  For evaluation."""
         H, c, one = _as_batch(h, c, self.D, self.d)
-        s, q, o_c = self._moments(H, self._context(None, H, c, write=False))
+        if self._pending:
+            self.rebase()
+        s, q, o_c = self._moments(H, self._context(None, H, c))
         return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def _moments(self, H: np.ndarray, ctx: _StepContext):

@@ -404,5 +404,4 @@ def batch_negll(kind: str, O, y, *, eps: float = DEFAULT_EPS) -> np.ndarray:
     "loss" column convention) and the bound losses report the true
     log-softmax negll (their record's ``negll``).
     """
-    params = LossParams(eps=eps)
-    return _batch(loss_record(kind).negll or kind, O, y, params, with_grad=False)[0]
+    return batch_loss(loss_record(kind).negll or kind, O, y, eps=eps)

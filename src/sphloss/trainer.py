@@ -209,6 +209,9 @@ def init_model(spec: MLPSpec, cfg: TrainConfig, ytr: np.ndarray,
 # most logits evaluate scores in one block (one row at least): bounds its
 # (rows, D) arrays in D
 EVAL_BLOCK_ELEMENTS = 1 << 22
+# row groups of at most this many rows (on a larger split, D of at least
+# losses.GROUP_ELEMENTS / 64 = 1024 classes) are ranked one row at a time
+RANK_ROW_GROUP = 64
 
 
 def _target_rank(O: np.ndarray, y: np.ndarray, rec: losses.LossKind,
@@ -218,9 +221,12 @@ def _target_rank(O: np.ndarray, y: np.ndarray, rec: losses.LossKind,
     position in a stable sort by descending key, where the strict count is
     below min(10, D); from there on the ties are not counted, so r is a
     lower bound.  D when the target's key is NaN.  ``O`` is only read.  The
-    rows are keyed in groups the size of ``buf``, a (g, D) scratch array,
-    and counted one row at a time: ``np.count_nonzero`` of a 1-D row is
-    several times faster than ``sum(axis=1)`` over the group's bools.
+    rows are keyed in groups the size of ``buf``, a (g, D) scratch array.
+    A group of at most ``RANK_ROW_GROUP`` rows is counted one row at a time,
+    the ties over the prefix ``K[i, :c]``: a 1-D ``np.count_nonzero`` of a
+    long row is several times faster than ``sum(axis=1)`` over the group's
+    bools.  A larger group, of short rows, is counted in one vectorized
+    pass, where the loop's per-row interpreter cost would dominate.
     """
     y = np.asarray(y, dtype=np.intp)
     n, D = O.shape
@@ -233,13 +239,21 @@ def _target_rank(O: np.ndarray, y: np.ndarray, rec: losses.LossKind,
         K = rec.key(Og, out=buf[:m])
         key_c = K[np.arange(m), yg]
         above = K > key_c[:, None]
-        for i, c in enumerate(yg):
-            ri = np.count_nonzero(above[i])
-            # ties below c matter only where the strict count is under top-10
-            if ri < top:
-                ri += np.count_nonzero(K[i, :c] == key_c[i])
-            r[lo + i] = ri
-        r[lo:lo + m][np.isnan(key_c)] = D  # NaN compares false: rank a NaN target last
+        rg = r[lo:lo + m]
+        # ties below c matter only where the strict count is under top-10
+        if g <= RANK_ROW_GROUP:
+            for i, c in enumerate(yg):
+                ri = np.count_nonzero(above[i])
+                if ri < top:
+                    ri += np.count_nonzero(K[i, :c] == key_c[i])
+                rg[i] = ri
+        else:
+            rg[:] = above.sum(axis=1)
+            tied = np.flatnonzero(rg < top)
+            if tied.size:
+                below_c = np.arange(D) < yg[tied, None]
+                rg[tied] += ((K[tied] == key_c[tied, None]) & below_c).sum(axis=1)
+        rg[np.isnan(key_c)] = D  # NaN compares false: rank a NaN target last
     return r
 
 
@@ -255,9 +269,11 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
     negll of the bound kinds.  For an ``MLP`` whose ``out`` is a
     ``FactoredOutputLayer`` and a kind with a spherical ``entry``, the own
     loss (and the negll, where the kind reports its own loss) is the entry
-    on the block's (s, q, o_c), read from the layer's caches by
-    ``read_stats`` after the logits; otherwise it is ``batch_loss`` on
-    the logits.
+    on the block's (s, q, o_c), which ``read_stats`` reads from the layer's
+    caches for the block's [h, 1] rows; otherwise it is ``batch_loss`` on
+    the logits.  Every row's logits still come from ``MLP.forward``, so
+    the hidden layers of such a block are computed twice, O(rows * d^2)
+    against the logits' O(rows * d * D).
     ``own_loss`` is the training loss evaluated on the split; negll is the
     likelihood-based metric (MSE for the mse loss, by convention).
     A row is an error when its target's ``_target_rank`` is above 0 and a
@@ -290,7 +306,6 @@ def evaluate(model, X: np.ndarray, y: np.ndarray, loss_kind: str,
         if cached is None:
             own = losses.batch_loss(loss_kind, O, yb, eps=eps, xi=xi)
         else:
-            # forward has rebased any pending folds
             st = cached.read_stats(_with_bias(model.hidden(Xb)[-1]), yb)
             own = rec.entry(*st, D, params)[0]
         loss_sum += own.sum()

@@ -820,18 +820,24 @@ class TestDeferredFolds:
         assert fac._pending == 2
         self.assert_lockstep(fac, den)
 
-    def test_read_stats_is_forward_stats_without_writes(self):
-        fac, _, rng = self.pending_pair(88)
+    def test_read_stats_rebases_then_reads_forward_stats(self):
+        # with folds pending read_stats rebases first, as logits does; then
+        # it reads forward_stats' (s, q, o_c) and writes nothing, not even
+        # over the step context that forward_stats started
+        fac, den, rng = self.pending_pair(88)
         by_tag = [int(np.flatnonzero(fac._tag[:40] == t)[0]) for t in (0, 1, 2)]
         H, c = rng.normal(size=(9, self.d)), np.array(by_tag * 3)
-        names = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum",
-                 "_tag", "_fold_U", "_fold_C", "_fold_mask")
+        for g, w in zip(fac.read_stats(H, c), den.forward_stats(H, c)):
+            assert rel_fro(g, w) < 1e-8
+        assert (fac._pending, fac.rebase_count) == (0, 1)
+        fac.forward_stats(rng.normal(size=(4, self.d)), np.arange(4))
+        names = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum", "_tag")
         kept = {name: getattr(fac, name).copy() for name in names}
-        counts = fac.op_count, fac.q_clamps, fac.rebase_count
+        counts, ctx = (fac.op_count, fac.q_clamps, fac.rebase_count), fac._ctx
         got = fac.read_stats(H, c)
         assert all(np.array_equal(getattr(fac, name), kept[name]) for name in names)
         assert (fac.op_count, fac.q_clamps, fac.rebase_count) == counts
-        assert fac._ctx is None
+        assert fac._ctx is ctx
         for g, w in zip(got, fac.forward_stats(H, c)):
             np.testing.assert_array_equal(g, w)
 

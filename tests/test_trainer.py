@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -383,13 +384,16 @@ class TestEvaluate:
         O = np.array(data.draw(st.lists(st.integers(-10, 10), min_size=n * D,
                                         max_size=n * D))).reshape(n, D) / 4.0
         y = np.array(data.draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n)))
-        _, err, top10, _ = evaluate(self.rows_of(O), np.arange(n)[:, None], y, kind)
+        # groups of n <= 8 rows: one row at a time, or vectorized below 1 row
+        group = data.draw(st.sampled_from([trainer.RANK_ROW_GROUP, 0]))
+        with mock.patch.object(trainer, "RANK_ROW_GROUP", group):
+            _, err, top10, _ = evaluate(self.rows_of(O), np.arange(n)[:, None], y, kind)
         order = np.argsort(-batch_scores(kind, O), axis=1, kind="stable")
         rank = np.flatnonzero(order == y[:, None]) % D
         assert err == np.count_nonzero(rank > 0) / n
         assert top10 == np.count_nonzero(rank >= min(10, D)) / n
 
-    def test_target_rank_exact_below_top10_a_lower_bound_above(self):
+    def test_target_rank_exact_below_top10_a_lower_bound_above(self, monkeypatch):
         # 30 classes.  Row 0, target 25: 3 keys above it and 4 lower-index
         # ties, so r = 7, its stable-sort position.  Row 1, target 25: 16
         # keys above and 9 lower-index ties; the strict count is past
@@ -405,11 +409,13 @@ class TestEvaluate:
         O[3, :9], O[3, 9:14], O[3, 29] = 1.0, 0.0, 0.0
         O[4, 20:29], O[4, 5:8], O[4, 15], O[4, 16:19] = 1.0, 0.0, 0.0, 0.0
         y = np.array([25, 25, 0, 29, 15])
-        r = trainer._target_rank(O, y, losses.loss_record("log_softmax"), np.empty((2, 30)))
         order = np.argsort(-O, axis=1, kind="stable")
         position = np.flatnonzero(order == y[:, None]) % 30
-        assert r.tolist() == [7, 16, 9, 14, 12]
         assert position.tolist() == [7, 25, 9, 14, 12]
+        for group in (64, 0):  # groups of 2 rows counted one row at a time, then vectorized
+            monkeypatch.setattr(trainer, "RANK_ROW_GROUP", group)
+            r = trainer._target_rank(O, y, losses.loss_record("log_softmax"), np.empty((2, 30)))
+            assert r.tolist() == [7, 16, 9, 14, 12], group
 
     @pytest.mark.parametrize("kind", ALL_LOSSES)
     def test_nan_target_is_an_error(self, kind):
@@ -517,14 +523,17 @@ class TestEvaluateFactored:
 
     def test_spherical_kind_never_scores_the_logits(self, monkeypatch):
         model, X, y = factored_mlp_with_folds_pending()
+        batch_loss, batch_negll = losses.batch_loss, losses.batch_negll
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("batch_loss called on a factored MLP's logits")
+        def refuse(k, *args, **kwargs):
+            # the kind under test is refused; batch_negll's log_softmax is not
+            if k == kind:
+                raise AssertionError("batch_loss called on a factored MLP's logits")
+            return batch_loss(k, *args, **kwargs)
         monkeypatch.setattr(losses, "batch_loss", refuse)
         negll_kinds = []
-        batch_negll = losses.batch_negll
-        monkeypatch.setattr(losses, "batch_negll", lambda kind, *args, **kwargs: (
-            negll_kinds.append(kind) or batch_negll(kind, *args, **kwargs)))
+        monkeypatch.setattr(losses, "batch_negll", lambda k, *args, **kwargs: (
+            negll_kinds.append(k) or batch_negll(k, *args, **kwargs)))
         for kind in SPHERICAL_LOSSES:
             counts = model.out.op_count, model.out.q_clamps
             negll_kinds.clear()

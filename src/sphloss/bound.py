@@ -210,12 +210,10 @@ def spherical_bound_entry(s, q, o_c, D: int, p: LossParams, optimize: bool = Fal
 
 def batch_bound_partials(s, q, D: int, *, xi: float = 1.0, optimize: bool = False):
     """(dL/ds, dL/dq, dL/do_c) arrays for the bound loss over a batch,
-    without its value.  A fixed xi takes lambda(xi) once, not per row, and
-    gives bitwise the per-row form's partials."""
+    without its value: bitwise the entry's partials, lambda taken through
+    ``select_xis`` for both kinds."""
     s = np.asarray(s, dtype=np.float64)
-    if not optimize:
-        return _bound_partials(s, np.full(s.shape[0], _fixed_lambda(float(xi))), D)
-    _, lams, _ = select_xis(s, np.asarray(q, dtype=np.float64), D, xi=xi, optimize=True)
+    _, lams, _ = select_xis(s, np.asarray(q, dtype=np.float64), D, xi=xi, optimize=optimize)
     return _bound_partials(s, lams, D)
 
 

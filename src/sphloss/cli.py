@@ -167,11 +167,12 @@ def cmd_train(args) -> int:
     (out_dir / "effective_config.txt").write_text(config.dump_config(cfg_dict))
 
     seeds = [tc.seed + i for i in range(args.seeds)]
+    epoch_header = [f.name for f in dataclasses.fields(trainer.EpochRecord)]
     results = []
     for seed in seeds:
-        csv_path = out_dir / f"epochs_seed{seed}.csv"
-        m = trainer.train(spec, dataclasses.replace(tc, seed=seed), splits_np,
-                          csv_path=str(csv_path))
+        m = trainer.train(spec, dataclasses.replace(tc, seed=seed), splits_np)
+        _write_csv(out_dir / f"epochs_seed{seed}.csv", epoch_header,
+                   map(dataclasses.astuple, m.epochs))
         (out_dir / f"run_seed{seed}.txt").write_text(
             trainer.format_run_record(m) + "\n")
         if m.diverged:

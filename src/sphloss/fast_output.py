@@ -521,8 +521,9 @@ class FactoredOutputLayer:
         """The exact plain SGD step on the mean loss of the rows of H (m, d)
         with targets y, through ``forward_stats``, the loss's entry,
         ``backward_h`` and ``sgd_step``; returns what the dense layer's
-        does.  ``mu`` is not applied: exact momentum is not implemented."""
-        m = len(y)
+        does.  ``mu`` is not applied: exact momentum is not implemented.
+        An empty batch returns empty arrays and leaves the state as it was."""
+        m = max(len(y), 1)  # lr / m stays finite where sgd_step is a no-op
         st = self.forward_stats(H, y)
         step_losses, a, bq, g = losses.loss_record(kind).entry(st.s, st.q, st.o_c, self.D, params)
         p = StepPartials(a=a, bq=bq, g=g, c=y, h=H)

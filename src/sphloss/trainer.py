@@ -8,9 +8,8 @@ stopping, and best-validation-epoch restoration before test evaluation.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -332,14 +331,14 @@ def _train_batch(model: MLP, Xb, yb, cfg: TrainConfig, lr: float, vels):
     return float(step_losses.mean())
 
 
-def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = None,
-          error_target: Optional[float] = None) -> RunMetrics:
+def train(spec: MLPSpec, cfg: TrainConfig, splits) -> RunMetrics:
     """Train on (train, valid, test) splits of (X, y) pairs.
 
     LR halves whenever validation error fails to improve for ``patience``
     consecutive epochs; training stops after 10 halvings (lr below
-    initial/2^10), at ``max_epochs``, or once ``error_target`` is reached
-    on validation.  Test metrics come from the best-validation parameters.
+    initial/2^10) or at ``max_epochs``.  Test metrics come from the
+    best-validation parameters.  No file is written: the CLI writes a
+    run's files from the returned ``RunMetrics``.
 
     Both output layers are evaluated through the MLP and keep their best
     state as the hidden parameters plus the output layer's ``snapshot``, so
@@ -395,8 +394,6 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
                 bad_epochs = 0
         if lr < lr_floor:
             break
-        if error_target is not None and best_err <= error_target:
-            break
 
     if best_state is not None:
         params, out_state = best_state
@@ -410,18 +407,8 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits, csv_path: Optional[str] = Non
     metrics.test_error = test_error
     metrics.top10_error = top10_error
     metrics.test_loss = test_loss
-
-    if csv_path is not None:
-        write_epoch_csv(csv_path, metrics)
     metrics.model = model
     return metrics
-
-
-def write_epoch_csv(path: str, metrics: RunMetrics):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f.name for f in fields(EpochRecord)])
-        w.writerows(astuple(r) for r in metrics.epochs)
 
 
 def format_run_record(metrics: RunMetrics) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -10,6 +11,12 @@ from sphloss.trainer import TrainConfig, train
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_record(out_dir, seed):
+    """The key=value lines of a seed's run record, as a dict of strings."""
+    lines = (out_dir / f"run_seed{seed}.txt").read_text().splitlines()
+    return dict(line.split("=") for line in lines)
 
 
 FAST_TRAIN = [
@@ -154,9 +161,9 @@ class TestTrain:
     def test_empty_hidden_dims_trains_a_linear_model(self, tmp_path, monkeypatch):
         specs = []
 
-        def spy(spec, cfg, splits, **kwargs):
+        def spy(spec, cfg, splits):
             specs.append(spec.hidden_dims)
-            return train(spec, cfg, splits, **kwargs)
+            return train(spec, cfg, splits)
 
         monkeypatch.setattr(trainer, "train", spy)
         first = tmp_path / "first"
@@ -195,6 +202,32 @@ class TestTrain:
         stdout = capsys.readouterr().out
         assert "seed=0:" in stdout and "seed=1:" in stdout
 
+    def test_epoch_csv(self, tmp_path):
+        out_dir = tmp_path / "run"
+        assert run(["train", "--out-dir", str(out_dir), "--seeds", "2", *FAST_TRAIN]) == 0
+        for seed in (0, 1):
+            epochs_run = int(run_record(out_dir, seed)["epochs_run"])
+            lines = (out_dir / f"epochs_seed{seed}.csv").read_text().splitlines()
+            assert lines[0] == "epoch,lr,train_loss,valid_loss,valid_error"
+            assert len(lines) == 1 + epochs_run
+
+    def test_epoch_csv_bytes(self, tmp_path, monkeypatch):
+        # floats are written by repr; valid_loss is an np.float64, as evaluate gives it
+        metrics = trainer.RunMetrics(epochs=[
+            trainer.EpochRecord(epoch=1, lr=0.1, train_loss=2 / 3,
+                                valid_loss=np.float64(0.5), valid_error=1e-20),
+            trainer.EpochRecord(epoch=2, lr=0.05, train_loss=math.nan,
+                                valid_loss=np.float64(2.5e300), valid_error=0.0),
+        ])
+        monkeypatch.setattr(trainer, "train", lambda spec, cfg, splits: metrics)
+        out_dir = tmp_path / "run"
+        assert run(["train", "--out-dir", str(out_dir), *FAST_TRAIN]) == 0
+        assert (out_dir / "epochs_seed0.csv").read_bytes() == (
+            b"epoch,lr,train_loss,valid_loss,valid_error\r\n"
+            b"1,0.1,0.6666666666666666,0.5,1e-20\r\n"
+            b"2,0.05,nan,2.5e+300,0.0\r\n"
+        )
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergent_lr_exits_1(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -202,6 +235,13 @@ class TestTrain:
                   "--set", "loss_kind=mse", "--set", "initial_lr=10000"])
         assert rc == 1
         assert "ABORT" in capsys.readouterr().err
+        # the diverged seed leaves its record and the CSV of its completed epochs
+        record = run_record(out_dir, 0)
+        assert record["diverged"] == "True"
+        epochs_run = int(record["epochs_run"])
+        lines = (out_dir / "epochs_seed0.csv").read_text().splitlines()
+        assert lines[0] == "epoch,lr,train_loss,valid_loss,valid_error"
+        assert len(lines) == epochs_run
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         rc = run(["train", "--out-dir", str(tmp_path / "x"),

@@ -308,6 +308,17 @@ class TestTrainStep:
             assert losses_with.tobytes() == losses_without.tobytes()
             assert states_equal(with_dh, without)
 
+    @pytest.mark.parametrize("factored", [False, True], ids=["dense", "factored"])
+    def test_empty_batch(self, factored):
+        # m = 0: the losses and dL/dH are empty and the state is unchanged
+        W0 = np.random.default_rng(32).normal(scale=0.1, size=(20, 5))
+        cls = FactoredOutputLayer if factored else DenseOutputLayer
+        layer, fresh = cls(W0), cls(W0)
+        step_losses, dH = layer.train_step(np.zeros((0, 5)), np.zeros(0, dtype=np.int64),
+                                           "log_taylor", LossParams(), 0.05, 0.9)
+        assert step_losses.shape == (0,) and dH.shape == (0, 5)
+        assert states_equal(layer, fresh)
+
 
 STEP = st.integers(1, 8).flatmap(lambda m: st.tuples(
     st.lists(st.integers(0, 3), min_size=m, max_size=m),  # classes repeat
@@ -719,19 +730,23 @@ class TestDeferredFolds:
     # and a rebase (pending rank above the cap, logits, snapshot) the rest
     D, d, lr = 2000, 16, 0.05
 
-    def pending_pair(self, seed):
+    def pending_pair(self, seed, d=None, first=None):
         """A factored layer with two folds pending, rows of block 0 at tags
-        0, 1 and 2 (the folds each has taken), and the dense layer it equals."""
+        0, 1 and 2 (the folds each has taken), and the dense layer it equals.
+        The first fold is of the mean directions ``first`` (the second's one
+        random mean when None); the layer is D x ``d`` (the class's d when
+        None)."""
+        d = d or self.d
         rng = np.random.default_rng(seed)
-        fac = FactoredOutputLayer(rng.normal(size=(self.D, self.d)), cond_threshold=np.inf)
-        mean = rng.uniform(0.5, 1.5, size=(1, self.d))
-        collapse(fac, rng, mean)
+        fac = FactoredOutputLayer(rng.normal(size=(self.D, d)), cond_threshold=np.inf)
+        mean = rng.uniform(0.5, 1.5, size=(1, d))
+        collapse(fac, rng, mean if first is None else first)
         fac._fold()
-        fac.sgd_step(random_batch(rng, 40, self.d, 4), self.lr)  # rows < 40 take tag 1
+        fac.sgd_step(random_batch(rng, 40, d, 4), self.lr)  # rows < 40 take tag 1
         collapse(fac, rng, mean)
         fac._fold()
         den = DenseOutputLayer(fac.materialize().W)
-        self.step(fac, den, random_batch(rng, 20, self.d, 3))  # rows < 20 take tag 2
+        self.step(fac, den, random_batch(rng, 20, d, 3))  # rows < 20 take tag 2
         assert (fac.fold_count, fac.rebase_count, fac._pending) == (2, 0, 2)
         assert set(fac._tag[:40]) == {0, 1, 2}
         return fac, den, rng
@@ -747,18 +762,32 @@ class TestDeferredFolds:
         assert rel_fro(fac.gram, W.T @ W) < 1e-9
         assert rel_fro(fac.colsum, W.sum(axis=0)) < 1e-9
 
-    def test_repeated_classes_at_different_tags_in_one_block(self):
-        fac, den, rng = self.pending_pair(80)
+    def step_at_every_tag(self, fac, den, rng):
+        """One step, in lockstep, on 9 rows with repeated classes, whose
+        rows of core are at tags 0, 1 and 2; it brings them to tag 2."""
         by_tag = [int(np.flatnonzero(fac._tag[:40] == t)[0]) for t in (0, 1, 2)]
         c = np.array(by_tag * 3)
         self.step(fac, den, StepPartials(*rng.uniform(-0.5, 0.5, size=(3, 9)), c=c,
-                                         h=np.maximum(rng.normal(size=(9, self.d)), 0.0)))
+                                         h=np.maximum(rng.normal(size=(9, fac.d)), 0.0)))
         assert set(fac._tag[c]) == {2}
         self.assert_lockstep(fac, den)
+
+    def test_repeated_classes_at_different_tags_in_one_block(self):
+        fac, den, rng = self.pending_pair(80)
+        self.step_at_every_tag(fac, den, rng)
         fac.rebase()
         assert fac.rebase_count == 1
         assert_caches_exact(fac)
         self.assert_lockstep(fac, den)
+
+    def test_rows_behind_a_two_direction_fold(self):
+        # a fold of 2 directions, then one of 1: the fold mask gives rows at
+        # tags 0, 1 and 2 the 3, 1 and 0 pending columns they lack
+        d = 32  # the pending rank cap, d/8 = 4, holds all 3
+        means = np.hstack([np.kron(np.eye(2), np.ones(5)), np.zeros((2, d - 10))])
+        fac, den, rng = self.pending_pair(89, d, means)
+        assert fac._fold_mask.sum(axis=1).tolist() == [3, 1, 0]
+        self.step_at_every_tag(fac, den, rng)
 
     def test_across_logits(self):
         fac, den, rng = self.pending_pair(81)

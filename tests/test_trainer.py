@@ -15,7 +15,6 @@ from sphloss.losses import batch_loss_grad, batch_scores
 from sphloss.trainer import (
     MLP,
     MLPSpec,
-    RunMetrics,
     TrainConfig,
     evaluate,
     he_init,
@@ -564,7 +563,7 @@ class TestTrain:
         cfg = TrainConfig(loss_kind=loss_kind, initial_lr=lr, max_epochs=20,
                           seed=0, prior_bias_init=prior)
         spec = MLPSpec(2, (16,), 2)
-        metrics = train(spec, cfg, toy_binary, error_target=0.0)
+        metrics = train(spec, cfg, toy_binary)
         (Xtr, ytr), _, _ = toy_binary
         _, train_err, _, _ = evaluate(metrics.model, Xtr, ytr, loss_kind)
         assert train_err == 0.0
@@ -655,31 +654,6 @@ class TestTrain:
         assert metrics.diverged
         assert metrics.diagnostic != ""
 
-    def test_epoch_csv(self, toy_binary, tmp_path):
-        cfg = TrainConfig(loss_kind="log_softmax", initial_lr=0.05, max_epochs=3,
-                          seed=4)
-        out = tmp_path / "epochs.csv"
-        metrics = train(MLPSpec(2, (8,), 2), cfg, toy_binary, csv_path=str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "epoch,lr,train_loss,valid_loss,valid_error"
-        assert len(lines) == 1 + metrics.epochs_run
-
-    def test_epoch_csv_bytes(self, tmp_path):
-        # floats are written by repr; valid_loss is an np.float64, as evaluate gives it
-        metrics = RunMetrics(epochs=[
-            trainer.EpochRecord(epoch=1, lr=0.1, train_loss=2 / 3,
-                                valid_loss=np.float64(0.5), valid_error=1e-20),
-            trainer.EpochRecord(epoch=2, lr=0.05, train_loss=math.nan,
-                                valid_loss=np.float64(2.5e300), valid_error=0.0),
-        ])
-        out = tmp_path / "epochs.csv"
-        trainer.write_epoch_csv(str(out), metrics)
-        assert out.read_bytes() == (
-            b"epoch,lr,train_loss,valid_loss,valid_error\r\n"
-            b"1,0.1,0.6666666666666666,0.5,1e-20\r\n"
-            b"2,0.05,nan,2.5e+300,0.0\r\n"
-        )
-
     def test_rejects_factored_with_nonspherical(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_kind="log_softmax", output_layer="factored")
@@ -703,7 +677,7 @@ class TestTrain:
         lr, prior = TOY_PLAN[loss_kind]
         cfg = TrainConfig(loss_kind=loss_kind, initial_lr=lr, max_epochs=20,
                           seed=0, prior_bias_init=prior, output_layer="factored")
-        metrics = train(MLPSpec(2, (16,), 2), cfg, toy_binary, error_target=0.0)
+        metrics = train(MLPSpec(2, (16,), 2), cfg, toy_binary)
         assert not metrics.diverged
         (Xtr, ytr), _, _ = toy_binary
         _, train_err, _, _ = evaluate(metrics.model, Xtr, ytr, loss_kind)

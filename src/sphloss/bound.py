@@ -90,10 +90,11 @@ def bound_from_stats(s: float, q: float, o_c: float, D: int, xi: float) -> float
 def golden_section_minimize(f, a, b, tol: float = 1e-10):
     """Golden-section search for the minimizer of a unimodal f on [a, b].
 
-    Elementwise: ``a`` and ``b`` may be arrays, and ``f`` maps an array of
-    points to an array of values.  Each element stops once its own bracket
-    is no wider than ``tol``, or no longer shrinks at float resolution, so
-    its result does not depend on the other elements.  Floats give a float.
+    Elementwise: ``a``, ``b`` and ``tol`` may be arrays, and ``f`` maps an
+    array of points to an array of values.  Each element stops once its own
+    bracket is no wider than its ``tol``, or no longer shrinks at float
+    resolution, so its result does not depend on the other elements.
+    Floats give a float.
 
     Every element steps on every iteration: an element's result is the
     midpoint of its bracket on the iteration it stops, and the steps it
@@ -125,6 +126,21 @@ def golden_section_minimize(f, a, b, tol: float = 1e-10):
     return float(mid) if mid.ndim == 0 else mid
 
 
+# Each row's xi search stops once its bracket is no wider than this share of
+# the bracket's upper end; see ``_minimize_xi``.
+_XI_RTOL = 1e-8
+
+
+def _xi_bracket(q, Q, D: int):
+    """(lo, hi, tol) of each row's xi search, from its q and Q = q - s^2/D:
+    the bracket ``_minimize_xi`` proves, and the width at which it stops."""
+    if D < 2:  # r < 0, outside the proof: [0, ln(4D) + sqrt(q)] to 1e-10
+        return 0.0, np.log(4.0 * D) + np.sqrt(np.maximum(q, 0.0)), 1e-10
+    hi = np.maximum(math.log(4.0 * D), np.sqrt(np.maximum(Q, 0.0)))
+    # one ulp down, so that a rounded-up log cannot cut off a root at ln(D-1)
+    return math.nextafter(math.log(D - 1.0), 0.0), hi, _XI_RTOL * hi
+
+
 def _minimize_xi(s, q, D: int):
     """The xi >= 0 minimizing the bound, for each element of the (n,)
     arrays s and q: one elementwise golden-section search.
@@ -138,23 +154,36 @@ def _minimize_xi(s, q, D: int):
     its sign is that of h(xi) = xi^2 (1 - r^2 / tanh^2(xi/2)) - Q/D, with
     r = (D-2)/D.  h is negative while tanh(xi/2) < r and increasing after,
     so it changes sign once: the bound is unimodal in xi and golden section
-    needs no restarts.  For xi >= ln(4D), tanh^2(xi/2) - r^2 >= 1/D, so
-    h >= 0 once also xi >= sqrt(Q); the bracket [0, ln(4D) + sqrt(q)] thus
-    holds the minimizer.
+    needs no restarts.
 
-    What the search resolves: it stops at a 1e-10 bracket, but near its
-    minimizer the bound is flat at float resolution, so the xi it returns
-    is only as close to the root of h as that flatness allows.  At D = 2000,
-    on 24 rows of normal logits (xi* from 8.5 to 61), it was 5e-9 to 1.8e-5
-    away from the root computed to 50 digits, at most 5e-7 relative.
-    lambda(xi), the partial dL/dq, moves at first order in xi, so a
-    last-bit change in q can move the optimized bound's partials by about
-    that much.
+    The bracket, for D >= 2 (so r >= 0):
+    - lo = ln(D - 1).  tanh(xi/2) = r exactly at xi = ln(D - 1), and
+      tanh(xi/2) < r below it, so there h < 0.  For D = 2, lo = 0.
+    - hi = max(ln(4D), sqrt(Q)).  For xi >= ln(4D), tanh^2(xi/2) - r^2
+      >= 1/D, and 1 - r^2/tanh^2 >= tanh^2 - r^2 since tanh^2 <= 1, so
+      h >= (xi^2 - Q)/D, which is >= 0 once also xi >= sqrt(Q).
+    For D = 1 (r = -1), h < 0 for every xi > 0 and the bound has no
+    minimizer; the search runs on [0, ln(4D) + sqrt(q)] to an absolute
+    1e-10 and ends at its upper end.
+
+    The stop: each row stops once its bracket is no wider than
+    ``_XI_RTOL`` = 1e-8 times its hi, or no longer shrinks at float
+    resolution.  Near its minimizer the bound is flat at float resolution,
+    so the xi returned is only as close to the root of h as that flatness
+    allows, and a narrower stop only resolves rounding.  On 24 rows of
+    normal logits at scales 1 and 0.1 (tests/test_bound.py), the largest
+    relative distance from the root computed to 50 digits was 5.4e-7 at
+    D = 2000, 1.5e-6 at D = 2e4 and 3.8e-6 at D = 1e5, and it stayed the
+    same to two digits for shares from 1e-10 to 1e-7.  A search on
+    [0, ln(4D) + sqrt(q)] to an absolute 1e-10 read 5.4e-7, 1.5e-6 and
+    2.8e-6, and took 55-57 bound evaluations per search on a seed-1
+    train-bound call, where this one takes 37-40.  lambda(xi), the partial
+    dL/dq, moves at first order in xi, so a last-bit change in q can move
+    the optimized bound's partials by about that much.
     """
-    hi = np.log(4.0 * D) + np.sqrt(np.maximum(q, 0.0))
     s_D, Q = s / D, q - s * s / D
     return golden_section_minimize(lambda xi: _bound_at(s_D, Q, D, xi, _lambda(xi)),
-                                   np.zeros_like(hi), hi)
+                                   *_xi_bracket(q, Q, D))
 
 
 def optimize_xi(stats: SphericalStats, D: int) -> float:

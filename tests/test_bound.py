@@ -244,10 +244,79 @@ class TestOptimizeXi:
         with pytest.raises(ValueError):
             optimize_xi(summary_stats(np.zeros(2), 0), 1)
 
+    def test_one_class_values(self):
+        # D = 1 is outside the bracket's proof (ln(D - 1) = -inf); its values
+        # are those of the search on [0, ln 4 + sqrt(q)] to an absolute 1e-10
+        got = batch_loss("spherical_bound_optimized", [[0.5], [2.0]], [0, 0])
+        assert got.tolist() == [0.09678942336714136, 0.029393221754761445]
+
     @pytest.mark.parametrize("s, q", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)])
     def test_rejects_nonfinite_stats(self, s, q):
         with pytest.raises(ValueError):
             optimize_xi(SphericalStats(s=s, q=q, o_c=0.0), 10)
+
+
+def _h_mp(mp, xi, Q, D):
+    """h(xi) = xi^2 (1 - r^2 / tanh^2(xi/2)) - Q/D in mpmath, with its
+    xi -> 0 limit -4 r^2 - Q/D."""
+    r = mp.mpf(D - 2) / D
+    if xi == 0:
+        return -4 * r * r - Q / D
+    return xi * xi - (r * xi / mp.tanh(xi / 2)) ** 2 - Q / D
+
+
+class TestXiBracket:
+    """``_xi_bracket``'s [lo, hi] holds the root of h, whose sign is that of
+    d(bound)/d(xi) (see ``_minimize_xi``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 10, 2000, 100_000, 1_000_000]),
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)),
+        st.one_of(st.just(0.0), st.floats(-6.0, 20.0).map(lambda e: 10.0 ** e)),
+    )
+    def test_holds_the_root(self, D, s, Q):
+        mp = pytest.importorskip("mpmath")
+        q = Q + s * s / D
+        Q = q - s * s / D  # as the search computes it
+        lo, hi, _ = bound._xi_bracket(np.array([q]), np.array([Q]), D)
+        assert 0.0 <= lo < hi[0]
+        with mp.workdps(50):
+            assert _h_mp(mp, mp.mpf(lo), mp.mpf(Q), D) <= 0
+            assert _h_mp(mp, mp.mpf(float(hi[0])), mp.mpf(Q), D) >= 0
+
+    def test_two_classes_start_at_zero(self):
+        # D = 2, Q = 0: r = 0, so h = xi^2 and xi* = 0, the bracket's lower
+        # end; the bound is flat there at float resolution (about 1e-4 wide)
+        lo, hi, _ = bound._xi_bracket(np.zeros(1), np.zeros(1), 2)
+        assert lo == 0.0 and hi[0] == math.log(8.0)
+        xi = bound._minimize_xi(np.zeros(1), np.zeros(1), 2)[0]
+        assert 0.0 <= xi < 1e-3
+        assert bound_from_stats(0.0, 0.0, 0.0, 2, xi) == bound_from_stats(0.0, 0.0, 0.0, 2, 0.0)
+
+    # Largest relative distance of the search's xi from the 50-digit root of
+    # h, over the rows of `test_accuracy_against_the_root` at both scales,
+    # measured at e33e0b8 with the former search: [0, ln(4D) + sqrt(q)] to
+    # an absolute 1e-10.  The bound's flatness at float resolution, not the
+    # stop, sets these.
+    FORMER_REL_ERR = {2000: 5.44e-7, 20_000: 1.45e-6, 100_000: 2.78e-6}
+
+    @pytest.mark.parametrize("D", sorted(FORMER_REL_ERR))
+    def test_accuracy_against_the_root(self, D):
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        for scale in (1.0, 0.1):
+            o = scale * np.random.default_rng(0).standard_normal((24, D))
+            s, q = o.sum(axis=1), np.einsum("ij,ij->i", o, o)
+            Q = q - s * s / D
+            xis = bound._minimize_xi(s, q, D)
+            lo, his, _ = bound._xi_bracket(q, Q, D)
+            with mp.workdps(50):
+                for xi, Qi, hi in zip(xis, Q, his):
+                    root = mp.findroot(lambda x: _h_mp(mp, x, mp.mpf(Qi), D),
+                                       (mp.mpf(lo), mp.mpf(hi)), solver="anderson")
+                    worst = max(worst, float(abs(mp.mpf(xi) / root - 1)))
+        assert worst <= 1.5 * self.FORMER_REL_ERR[D]
 
 
 def frozen_golden_section(f, a, b, tol=1e-10):
@@ -297,9 +366,8 @@ class TestSearchBitwise:
         # minimizer at xi = 0, in lambda's series branch
         s, Q = np.array(rows).T
         q = Q + s * s / D
-        hi = np.log(4.0 * D) + np.sqrt(q)
         expected = frozen_golden_section(lambda xi: bound_from_stats(s, q, 0.0, D, xi),
-                                         np.zeros_like(hi), hi)
+                                         *bound._xi_bracket(q, q - s * s / D, D))
         assert np.array_equal(bound._minimize_xi(s, q, D), expected)
 
     def test_series_branch_is_reached(self, monkeypatch):

@@ -17,7 +17,7 @@ recurrences.  The W h h' terms go into the mixer, A <- A(I - H'BH) with
 B = diag(2*lr*bq).  The 1h' and e_c h' terms go into the offset u and into
 rows of ``core``, in pre-mixer coordinates, which the maintained inverse of
 A gives; that inverse is updated by the Woodbury identity through the
-m x m matrix K = I - B H H'.  A layer whose weights are zero but for a
+m x m matrix K = I - H H'B.  A layer whose weights are zero but for a
 last column b, the MLP's zero-initialized output layer, starts with
 Q = (b.b) e e' and v = (sum b) e for e the last coordinate: no product and
 no pass over core.
@@ -28,10 +28,27 @@ R = (core[c] + u)A and H Q; ``backward_h`` and ``sgd_step`` reuse the
 validated labels, R and H Q while (h, c) keep their shapes, bytes and
 label values and no step, fold, rebase or restore came between, and
 validate only the partials; otherwise they validate and compute all
-again.  ``sgd_step`` forms H H' once, for K and for the step's rows in
-the new pre-mixer coordinates, and updates Q, v, A and its inverse in
-place: every d x d correction is one BLAS product of inner dimension m
-(2m for the Gram matrix at small m).
+again.
+
+Steps are delayed over a pending block of at most max(1, d // BLOCK_DIV)
+rows, ``block_cap`` (16 at d = 128, 1 below d = 16).  A block of steps
+with rows H_b takes W0, the matrix at its start, to W0 - P T H_b, P being
+the steps' gradient columns at W0 and T a t x t triangular matrix, as in
+the compact WY form of a product of Householder factors.  ``sgd_step``
+appends a step's rows in O(m*k*d + m^2*d) for k = ``block_cap``, and
+``forward_stats`` and ``backward_h`` read W through corrections to the
+block-start rows and caches, O(k*d) per row.  The block is flushed,
+applied to the representation as one update whose every d x d correction
+is one BLAS product of inner dimension t (2t for the Gram matrix at small
+t), in O(t*d^2 + t^2*d + t^3), when it is full, when a step's rows do not
+fit beside it, when its steps may have shrunk W below ``BLOCK_SHRINK``
+along some direction, and before every reader of the represented matrix:
+``logits``, ``read_stats``, ``snapshot``, ``materialize`` and ``rebase``;
+``restore`` drops it.  A step of ``block_cap`` rows or more is a block of
+its own, T = I, applied at once.  At d = 128 an m = 1 step thus pays its
+corrections and its entry, and one sixteenth of an O(16*d^2) flush, in
+place of three d x d rank-one updates, a 1 x 1 inverse and a condition
+estimate.
 
 When the mixer's condition estimate crosses ``cond_threshold``, a few of
 its singular directions have collapsed (the rectified inputs share a mean
@@ -52,11 +69,11 @@ pending.
 Evaluation reads the same representation: ``logits`` gives H W' as
 (H A') core' + (H A' u) 1', ``read_stats`` gives a spherical loss's
 (s, q, o_c) by ``forward_stats``' body in O(d^2) per row, counting and
-starting nothing, both after a rebase when folds are pending, and
-``snapshot``/``restore`` copy and reinstate the arrays that define the
-layer, so training keeps its best state without forming W.
-``materialize`` builds W for tests and export only, composing the
-pending factors into its product without writing ``core``.
+starting nothing, both after a flush and, with folds pending, a rebase,
+and ``snapshot``/``restore`` copy and reinstate the arrays that define
+the layer, so training keeps its best state without forming W.
+``materialize`` builds W for tests and export only, after a flush,
+composing the pending factors into its product without writing ``core``.
 
 ``DenseOutputLayer`` is the naive O(D*d) layer: both the reference the
 factored layer is tested against in lockstep and the dense trainer's
@@ -88,6 +105,15 @@ FOLD_CUT = 1e-2
 # of a stale row's update and of each fold's refresh of C; with d < 8 every
 # crossing rebases
 FOLD_MAX_RANK = 1 / 8
+# the pending block of delayed steps holds at most max(1, d // BLOCK_DIV)
+# rows: 16 at d = 128, and 1 below d = 16, where every step is applied as
+# it is taken; a step of at least that many rows is a block of its own
+BLOCK_DIV = 8
+# a block ends early once its steps' mixer factors I - 2*lr*bq*hh' may
+# shrink W along some direction below BLOCK_SHRINK, by the product of
+# min(1, |1 - 2*lr*bq*|h|^2|) over its rows: a later row's terms at the
+# block's start would cancel to that degree
+BLOCK_SHRINK = 1 / 16
 
 
 class StepPartials(NamedTuple):
@@ -108,9 +134,12 @@ class _StepContext(NamedTuple):
 
     key: tuple | None  # _step_key of (h, c) as given
     c: np.ndarray  # the validated labels, (m,) int64, the layer's own copy
-    X: np.ndarray  # rows c of core, up to date with the pending folds
-    R: np.ndarray  # (X + u)A, rows c of the represented matrix
-    HQ: np.ndarray  # H @ gram
+    R: np.ndarray  # rows c of the represented matrix W
+    HQ: np.ndarray  # H W'W
+    v: np.ndarray  # W'1
+    R0: np.ndarray  # R at the pending block's start, (core[c] + u)A
+    HQ0: np.ndarray  # H @ gram, HQ at the block's start
+    ZW: np.ndarray | None  # H [H~; PW]', with a block pending
 
 
 def _step_key(h: np.ndarray, c: np.ndarray):
@@ -218,11 +247,12 @@ def nesterov_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
     params -= lr * grad
 
 
-def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
+def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float, right=None):
     """W <- W - lr*dO'H in place, O(D*d*m), dO being the dense gradient of
-    the rows of H W' at the pre-step W (a simultaneous update)."""
+    the rows of H W' at the pre-step W (a simultaneous update); with
+    ``right``, W <- W - lr*dO'right."""
     dO = _dense_grad(H @ W.T, c, a, bq, g)
-    for rows, G in _blocked_products(dO, H):
+    for rows, G in _blocked_products(dO, H if right is None else right):
         G *= lr
         W[rows] -= G
 
@@ -296,9 +326,12 @@ class FactoredOutputLayer:
     ``backward_h`` and ``sgd_step`` (array element operations); it
     deliberately excludes folds, rebases and bringing a step's
     rows up to date with the pending folds, which are amortized
-    maintenance.  The rows and H Q of a step are counted each time they
-    are computed: once per step when ``forward_stats`` starts it; the
-    step's m x m inverse counts as m^3.
+    maintenance.  It covers the rows and H Q of a step each time they are
+    computed, once per step when ``forward_stats`` starts it; with a block
+    pending, their corrections, O(k*d) per row over the block's k =
+    ``block_cap`` slots; a step's terms and its entry into the block; and
+    a block's flush, once per block, whose t x t inverse counts as t^3.
+    ``block_cap`` is the most rows the pending block holds,
     ``fold_count`` and ``rebase_count`` count folds and rebases,
     ``q_clamps`` the rows whose cached q fell below zero and was clamped,
     and ``last_drift`` is the (Gram, column-sum) relative drift of the
@@ -308,18 +341,30 @@ class FactoredOutputLayer:
 
     def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e5,
                  copy: bool = True, _caches=None):
+        # ||A|| ||A^-1|| is at least 1, so any threshold below 1 folds at
+        # every step; NaN, which would switch folds off, is refused before
+        # W0 is copied and its caches formed
+        self.cond_threshold = float(cond_threshold)
+        if not self.cond_threshold >= 0.0:
+            raise ValueError(f"cond_threshold must be >= 0, got {cond_threshold}")
         # _caches: the (W0'W0, W0'1) of a W0 whose caches its builder knows
         # in closed form (``zeros``), which skips their O(D*d^2) product
         # and the pass over W0
         W0 = _as_weights(W0, copy) if _caches is None else W0
         self.D, self.d = W0.shape
+        self.block_cap = cap = max(1, self.d // BLOCK_DIV)
+        # the pending block's slots, zero but for its t rows (see _append):
+        # L = [X^; H~; PW], B H_b, P'P, (la, lg, sigma) and the classes
+        self._t = 0
+        self._L = np.zeros((3 * cap, self.d))
+        self._Xh, self._Ht, self._PW = self._L[:cap], self._L[cap:2 * cap], self._L[2 * cap:]
+        self._BH = np.zeros((cap, self.d))
+        self._PP = np.zeros((cap, cap))
+        self._coef = np.zeros((3, cap))
+        self._la, self._lg, self._sigma = self._coef
+        self._cb = np.zeros(cap, dtype=np.int64)
         self._reset(W0, _caches)
-        self._buf = np.empty((self.d, self.d))  # the step's d x d product
-        # ||A|| ||A^-1|| is at least 1, so any threshold below 1 folds at
-        # every step; NaN, which would switch folds off, is refused
-        self.cond_threshold = float(cond_threshold)
-        if not self.cond_threshold >= 0.0:
-            raise ValueError(f"cond_threshold must be >= 0, got {cond_threshold}")
+        self._buf = np.empty((self.d, self.d))  # the flush's d x d product
         self.op_count = 0
         self.rebase_count = 0
         self.fold_count = 0
@@ -340,17 +385,34 @@ class FactoredOutputLayer:
         return cls(W, copy=False, _caches=(gram, colsum))
 
     def _context(self, key, H: np.ndarray, c: np.ndarray) -> _StepContext:
-        """The context of a step on validated (H, c): the rows X of core,
-        brought up to date with the pending folds first, and the step's
-        rows R = (X + u)A and H Q, (m, d) each, which the caller counts in
-        ``op_count``: (2 d^2 + d) per row."""
+        """The context of a step on validated (H, c).  The rows of core,
+        brought up to date with the pending folds first, give the rows
+        R0 = (core[c] + u)A and H Q at the block's start, (m, d) each,
+        which the caller counts in ``op_count``: (2 d^2 + d) per row.  With
+        a block pending, W = W0 - P T H_b (see ``_append``) gives the rows
+        of the represented matrix from them, H~ = T H_b and o = W h:
+        W[c] = R0 - Pc H~, with Pc = rows c of P, and
+        W'o = H Q - (H H~')(PW - P'P H~) - (H PW')H~, with PW = P'W0, and
+        W'1 = v - H~'P'1; these corrections count themselves, O(k d) per
+        row."""
         X = self.core[c]  # a copy, updated in place
         if self._pending and len(c):
             tags = self._tag[c]
             if tags.min() < self._pending:  # rows that are current take zeros
                 self.core[c] = self._with_pending(X, tags)
                 self._tag[c] = self._pending
-        return _StepContext(key, c, X, np.dot(X + self.offset, self.mixer), np.dot(H, self.gram))
+        R0, HQ0 = np.dot(X + self.offset, self.mixer), np.dot(H, self.gram)
+        if not self._t:
+            return _StepContext(key, c, R0, HQ0, self.colsum, R0, HQ0, None)
+        L, k = self._L, self.block_cap
+        ZW = np.dot(H, L[k:].T)  # [H H~' | H PW']
+        # P[c_i, j] = beta_j r_i.h_j + la_j + lg_j [c_i = c_j], r_i = R0[i]
+        Pc = np.dot(R0, self._BH.T)
+        Pc += self._la
+        Pc += (c[:, None] == self._cb) * self._lg
+        self.op_count += len(c) * (6 * k * self.d + 3 * k + 2 * self.d) + k * self.d
+        return _StepContext(key, c, R0 - np.dot(Pc, self._Ht), HQ0 - np.dot(ZW, L[:2 * k]),
+                            self.colsum - np.dot(self._sigma, self._Ht), R0, HQ0, ZW)
 
     def _with_pending(self, X: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Rows X of core, which have taken ``tags`` folds each, times the
@@ -394,27 +456,27 @@ class FactoredOutputLayer:
         return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def read_stats(self, h: np.ndarray, c) -> SphericalStats:
-        """``forward_stats``' (s, q, o_c), by its body, after a rebase when
-        folds are pending, as ``logits``; otherwise it writes no layer
-        state: no ``op_count``, ``q_clamps``, step context, ``core`` rows
-        or tags.  For evaluation."""
+        """``forward_stats``' (s, q, o_c), by its body, after a flush of
+        the pending block and a rebase when folds are pending, as
+        ``logits``; otherwise it writes no layer state: no ``op_count``,
+        ``q_clamps``, step context, ``core`` rows or tags.  For evaluation."""
         H, c, one = _as_batch(h, c, self.D, self.d)
+        self._flush()
         if self._pending:
             self.rebase()
         s, q, o_c = self._moments(H, self._context(None, H, c))
         return _stats(s, np.maximum(q, 0.0), o_c, one)
 
     def _moments(self, H: np.ndarray, ctx: _StepContext):
-        """(s, q, o_c) of the rows of H from the caches and ``ctx``'s rows,
-        q unclamped."""
-        return (np.dot(H, self.colsum), np.einsum("ij,ij->i", ctx.HQ, H),
+        """(s, q, o_c) of the rows of H from ``ctx``, q unclamped."""
+        return (np.dot(H, ctx.v), np.einsum("ij,ij->i", ctx.HQ, H),
                 np.einsum("ij,ij->i", ctx.R, H))
 
     def backward_h(self, p: StepPartials) -> np.ndarray:
         """dL/dh = W'(a*1 + 2*bq*Wh + g*e_c) for each row of h, in O(d^2)
         per row, or O(d) when forward_stats started the step."""
         H, ctx, a, bq, g, one = self._as_step(p)
-        out = a[:, None] * self.colsum
+        out = a[:, None] * ctx.v
         out += (2.0 * bq)[:, None] * ctx.HQ
         out += g[:, None] * ctx.R
         self.op_count += len(a) * 5 * self.d
@@ -425,96 +487,170 @@ class FactoredOutputLayer:
         implicitly, as one update; an empty batch is a no-op.
 
         Matches DenseOutputLayer.sgd_step (simultaneous update) exactly in
-        exact arithmetic, repeated classes included.  One path for every m:
-        H H' is formed once and gives both K and the step's rows in the new
-        pre-mixer coordinates, H A^-1 + (H H') K^-1 (B H A^-1), so five
-        products of the step have a d x d output and the rest are of size
-        m^2 d.  The caches and the mixer and its inverse are updated in
-        place through one reused d x d buffer; every product whose inner
-        dimension is m goes through ``np.dot``, which hands an inner
-        dimension of 1 to BLAS where ``@`` does not.  Rows of ``core`` take
-        one product that sums a repeated class's terms.
+        exact arithmetic, repeated classes included.  A step of fewer than
+        ``block_cap`` rows joins the pending block, which is flushed first
+        when they do not fit beside its rows, and afterwards when it is
+        full or may have shrunk W below ``BLOCK_SHRINK`` along some
+        direction; a step of ``block_cap`` rows or more is a block of its
+        own, applied at once.
         """
         H, ctx, a, bq, g, _ = self._as_step(p)
-        c, R, HQ = ctx.c, ctx.R, ctx.HQ
         self._ctx = None
-        (m, d), D = H.shape, self.D
+        m, d, t = len(ctx.c), self.d, self._t
         if not m:
             return
-        beta = 2.0 * lr * bq
-        B = beta[:, None]
-        HH = np.dot(H, H.T)
-        # (I - H'BH)^-1 = I + H' K^-1 BH; det K = det(I - H'BH)
-        K = _identity(m) - B * HH
+        if t and t + m > self.block_cap:
+            self._flush()
+            ctx = self._context(None, H, ctx.c)
+            self.op_count += m * (2 * d * d + d)
+        # the step's columns of P = W0 H'B + 1la' + E_c diag(lg), B =
+        # diag(2*lr*bq) and E_c the classes' one-hot columns, at the block's
+        # start W0: its update of W0 is P H.  Its rows B H, P'W0 and P'1
+        B, la, lg = (2.0 * lr * bq)[:, None], lr * a, lr * g
+        BH = B * H
+        PW = B * ctx.HQ0
+        PW += la[:, None] * self.colsum
+        PW += lg[:, None] * ctx.R0
+        sigma = np.dot(BH, self.colsum) + self.D * la + lg
+        self.op_count += m * 8 * d
+        if m >= self.block_cap:  # a block of its own, H~ = H
+            rows = (BH, PW, la, lg, sigma, ctx.c)
+            self._apply(H, *rows, self._gram_rows(ctx, BH, la, lg, rows))
+        else:
+            self._append(H, ctx, BH, PW, la, lg, sigma)
+
+    def _gram_rows(self, ctx: _StepContext, BH, la, lg, rows) -> np.ndarray:
+        """p_i.p_j for a step's columns i of P and the columns j of ``rows``
+        = (B H, P'W0, la, lg, sigma, c) of a block, (m, n):
+        beta_i h_i.PW_j + lg_i r_i.(beta_j h_j) + la_i sigma_j
+        + lg_i (la_j + lg_j [c_i = c_j]), r_i being R0[i].  O(m*n*d)."""
+        BH_j, PW_j, la_j, lg_j, sigma_j, c_j = rows
+        G = np.dot(BH, PW_j.T)
+        G += np.dot(lg[:, None] * ctx.R0, BH_j.T)
+        G += la[:, None] * sigma_j
+        G += lg[:, None] * (la_j + (ctx.c[:, None] == c_j) * lg_j)
+        self.op_count += len(la) * (len(la_j) * (2 * self.d + 8) + self.d)
+        return G
+
+    def _append(self, H, ctx: _StepContext, BH, PW, la, lg, sigma):
+        """Add a step's rows to the pending block, and flush it when full
+        or when it may have shrunk W below ``BLOCK_SHRINK``.
+
+        A block of t rows H_b, from one or more steps, takes W0, the
+        matrix at its start, to W0 - P T H_b.  P's columns are those of
+        the steps at W0, and T = (I + N)^-1 with N[i, j] = beta_j h_i.h_j
+        when row i is of an earlier step than row j, else 0: a step's
+        update at the matrix the earlier ones left.  The block keeps
+        H~ = T H_b, B H_b, P'W0, P'P, la, lg, P'1 and the classes, and for
+        the contexts X^ = P'W0 - P'P H~.  A step's
+        rows H give T the columns -T N_new, so the old rows of H~ take
+        -(H~ H') B H.  O(m*k*d + k^2*d) for k = ``block_cap``."""
+        t, m, k = self._t, len(la), self.block_cap
+        new, PP, Ht = slice(t, t + m), self._PP, self._Ht
+        self._BH[new] = BH
+        self._PW[new] = PW
+        self._coef[:, new] = la, lg, sigma
+        self._cb[new] = ctx.c
+        G = self._gram_rows(ctx, BH, la, lg, (self._BH, self._PW, *self._coef, self._cb))
+        PP[new] = G
+        PP[:, new] = G.T
+        if t:
+            Ht[:t] -= np.dot(ctx.ZW[:, :t].T, BH)
+        Ht[new] = H
+        self._t = t + m
+        # I - beta hh' shrinks W along h by |1 - beta h.h| where below 1
+        for x in np.einsum("ij,ij->i", BH, H).tolist():
+            self._shrink *= min(1.0, abs(1.0 - x))
+        self.op_count += m * (t * self.d + 2 * self.d) + k * (k * self.d + self.d)
+        if self._t == k or self._shrink < BLOCK_SHRINK:
+            self._flush()
+            return
+        np.subtract(self._PW, np.dot(PP, Ht), out=self._Xh)
+
+    def _flush(self):
+        """Apply the pending block, if any, with H~ on the right."""
+        t = self._t
+        if t:
+            rows = (self._BH[:t], self._PW[:t], *self._coef[:, :t], self._cb[:t])
+            self._apply(self._Ht[:t], *rows, self._PP[:t, :t])
+
+    def _apply(self, Hr, BH, PW, la, lg, sigma, c, PP):
+        """W <- W - P Hr in place of the representation, then drop the
+        pending block and check the mixer's condition.  P's t columns are
+        W Hl'B + 1la' + E_c diag(lg) at the present W, given by the rows
+        B Hl, PW = P'W, la, lg, sigma = P'1, c and P'P, and Hr is H~ for a
+        block, Hl for a step of its own.
+
+        The W Hl'B Hr term goes into the mixer, A <- A(I - Hl'BHr), and
+        its inverse by the Woodbury identity through the t x t matrix
+        K = I - Hr Hl'B.  The 1la' and E_c diag(lg) terms, times Hr, go
+        into the offset and into rows c of ``core`` in pre-mixer
+        coordinates, Hr times the new inverse, K^-1 Hr A^-1; a repeated
+        class's row takes its summed terms.  Q takes Q - X'Hr - Hr'X with
+        X = PW - P'P Hr / 2, and v takes v - Hr'sigma.  Five products are
+        of size t*d^2 (2t*d^2 for the Gram matrix at small t), three of
+        them into one reused d x d buffer, and the rest of size t^2*d:
+        O(t*d^2 + t^2*d + t^3).
+        """
+        m, d = Hr.shape
+        HH = np.dot(Hr, BH.T)
+        # (I - Hl'BHr)^-1 = I + Hl'B K^-1 Hr; det K = det(I - Hl'BHr)
+        K = _identity(m) - HH
         try:
             K_inv = np.linalg.inv(K)
         except np.linalg.LinAlgError:
             K_inv = None
         if K_inv is None or not np.abs(K_inv).max() < 1e12:
-            # the mixer update I - H'BH is (numerically) singular: apply this
-            # one step to the represented matrix and make that the core, a
-            # rebase with the step folded in
+            # the mixer update is (numerically) singular: apply P Hr to the
+            # represented matrix and make that the core, a rebase with the
+            # update folded in
             W = self._weights(out=self.core)
-            _dense_sgd_step(W, H, c, a, bq, g, lr)
+            _dense_sgd_step(W, BH, c, la, np.full(m, 0.5), lg, 1.0, right=Hr)
             self._reset(W)
             self.rebase_count += 1
             return
 
-        # --- cache recurrences (use pre-step quantities) ---------------
-        # W_new = W M - Z H with M = I - H'BH and Z = 1a' + E_c diag g, lr
-        # folded into a and g; E_c'E_c = same, same[i, j] being c_i = c_j.
-        # Then Q_new = Q - XH - (XH)' with X' = BHQ + Z'W - N'H, where
-        # N = B H W'Z + (B HQH'B + Z'Z)/2 = B H U' + Z'Z/2, U = Z'W + BHQ/2
-        Q, v, buf = self.gram, self.colsum, self._buf
-        la, lg = lr * a, lr * g
-        Dla = D * la
-        same_lg = (c[:, None] == c) * lg  # E_c'E_c diag(lg), also for core's rows
-        hBHQ = B * HQ
-        hBHQ *= 0.5
-        U = la[:, None] * v
-        U += lg[:, None] * R  # Z'W
-        U += hBHQ
-        N = np.dot(H, U.T)
-        N *= B
-        ZZ = la + same_lg  # 2 Z'Z = la (D la + lg)' + lg (la + same lg)'
-        ZZ *= lg[:, None]
-        ZZ += la[:, None] * (Dla + lg)
-        ZZ *= 0.5
-        N += ZZ
-        Xt = U  # X' = U + BHQ/2 - N'H
-        Xt += hBHQ
-        Xt -= np.dot(N.T, H)
-        # for small m as one product [X | H'][H ; X'], which doubles the
-        # multiply-adds but skips the strided pass over (XH)' (17 against
-        # 29 us at m = 1, d = 129; 85 against 46 at m = 48); its inner
-        # dimension is at least 2, and ``np.matmul`` calls BLAS with less
-        # overhead than ``np.dot`` (8 against 9 us at m = 1, d = 128)
-        if 16 * m <= d:
-            XHX = np.concatenate([Xt, H, Xt])
+        Q, buf = self.gram, self._buf
+        X = np.dot(PP, Hr)
+        X *= -0.5
+        X += PW
+        # for small t as one product [X | Hr'][Hr ; X], which doubles the
+        # multiply-adds but skips the strided pass over (X'Hr)' (17 against
+        # 29 us at t = 1, d = 129; 29 against 42 at t = 16, d = 128; 84
+        # against 65 at t = 48); its inner dimension is at least 2, and
+        # ``np.matmul`` calls BLAS with less overhead than ``np.dot`` (8
+        # against 9 us at t = 1, d = 128)
+        if 5 * m <= d:
+            XHX = np.concatenate([X, Hr, X])
             Q -= np.matmul(XHX[:2 * m].T, XHX[m:], out=buf)
         else:
-            Q -= np.dot(Xt.T, H, out=buf)
+            Q -= np.dot(X.T, Hr, out=buf)
             Q -= buf.T
-        v -= np.dot(H.T, beta * np.dot(H, v) + Dla + lg)
-
-        # --- representation update --------------------------------------
-        # A <- A - (A H')(B H) and A^-1 <- A^-1 + H' T, T = K^-1 B H A^-1
-        self.mixer -= np.dot(np.dot(self.mixer, H.T), B * H, out=buf)
-        Y = np.dot(H, self.mixer_inv)
-        T = np.dot(K_inv, B * Y)
-        self.mixer_inv += np.dot(H.T, T, out=buf)
-        G = np.dot(HH, T)
-        G += Y  # H A^-1 with the new A^-1
+        self.colsum -= np.dot(sigma, Hr)
+        # A <- A - (A Hl'B) Hr and A^-1 <- A^-1 + Hl'B G, G = K^-1 Hr A^-1
+        self.mixer -= np.dot(np.dot(self.mixer, BH.T), Hr, out=buf)
+        G = np.dot(K_inv, np.dot(Hr, self.mixer_inv))
+        self.mixer_inv += np.dot(BH.T, G, out=buf)
         self.offset -= np.dot(la, G)
         # each row of c takes its class's summed terms, so the rows of a
         # repeated class are written with the same value
-        self.core[c] = ctx.X - np.dot(same_lg, G)
-        self.op_count += m * (5 * d * d + 6 * m * d + m * m + 12 * d) + 6 * d * d
+        self.core[c] = self.core[c] - np.dot((c[:, None] == c) * lg, G)
+        self.op_count += m * (5 * d * d + 3 * m * d + m * m + 6 * d) + 6 * d * d
+        self._drop_block()
 
         # the condition estimate ||A|| ||A^-1|| against the threshold, squared
         A, A_inv, t = self.mixer, self.mixer_inv, self.cond_threshold
         if np.vdot(A, A) * np.vdot(A_inv, A_inv) > t * t:
             self._fold()
+
+    def _drop_block(self):
+        """No step pending: the block's slots back to zero."""
+        self._ctx = None
+        self._shrink = 1.0  # a lower bound on the block's shrinking of W
+        if self._t:
+            self._t = 0
+            for slots in (self._L, self._BH, self._PP, self._coef):
+                slots.fill(0.0)
 
     def train_step(self, H: np.ndarray, y: np.ndarray, kind: str, params: losses.LossParams,
                    lr: float, mu: float, backward: bool = True):
@@ -544,9 +680,10 @@ class FactoredOutputLayer:
         caches are kept.  The pending factors are kept as one U C: U holds
         each factor's U_k and C its R times the factors after it, so that
         the product of all of them is I + U C.  A pending rank above
-        FOLD_MAX_RANK * d takes a rebase.  O(d^3), or O(D*d^2) with the
-        rebase.
+        FOLD_MAX_RANK * d takes a rebase.  A pending block is flushed
+        first.  O(d^3), or O(D*d^2) with the rebase.
         """
+        self._flush()
         self._ctx = None
         U, sig, Vt = np.linalg.svd(self.mixer)
         cut = sig < FOLD_CUT * sig[0]
@@ -573,14 +710,19 @@ class FactoredOutputLayer:
             self.rebase()
 
     def rebase(self):
-        """Make (core S + 1u')A the core, in place, S being the product of
-        the pending folds, with an identity mixer, a zero offset and no fold
-        pending.
+        """Flush the pending block, then make (core S + 1u')A the core, in
+        place, S being the product of the pending folds, with an identity
+        mixer, a zero offset and no fold pending.
 
         The represented matrix is unchanged; the caches are recomputed at
         full precision, and ``last_drift`` records how far the ones they
-        replace had drifted.  O(D*d^2).
+        replace had drifted.  O(D*d^2), run once: a flush that rebased,
+        through a fold or the singular-update fallback, is the rebase.
         """
+        rebases = self.rebase_count
+        self._flush()
+        if self.rebase_count > rebases:
+            return
         gram, colsum = self.gram, self.colsum
         self._reset(self._weights(out=self.core))
         self.last_drift = (_rel_diff(gram, self.gram), _rel_diff(colsum, self.colsum))
@@ -606,8 +748,8 @@ class FactoredOutputLayer:
     def _reset(self, W: np.ndarray, caches=None):
         """Represent W as the core itself, with the caches (W'W, W'1) given
         or computed from it at full precision; takes ownership of W.
-        O(D*d^2), or O(d^2) with the caches given."""
-        self._ctx = None
+        O(D*d^2), or O(d^2) with the caches given.  Drops the pending block."""
+        self._drop_block()
         self.core = W
         self.mixer = np.eye(self.d)
         self.mixer_inv = np.eye(self.d)
@@ -629,9 +771,11 @@ class FactoredOutputLayer:
 
     def logits(self, H: np.ndarray) -> np.ndarray:
         """O = H W' for the rows of H, (n, D), as (H A') core' + (H A' u) 1':
-        O(n*d^2 + n*d*D) with no D x d temporary, after a rebase when folds
-        are pending.  Evaluation, so not counted in ``op_count``."""
+        O(n*d^2 + n*d*D) with no D x d temporary, after a flush of the
+        pending block and a rebase when folds are pending.  Evaluation, so
+        not counted in ``op_count``."""
         H = _as_rows(H, self.d)
+        self._flush()
         if self._pending:
             self.rebase()
         G = H @ self.mixer.T
@@ -640,21 +784,26 @@ class FactoredOutputLayer:
         return O
 
     def snapshot(self) -> dict:
-        """Copies of the arrays that define the layer, after a rebase when
-        folds are pending; O(D*d), or O(D*d^2) with the rebase."""
+        """Copies of the arrays that define the layer, after a flush of the
+        pending block and a rebase when folds are pending; O(D*d), or
+        O(D*d^2) with the rebase."""
+        self._flush()
         if self._pending:
             self.rebase()
         return {name: getattr(self, name).copy() for name in self._STATE}
 
     def restore(self, snapshot: dict):
         """Return to the state of ``snapshot``, taking ownership of its
-        arrays: a snapshot is restored at most once."""
-        self._ctx = None
+        arrays: a snapshot is restored at most once.  The pending block is
+        dropped."""
+        self._drop_block()
         for name in self._STATE:
             setattr(self, name, snapshot[name])
         self._no_pending()
 
     def materialize(self) -> DenseOutputLayer:
-        """Dense copy of the represented matrix; for tests and export only."""
+        """Dense copy of the represented matrix, after a flush of the pending
+        block; for tests and export only."""
+        self._flush()
         return DenseOutputLayer(self._weights(out=np.empty((self.D, self.d))), copy=False)
 

@@ -320,22 +320,36 @@ class TestTrainStep:
         assert states_equal(layer, fresh)
 
 
-STEP = st.integers(1, 8).flatmap(lambda m: st.tuples(
-    st.lists(st.integers(0, 3), min_size=m, max_size=m),  # classes repeat
-    st.lists(st.booleans(), min_size=m, max_size=m),  # all-zero partial rows
-    st.integers(0, 2**32 - 1),  # seed for h and the partials
-))
+def steps(max_m):
+    """Steps of 1 to ``max_m`` rows."""
+    return st.integers(1, max_m).flatmap(lambda m: st.tuples(
+        st.lists(st.integers(0, 3), min_size=m, max_size=m),  # classes repeat
+        st.lists(st.booleans(), min_size=m, max_size=m),  # all-zero partial rows
+        st.integers(0, 2**32 - 1),  # seed for h and the partials
+    ))
 
 
 class TestBatchProperties:
     @settings(max_examples=100, deadline=None)
-    @given(ops=st.lists(st.one_of(st.just("rebase"), STEP), min_size=1, max_size=15),
+    @given(ops=st.lists(st.one_of(st.just("rebase"), steps(8)), min_size=1, max_size=15),
            lr=st.sampled_from([0.01, 0.1, 0.3]))
     def test_random_steps_and_rebases_match_dense(self, ops, lr):
         # at lr 0.3 some steps nearly flip the mixer along h; the factored
         # form is exact to about eps times the mixer's condition estimate,
         # the largest of which the tolerance is scaled by
-        D, d = 10, 5
+        self.check(ops, lr, D=10, d=5, h_scale=1.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ops=st.lists(st.one_of(st.just("rebase"), steps(1), steps(5)), min_size=1, max_size=25),
+           lr=st.sampled_from([0.01, 0.1, 0.3]))
+    def test_blocks_of_steps_and_rebases_match_dense(self, ops, lr):
+        # at d = 32 the pending block holds 4 rows: single examples and
+        # batches of up to 3 join it, batches of 4 or 5 are blocks of their
+        # own.  |h| near 1 keeps 2*lr*bq*|h|^2 below about 0.3, so that most
+        # blocks defer their steps
+        self.check(ops, lr, D=40, d=32, h_scale=32 ** -0.5)
+
+    def check(self, ops, lr, D, d, h_scale):
         W0 = np.random.default_rng(0).normal(size=(D, d))
         fac = FactoredOutputLayer(W0)
         den = DenseOutputLayer(W0)
@@ -347,7 +361,8 @@ class TestBatchProperties:
             c, zero, seed = op
             rng = np.random.default_rng(seed)
             a, bq, g = rng.uniform(-1.0, 1.0, size=(3, len(c))) * ~np.array(zero)
-            p = StepPartials(a=a, bq=bq, g=g, c=np.array(c), h=rng.normal(size=(len(c), d)))
+            p = StepPartials(a=a, bq=bq, g=g, c=np.array(c),
+                             h=h_scale * rng.normal(size=(len(c), d)))
             errs.append(rel_fro(fac.backward_h(p), den.backward_h(p)))
             fac.sgd_step(p, lr=lr)
             den.sgd_step(p, lr=lr)
@@ -569,13 +584,16 @@ def collapse(fac, rng, means, lr=0.1):
     shrinks the mixer about tenfold along its h; the rows share one mean
     direction when ``means`` has one row.  a and g are small: the offset
     and the rows they move hold 1/sigma_min-sized terms, whose rounding is
-    the representation's own error, about eps * cond * lr * |a|."""
+    the representation's own error, about eps * cond * lr * |a|.  Each
+    step is flushed as it is taken, so that the loop reads the mixer it
+    left and stops at the step that crosses."""
     t = 0
     while cond_estimate(fac) <= 1e8:
         h = np.maximum(means[t % len(means)] + 0.05 * rng.normal(size=fac.d), 0.0)
         a, g = rng.uniform(-1e-4, 1e-4, size=2)
         fac.sgd_step(StepPartials(a=a, bq=0.45 / (lr * (h @ h)), g=g,
                                   c=int(rng.integers(fac.D)), h=h), lr=lr)
+        fac._flush()
         t += 1
 
 
@@ -587,6 +605,16 @@ class TestFold:
         # a NaN threshold switched off every fold and rebase without a word
         with pytest.raises(ValueError, match="cond_threshold must be >= 0"):
             FactoredOutputLayer(np.zeros((5, 3)), cond_threshold=threshold)
+
+    def test_threshold_is_refused_before_the_weights_are_read(self, monkeypatch):
+        # at 1e5 x 128 the copy of W and its Gram product took 216 ms
+        # before a NaN threshold was refused
+        def reset(self, *args):
+            raise AssertionError("_reset ran before the threshold was checked")
+
+        monkeypatch.setattr(FactoredOutputLayer, "_reset", reset)
+        with pytest.raises(ValueError, match="cond_threshold must be >= 0"):
+            FactoredOutputLayer(np.zeros((5, 3)), cond_threshold=np.nan)
 
     def test_zero_and_infinite_thresholds_are_kept(self):
         rng = np.random.default_rng(44)
@@ -888,6 +916,146 @@ class TestDeferredFolds:
         fac, drift = stream_drift(500, 16, 4000, seed)
         assert fac.fold_count > 0
         assert drift <= 1e-9
+
+
+def assert_matches(fac, den, tol=1e-10):
+    """The factored layer's matrix and caches against the dense layer's."""
+    W = fac.materialize().W
+    assert rel_fro(W, den.W) < tol
+    assert rel_fro(fac.gram, W.T @ W) < tol
+    assert rel_fro(fac.colsum, W.sum(axis=0)) < tol
+
+
+class TestPendingBlock:
+    # single examples at d = 32 and 64 join a pending block of d/8 rows,
+    # which forward_stats and backward_h read through corrections until it
+    # is flushed: when full, by a reader of the matrix, or by a fold
+    D, lr = 300, 0.05
+
+    @pytest.mark.parametrize("d, cap", [(4, 1), (15, 1), (16, 2), (128, 16), (129, 16)])
+    def test_cap(self, d, cap):
+        # below d = 16 every step is applied as it is taken, so a step at
+        # threshold 0 rebases within its own sgd_step
+        assert FactoredOutputLayer.zeros(5, d).block_cap == cap
+
+    def pair(self, d, seed):
+        rng = np.random.default_rng(seed)
+        W0 = rng.normal(scale=0.1, size=(self.D, d))
+        return FactoredOutputLayer(W0), DenseOutputLayer(W0), rng
+
+    def partials(self, rng, d, c=None, zero=False):
+        """One example whose |h| is near 1, so that 2*lr*bq*|h|^2 stays
+        near or below 0.05 and a block holds all its d/8 steps."""
+        a, bq, g = (0.0, 0.0, 0.0) if zero else rng.uniform(-0.5, 0.5, size=3)
+        return StepPartials(a=a, bq=bq, g=g, c=int(rng.integers(self.D)) if c is None else c,
+                            h=rng.normal(size=d) / np.sqrt(d))
+
+    def step(self, fac, den, p, tol=1e-10):
+        """(s, q, o_c) and dL/dh against the dense layer's, then the step."""
+        for got, want in zip(fac.forward_stats(p.h, p.c), den.forward_stats(p.h, p.c)):
+            assert got == pytest.approx(want, rel=tol, abs=1e-12)
+        assert rel_fro(fac.backward_h(p), den.backward_h(p)) < tol
+        fac.sgd_step(p, self.lr)
+        den.sgd_step(p, self.lr)
+
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_stream_across_flushes(self, d):
+        # three full blocks and two steps of a fourth; the second block
+        # repeats one class and has all-zero partial rows
+        fac, den, rng = self.pair(d, 90 + d)
+        k = fac.block_cap
+        for i in range(3 * k + 2):
+            second = k <= i < 2 * k
+            self.step(fac, den, self.partials(rng, d, c=7 if second and i % 2 else None,
+                                               zero=second and i % 3 == 0))
+            assert fac._t == (i + 1) % k
+        assert (fac.fold_count, fac.rebase_count) == (0, 0)
+        assert_matches(fac, den)
+        assert fac._t == 0
+
+    @pytest.mark.parametrize("reader", ["logits", "read_stats", "snapshot", "materialize",
+                                        "rebase", "fold"])
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_a_reader_mid_block_flushes_it(self, d, reader):
+        fac, den, rng = self.pair(d, 100 + d)
+        tol = 1e-10
+        if reader == "fold":
+            # a collapsed direction for the fold to move; the collapsed
+            # mixer's representation is exact to about 1e-8 (TestFold)
+            fac.cond_threshold, tol = np.inf, 1e-8
+            collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, d)))
+            den = DenseOutputLayer(fac.materialize().W)
+        k = fac.block_cap
+        for _ in range(k + k // 2):
+            self.step(fac, den, self.partials(rng, d), tol)
+        assert fac._t == k // 2
+        X, c = rng.normal(size=(5, d)), rng.integers(self.D, size=5)
+        if reader == "logits":
+            assert rel_fro(fac.logits(X), den.logits(X)) < tol
+        elif reader == "read_stats":
+            for got, want in zip(fac.read_stats(X, c), den.forward_stats(X, c)):
+                assert rel_fro(got, want) < tol
+        elif reader == "snapshot":
+            snaps = fac.snapshot(), den.snapshot()
+            for _ in range(k // 2 + 1):
+                self.step(fac, den, self.partials(rng, d))
+            assert fac._t == k // 2 + 1
+            fac.restore(snaps[0])
+            den.restore(snaps[1])
+        elif reader == "materialize":
+            assert rel_fro(fac.materialize().W, den.W) < tol
+        elif reader == "rebase":
+            fac.rebase()
+            assert fac.rebase_count == 1
+        else:
+            fac._fold()
+            assert (fac.fold_count, fac.rebase_count) == (1, 0)
+        assert fac._t == 0
+        for _ in range(k + 1):
+            self.step(fac, den, self.partials(rng, d), tol)
+        assert_matches(fac, den, tol)
+
+    @pytest.mark.parametrize("d", [32, 64])
+    def test_singular_factor_takes_the_dense_fallback(self, d):
+        # 2*lr*bq*|h|^2 = 1 makes I - 2*lr*bq*hh' singular, and with it
+        # the mixer update of the block it joins: the factor ends the block,
+        # whose flush applies it to the represented matrix, a rebase
+        fac, den, rng = self.pair(d, 110 + d)
+        for _ in range(2):
+            self.step(fac, den, self.partials(rng, d))
+        p = self.partials(rng, d)
+        p = p._replace(bq=1.0 / (2.0 * self.lr * float(p.h @ p.h)))
+        assert fac._t == 2
+        self.step(fac, den, p)
+        assert fac._t == 0 and fac.rebase_count == 1
+        for _ in range(fac.block_cap + 1):
+            self.step(fac, den, self.partials(rng, d))
+        assert_matches(fac, den)
+
+    def test_rebase_whose_flush_rebased_runs_once(self):
+        # at threshold 0 the flush of the pending step finds no collapsed
+        # direction to fold and rebases; rebase() then has nothing left
+        rng = np.random.default_rng(121)
+        fac = FactoredOutputLayer(rng.normal(size=(self.D, 32)), cond_threshold=0.0)
+        den = DenseOutputLayer(fac.materialize().W)
+        self.step(fac, den, self.partials(rng, 32))
+        assert fac._t == 1
+        fac.rebase()
+        assert (fac.fold_count, fac.rebase_count) == (0, 1)
+        assert_matches(fac, den)
+
+    def test_a_batch_that_does_not_fit_flushes_the_block_first(self):
+        # two single examples, then a batch of 3 beside them in a block of
+        # 4, then one of 4, which is a block of its own
+        fac, den, rng = self.pair(32, 120)
+        for _ in range(2):
+            self.step(fac, den, self.partials(rng, 32))
+        for m, pending in ((3, 3), (4, 0)):
+            p = random_batch(rng, self.D, 32, m)
+            p = p._replace(h=p.h / np.sqrt(32))
+            self.step(fac, den, p)
+            assert fac._t == pending
+        assert_matches(fac, den)
 
 
 def backward_ops(layer, p):

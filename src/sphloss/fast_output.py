@@ -70,10 +70,20 @@ Evaluation reads the same representation: ``logits`` gives H W' as
 (H A') core' + (H A' u) 1', ``read_stats`` gives a spherical loss's
 (s, q, o_c) by ``forward_stats``' body in O(d^2) per row, counting and
 starting nothing, both after a flush and, with folds pending, a rebase,
-and ``snapshot``/``restore`` copy and reinstate the arrays that define
-the layer, so training keeps its best state without forming W.
-``materialize`` builds W for tests and export only, after a flush,
-composing the pending factors into its product without writing ``core``.
+and ``snapshot``/``restore`` keep and reinstate the layer's state, so
+training keeps its best state without forming or copying W.  A snapshot
+copies the d-sized arrays and opens an undo journal of ``core``: until the
+next snapshot or restore, a write to rows of ``core``, a step's update or
+a stale row's refresh, first saves each row's snapshot-time value once, so
+the snapshot costs O(d^2 + D) and the journal one d-row per distinct row
+written.  A rebase, or the singular-update fallback, with the journal open
+rewrites all of ``core``: it writes W into a fresh array, and the old
+``core``, its saved rows written back, becomes the journal's one full copy.
+``restore`` writes the saved rows back, or takes the full copy, in
+O(rows written * d + d^2), and refuses a snapshot superseded by a later
+one or already restored.  ``materialize`` builds W for tests and export
+only, after a flush, composing the pending factors into its product
+without writing ``core``.
 
 ``DenseOutputLayer`` is the naive O(D*d) layer: both the reference the
 factored layer is tested against in lockstep and the dense trainer's
@@ -126,6 +136,41 @@ class StepPartials(NamedTuple):
     g: float | np.ndarray
     c: int | np.ndarray
     h: np.ndarray
+
+
+class _Journal:
+    """A factored layer's open snapshot: copies of its d-sized arrays, and
+    the undo journal of ``core`` since.  Each row written is saved once,
+    before its first write, and marked in ``saved``; once all of ``core`` is
+    rewritten, ``full`` is the snapshot-time ``core`` and no row is saved."""
+
+    def __init__(self, small: dict, D: int):
+        self.small = small
+        self.saved = np.zeros(D, dtype=bool)
+        self.rows, self.vals = [], []
+        self.full = None
+
+    def save(self, core: np.ndarray, c: np.ndarray):
+        """Save the rows c of ``core`` not yet saved, before they are written."""
+        if self.full is None:
+            new = c[~self.saved[c]]
+            if len(new):
+                new = np.unique(new)
+                self.saved[new] = True
+                self.rows.append(new)
+                self.vals.append(core[new])
+
+    def undo(self, core: np.ndarray) -> np.ndarray:
+        """``core`` with its saved rows written back, in place."""
+        for rows, vals in zip(self.rows, self.vals):
+            core[rows] = vals
+        return core
+
+    def take_full(self, core: np.ndarray):
+        """Keep ``core``, which is about to be replaced, with its saved rows
+        written back, as the full copy."""
+        self.full = self.undo(core)
+        self.saved, self.rows, self.vals = None, [], []
 
 
 class _StepContext(NamedTuple):
@@ -313,7 +358,11 @@ class DenseOutputLayer:
         return self.W.copy()
 
     def restore(self, snapshot: np.ndarray):
-        """Return to the state of ``snapshot``, taking ownership of it."""
+        """Return to the state of ``snapshot``, taking ownership of it.
+        ValueError for the array the layer already owns: a snapshot
+        restored before, which later steps may have written."""
+        if snapshot is self.W:
+            raise ValueError("snapshot already restored: the layer owns it")
         self.W = snapshot
 
 
@@ -363,6 +412,7 @@ class FactoredOutputLayer:
         self._coef = np.zeros((3, cap))
         self._la, self._lg, self._sigma = self._coef
         self._cb = np.zeros(cap, dtype=np.int64)
+        self._journal = None  # the open snapshot, if any
         self._reset(W0, _caches)
         self._buf = np.empty((self.d, self.d))  # the flush's d x d product
         self.op_count = 0
@@ -399,6 +449,8 @@ class FactoredOutputLayer:
         if self._pending and len(c):
             tags = self._tag[c]
             if tags.min() < self._pending:  # rows that are current take zeros
+                if self._journal is not None:
+                    self._journal.save(self.core, c)
                 self.core[c] = self._with_pending(X, tags)
                 self._tag[c] = self._pending
         R0, HQ0 = np.dot(X + self.offset, self.mixer), np.dot(H, self.gram)
@@ -604,7 +656,7 @@ class FactoredOutputLayer:
             # the mixer update is (numerically) singular: apply P Hr to the
             # represented matrix and make that the core, a rebase with the
             # update folded in
-            W = self._weights(out=self.core)
+            W = self._rewritten()
             _dense_sgd_step(W, BH, c, la, np.full(m, 0.5), lg, 1.0, right=Hr)
             self._reset(W)
             self.rebase_count += 1
@@ -634,6 +686,8 @@ class FactoredOutputLayer:
         self.offset -= np.dot(la, G)
         # each row of c takes its class's summed terms, so the rows of a
         # repeated class are written with the same value
+        if self._journal is not None:
+            self._journal.save(self.core, c)
         self.core[c] = self.core[c] - np.dot((c[:, None] == c) * lg, G)
         self.op_count += m * (5 * d * d + 3 * m * d + m * m + 6 * d) + 6 * d * d
         self._drop_block()
@@ -724,7 +778,7 @@ class FactoredOutputLayer:
         if self.rebase_count > rebases:
             return
         gram, colsum = self.gram, self.colsum
-        self._reset(self._weights(out=self.core))
+        self._reset(self._rewritten())
         self.last_drift = (_rel_diff(gram, self.gram), _rel_diff(colsum, self.colsum))
         self.rebase_count += 1
 
@@ -744,6 +798,17 @@ class FactoredOutputLayer:
             out[rows] += uA
         out[fixed] = W_fixed
         return out
+
+    def _rewritten(self) -> np.ndarray:
+        """W = (core S + 1u')A, to be the new core: written over ``core``,
+        or, while the journal saves rows, into a fresh array, the old
+        ``core`` becoming the journal's full copy."""
+        j = self._journal
+        if j is None or j.full is not None:
+            return self._weights(out=self.core)
+        W = self._weights(out=np.empty((self.D, self.d)))
+        j.take_full(self.core)
+        return W
 
     def _reset(self, W: np.ndarray, caches=None):
         """Represent W as the core itself, with the caches (W'W, W'1) given
@@ -783,22 +848,39 @@ class FactoredOutputLayer:
         O += (G @ self.offset)[:, None]
         return O
 
-    def snapshot(self) -> dict:
-        """Copies of the arrays that define the layer, after a flush of the
-        pending block and a rebase when folds are pending; O(D*d), or
-        O(D*d^2) with the rebase."""
+    def snapshot(self) -> _Journal:
+        """The layer's state, for ``restore``, after a flush of the pending
+        block and a rebase when folds are pending: copies of the d-sized
+        arrays, and an undo journal of ``core`` that replaces the one of an
+        earlier snapshot.  O(d^2 + D), or O(D*d^2) with the rebase.
+
+        Until the next snapshot or restore, every write to rows of ``core``
+        first saves each row's present value once.  A rebase or the
+        singular-update fallback with the journal open writes the new core
+        into a fresh array and keeps the old one, its saved rows written
+        back, as one full copy: the only case that copies D x d."""
         self._flush()
         if self._pending:
             self.rebase()
-        return {name: getattr(self, name).copy() for name in self._STATE}
+        self._journal = _Journal({name: getattr(self, name).copy()
+                                  for name in self._STATE if name != "core"}, self.D)
+        return self._journal
 
-    def restore(self, snapshot: dict):
-        """Return to the state of ``snapshot``, taking ownership of its
-        arrays: a snapshot is restored at most once.  The pending block is
-        dropped."""
+    def restore(self, snapshot: _Journal):
+        """Return to the state of ``snapshot``, the layer's last, which is
+        restored at most once: its saved rows are written back into
+        ``core``, or its full copy becomes ``core``, and its d-sized arrays
+        are taken over, in O(rows written * d + d^2).  The pending block and
+        the pending folds are dropped.  ValueError for a snapshot superseded
+        by a later one or already restored, whose state is gone."""
+        j = self._journal
+        if j is None or snapshot is not j:
+            raise ValueError("not the layer's open snapshot: superseded or already restored")
+        self._journal = None
         self._drop_block()
-        for name in self._STATE:
-            setattr(self, name, snapshot[name])
+        self.core = j.undo(self.core) if j.full is None else j.full
+        for name, x in j.small.items():
+            setattr(self, name, x)
         self._no_pending()
 
     def materialize(self) -> DenseOutputLayer:

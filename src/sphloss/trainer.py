@@ -341,8 +341,10 @@ def train(spec: MLPSpec, cfg: TrainConfig, splits) -> RunMetrics:
     run's files from the returned ``RunMetrics``.
 
     Both output layers are evaluated through the MLP and keep their best
-    state as the hidden parameters plus the output layer's ``snapshot``, so
-    a factored run never forms its D x d output weights.
+    state as the hidden parameters plus the output layer's ``snapshot``.  A
+    factored layer's snapshot journals the rows of ``core`` that later
+    steps write, so a factored run neither forms nor copies its D x d
+    output weights, unless a rebase follows a snapshot.
     """
     (Xtr, ytr), (Xva, yva), (Xte, yte) = splits
     rng = np.random.default_rng(cfg.seed)

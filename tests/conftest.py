@@ -1,7 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sphloss.cli import max_rel_err  # noqa: F401  (gradcheck's error measure)
+
+
+def traced_peak(fn) -> int:
+    """The peak, in bytes, of the memory Python's allocators traced while
+    ``fn()`` ran: what it allocated beyond what was live when it began."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from sphloss.fast_output import (
 )
 from sphloss.losses import LOSSES, LossParams, _dense_grad, batch_loss_grad
 
+from conftest import traced_peak
+
 
 def random_partials(rng, D, d):
     return StepPartials(
@@ -227,9 +229,9 @@ class TestSgdStep:
         assert st.s.shape == st.q.shape == st.o_c.shape == (0,)
         p = StepPartials(a=np.zeros(0), bq=np.zeros(0), g=np.zeros(0), c=c, h=H)
         assert layer.backward_h(p).shape == (0, 5)
-        before = layer.snapshot()
+        before = state_copy(layer)
         layer.sgd_step(p, lr=0.1)
-        after = layer.snapshot()
+        after = state_copy(layer)
         if factored:
             assert all(np.array_equal(before[k], after[k]) for k in before)
             assert (layer.fold_count, layer.rebase_count) == (0, 0)
@@ -261,12 +263,23 @@ class TestSgdStep:
                 call()
 
 
+def state_copy(layer):
+    """A copy of the layer's state after a snapshot, which flushes and,
+    with folds pending, rebases: the dense layer's snapshot, or copies of
+    the factored layer's ``_STATE`` arrays, since its snapshot holds no
+    ``core``."""
+    snap = layer.snapshot()
+    if isinstance(layer, DenseOutputLayer):
+        return snap
+    return {k: getattr(layer, k).copy() for k in layer._STATE}
+
+
 def states_equal(a, b):
-    """Bitwise equality of two layers' states: snapshots, and the dense
-    layer's velocity."""
+    """Bitwise equality of two layers' states: ``state_copy``, and the
+    dense layer's velocity."""
     if isinstance(a, DenseOutputLayer):
         return a.W.tobytes() == b.W.tobytes() and a.velocity.tobytes() == b.velocity.tobytes()
-    sa, sb = a.snapshot(), b.snapshot()
+    sa, sb = state_copy(a), state_copy(b)
     return all(sa[k].tobytes() == sb[k].tobytes() for k in sa)
 
 
@@ -477,16 +490,115 @@ class TestLogitsAndSnapshot:
         for _ in range(5):
             fac.sgd_step(random_batch(rng, D, d, 6), lr=0.05)
         snap = fac.snapshot()
-        kept = {k: v.copy() for k, v in snap.items()}
+        kept = {k: getattr(fac, k).copy() for k in fac._STATE}
         W, gram, colsum = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
         for _ in range(5):
             fac.sgd_step(random_batch(rng, D, d, 6), lr=0.05)
         fac.rebase()
         assert not np.array_equal(fac.materialize().W, W)
-        assert all(np.array_equal(snap[k], kept[k]) for k in kept)
+        assert all(np.array_equal(snap.small[k], kept[k]) for k in snap.small)
+        assert np.array_equal(snap.full, kept["core"])
         fac.restore(snap)
+        assert all(np.array_equal(getattr(fac, k), kept[k]) for k in kept)
         assert np.array_equal(fac.materialize().W, W)
         assert np.array_equal(fac.gram, gram) and np.array_equal(fac.colsum, colsum)
+
+    @pytest.mark.parametrize("after", ["batches", "pending block", "fold", "rebase", "singular"])
+    def test_journal_restores_exactly(self, after):
+        # what a snapshot is followed by: batches with repeated classes and
+        # zero partial rows, whose rows the journal saves; m = 1 steps that
+        # leave a block pending; a fold whose stale rows a later step
+        # refreshes; an explicit rebase, or the singular-update fallback,
+        # which turn the journal into one full copy of core
+        D, d, lr = 300, 32, 0.05
+        rng = np.random.default_rng(130)
+        fac = FactoredOutputLayer(rng.normal(scale=0.1, size=(D, d)), cond_threshold=np.inf)
+        for _ in range(3):
+            fac.sgd_step(random_batch(rng, D, d, 6), lr)
+        den = DenseOutputLayer(fac.materialize().W)
+        snaps = fac.snapshot(), den.snapshot()
+        kept = {k: getattr(fac, k).copy() for k in fac._STATE}
+        W = fac.materialize().W
+        for _ in range(2):
+            p = random_batch(rng, D, d, 6)
+            fac.sgd_step(p, lr)
+            den.sgd_step(p, lr)
+        if after == "pending block":
+            for _ in range(fac.block_cap + 2):
+                fac.sgd_step(random_partials(rng, D, d)._replace(h=rng.normal(size=d) / d), lr)
+            assert fac._t == 2
+        elif after == "fold":
+            collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, d)))
+            fac._fold()
+            p = random_batch(rng, D, d, 6)
+            assert not np.any(fac._tag[p.c])
+            fac.sgd_step(p, lr)
+            assert fac._pending == 1 and np.all(fac._tag[p.c] == 1)
+        elif after == "rebase":
+            fac.rebase()
+            fac.sgd_step(random_batch(rng, D, d, 6), lr)
+        elif after == "singular":
+            # 2*lr*bq*|h|^2 = 1: the factor I - 2*lr*bq*hh' is singular
+            p = random_partials(rng, D, d)
+            fac.sgd_step(p._replace(bq=1.0 / (2.0 * lr * float(p.h @ p.h))), lr)
+            assert fac.rebase_count == 1
+        journal = snaps[0]
+        assert (journal.full is not None) == (after in ("rebase", "singular"))
+        if journal.full is None:
+            assert np.array_equal(np.sort(np.concatenate(journal.rows)),
+                                  np.flatnonzero(journal.saved))
+        assert not np.array_equal(fac.materialize().W, W)
+        fac.restore(snaps[0])
+        den.restore(snaps[1])
+        assert all(getattr(fac, k).tobytes() == kept[k].tobytes() for k in kept)
+        assert fac.materialize().W.tobytes() == W.tobytes()
+        assert fac._t == 0 and not fac._pending and not np.any(fac._tag)
+        for m in (1, 1, 6, 1):
+            p = random_batch(rng, D, d, m)
+            fac.sgd_step(p, lr)
+            den.sgd_step(p, lr)
+        assert_matches(fac, den)
+
+    @pytest.mark.parametrize("layer", [DenseOutputLayer, FactoredOutputLayer],
+                             ids=["dense", "factored"])
+    def test_restore_refuses_a_snapshot_it_cannot_reinstate(self, layer):
+        # a snapshot restored once, then stepped past, is gone; so is a
+        # factored snapshot that a later one superseded
+        rng = np.random.default_rng(131)
+        D, d = 50, 6
+        lay = layer(rng.normal(scale=0.1, size=(D, d)))
+        snap = lay.snapshot()
+        lay.restore(snap)
+        lay.sgd_step(random_batch(rng, D, d, 4), lr=0.05)
+        W = lay.materialize().W if layer is FactoredOutputLayer else lay.W.copy()
+        with pytest.raises(ValueError, match="restored"):
+            lay.restore(snap)
+        if layer is FactoredOutputLayer:
+            old, new = lay.snapshot(), lay.snapshot()
+            with pytest.raises(ValueError, match="superseded"):
+                lay.restore(old)
+            lay.restore(new)
+            assert np.array_equal(lay.materialize().W, W)
+        else:
+            assert np.array_equal(lay.W, W)
+
+    def test_snapshot_and_restore_allocate_no_copy_of_core(self):
+        # D = 1e5, d = 65: a snapshot, five m = 100 batches and a restore
+        # allocate the journal's rows and D-length marks, not a D x d copy
+        D, d = 100_000, 65
+        rng = np.random.default_rng(132)
+        fac = FactoredOutputLayer.zeros(D, d, bias=rng.normal(size=D))
+        batches = [random_batch(rng, D, d, 100) for _ in range(5)]
+        batches = [p._replace(h=p.h / np.sqrt(d)) for p in batches]
+
+        def snapshot_steps_restore():
+            snap = fac.snapshot()
+            for p in batches:
+                fac.sgd_step(p, lr=0.05)
+            fac.restore(snap)
+
+        assert traced_peak(snapshot_steps_restore) < 0.05 * D * d * 8
+        assert (fac.fold_count, fac.rebase_count) == (0, 0)
 
 
 class TestRebase:

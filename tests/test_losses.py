@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 from functools import partial
 
@@ -23,7 +22,7 @@ from sphloss.losses import (
     taylor_softmax,
 )
 
-from conftest import max_rel_err
+from conftest import max_rel_err, traced_peak
 
 finite_vecs = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=2, max_size=30
@@ -595,13 +594,7 @@ class TestGroupedLogSoftmax:
         rng = np.random.default_rng(21)
         O = rng.normal(size=(n, D))
         y = rng.integers(0, D, size=n)
-        tracemalloc.start()
-        try:
-            losses.batch_negll(kind, O, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.05 * n * D * 8
+        assert traced_peak(lambda: losses.batch_negll(kind, O, y)) <= 0.05 * n * D * 8
 
 
 class TestFiniteDiffGrad:

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +23,7 @@ from sphloss.trainer import (
     train,
 )
 
-from conftest import max_rel_err
+from conftest import max_rel_err, traced_peak
 
 ALL_LOSSES = [
     "log_softmax",
@@ -322,12 +321,7 @@ class TestTrainBatchDense:
         vels = [np.zeros_like(p) for p in model.params()]
         Xb, yb = rng.normal(size=(m, 64)), rng.integers(0, D, size=m)
         cfg = TrainConfig(loss_kind=kind)
-        tracemalloc.start()
-        try:
-            trainer._train_batch(model, Xb, yb, cfg, 0.01, vels)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: trainer._train_batch(model, Xb, yb, cfg, 0.01, vels))
         assert peak <= 2.5 * m * D * 8
 
 
@@ -461,13 +455,7 @@ class TestEvaluate:
         W = rng.normal(size=(4, D))
         X = rng.normal(size=(n, 4))
         y = rng.integers(0, D, size=n)
-        tracemalloc.start()
-        try:
-            evaluate(lambda X: X @ W, X, y, kind)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * n * D * 8
+        assert traced_peak(lambda: evaluate(lambda X: X @ W, X, y, kind)) <= 2.5 * n * D * 8
 
 
 SPHERICAL_LOSSES = [k for k in ALL_LOSSES if losses.loss_record(k).entry is not None]

@@ -11,20 +11,26 @@ is a rank-structured update that is absorbed into an implicit
 representation in O(m*d^2 + m^2*d + m^3) arithmetic, which is O(m*d^2)
 while m <= d, independent of D.  A single example is the m = 1 case.
 
-Representation:  W = (core + 1 u') @ A
+Representation:  W = (C + 1 u') @ A,  C = b p' + Delta
 with cached Gram matrix Q = W'W and column sums v = W'1 maintained by exact
-recurrences.  The W h h' terms go into the mixer, A <- A(I - H'BH) with
-B = diag(2*lr*bq).  The 1h' and e_c h' terms go into the offset u and into
-rows of ``core``, in pre-mixer coordinates, which the maintained inverse of
-A gives; that inverse is updated by the Woodbury identity through the
-m x m matrix K = I - H H'B.  A layer whose weights are zero but for a
-last column b, the MLP's zero-initialized output layer, starts with
-Q = (b.b) e e' and v = (sum b) e for e the last coordinate: no product and
-no pass over core.
+recurrences.  The core C is kept by a row store as the rows that training
+wrote: b holds the D biases given at construction, p is one shared
+d-vector, and Delta is row-sparse, a (T, d) array of the written rows,
+grown by doubling, with a D-length slot index.  A row never written is
+b_k p; its first write gives it a slot, which holds the whole row (b is
+zero on the written rows).  The MLP's zero-initialized output layer, zero
+but for a last column b, is b with p = e, the last coordinate, and no row
+written; a general W0 is Delta = W0 with b = 0 and T = D.  The
+W h h' terms go into the mixer, A <- A(I - H'BH) with B = diag(2*lr*bq).
+The 1h' and e_c h' terms go into the offset u and into rows of C, in
+pre-mixer coordinates, which the maintained inverse of A gives; that
+inverse is updated by the Woodbury identity through the m x m matrix
+K = I - H H'B.  The caches of a layer from ``zeros`` are Q = (b.b) e e' and
+v = (sum b) e, from the store's closed form for the rows never written.
 
 A training step is three calls on the same (h, c): ``forward_stats``
 starts it, validates (h, c) and always computes afresh the rows
-R = (core[c] + u)A and H Q; ``backward_h`` and ``sgd_step`` reuse the
+R = (C[c] + u)A and H Q; ``backward_h`` and ``sgd_step`` reuse the
 validated labels, R and H Q while (h, c) keep their shapes, bytes and
 label values and no step, fold, rebase or restore came between, and
 validate only the partials; otherwise they validate and compute all
@@ -53,37 +59,43 @@ estimate.
 When the mixer's condition estimate crosses ``cond_threshold``, a few of
 its singular directions have collapsed (the rectified inputs share a mean
 direction).  A fold moves just those k directions out of the mixer, in
-O(d^3): it updates the mixer, its inverse and the offset, and records its
-factor M = I + U_k R, by which every row of ``core`` is to be multiplied,
-instead of rewriting the D rows.  Each row carries the number of recorded
-factors it has taken; a step brings the rows it reads up to date first,
-through a cached product of the factors, in two small products.  W, Q and
-v are unchanged by a fold in exact arithmetic.  A rebase, (core S + 1u')A
-as the new core, S being the product of the pending factors, with the
-caches recomputed in O(D*d^2), is the one pass that applies them to the
-rest of ``core``, and it records how far Q and v had drifted from W.  It
-runs when the fold does not apply, when the factors' summed rank passes
-``FOLD_MAX_RANK * d``, and before ``logits`` and ``snapshot`` with folds
-pending.
+O(d^3): it updates the mixer, its inverse, the offset and p, and records
+its factor M = I + U_k R, by which every written row is to be multiplied,
+instead of rewriting them.  Each written row carries the number of
+recorded factors it has taken; a step brings the rows it reads up to date
+first, through a cached product of the factors, in two small products.
+W, Q and v are unchanged by a fold in exact arithmetic.  A rebase sets
+p <- p A, Delta <- Delta S A and u <- u A with A = I, S being the product
+of the pending factors, in O(T*d^2): the one pass that applies them to
+the rest of Delta.  It keeps the offset rather than spreading it into
+every row, recomputes the caches from the written rows and the 2 x 2
+Gram matrix of (p, u) over the rest, in O(T*d^2 + D), and records how far
+Q and v had drifted from W.  It runs when the fold does not apply, when
+the factors' summed rank passes ``FOLD_MAX_RANK * d``, and before
+``logits`` and ``snapshot`` with folds pending.
 
-Evaluation reads the same representation: ``logits`` gives H W' as
-(H A') core' + (H A' u) 1', ``read_stats`` gives a spherical loss's
-(s, q, o_c) by ``forward_stats``' body in O(d^2) per row, counting and
-starting nothing, both after a flush and, with folds pending, a rebase,
-and ``snapshot``/``restore`` keep and reinstate the layer's state, so
+Evaluation reads the same representation: ``logits`` gives H W' with
+G = H A' as G Delta' + G u for the T written rows, one product over them,
+and b_k (G p) + G u for the others, the value each had in the product
+over all D rows, in O(n*d^2 + n*T*d + n*D); ``read_stats`` gives a
+spherical loss's (s, q, o_c) by ``forward_stats``' body in O(d^2) per
+row, counting and starting nothing, both after a flush and, with folds
+pending, a rebase.
+``snapshot``/``restore`` keep and reinstate the layer's state, so
 training keeps its best state without forming or copying W.  A snapshot
-copies the d-sized arrays and opens an undo journal of ``core``: until the
-next snapshot or restore, a write to rows of ``core``, a step's update or
-a stale row's refresh, first saves each row's snapshot-time value once, so
-the snapshot costs O(d^2 + D) and the journal one d-row per distinct row
-written.  A rebase, or the singular-update fallback, with the journal open
-rewrites all of ``core``: it writes W into a fresh array, and the old
-``core``, its saved rows written back, becomes the journal's one full copy.
-``restore`` writes the saved rows back, or takes the full copy, in
-O(rows written * d + d^2), and refuses a snapshot superseded by a later
-one or already restored.  ``materialize`` builds W for tests and export
-only, after a flush, composing the pending factors into its product
-without writing ``core``.
+copies the d-sized arrays and opens an undo journal of Delta: until the
+next snapshot or restore, a write to a written row, a step's update or a
+stale row's refresh, first saves the row's snapshot-time value once, and
+a row written for the first time takes a new slot, which ``restore``
+drops; the snapshot costs O(d^2 + T) and the journal one d-row per
+distinct row written.  A rebase, or the singular-update fallback, with
+the journal open rewrites all of Delta: it writes into a fresh array, and
+the old Delta, its saved rows written back, becomes the journal's one
+full copy.  ``restore`` writes the saved rows back, or takes the full
+copy, in O(rows written * d + d^2), and refuses a snapshot superseded by
+a later one or already restored.  ``materialize`` builds W for tests and
+export only, after a flush, composing the pending factors into its
+product without writing the store.
 
 ``DenseOutputLayer`` is the naive O(D*d) layer: both the reference the
 factored layer is tested against in lockstep and the dense trainer's
@@ -103,7 +115,7 @@ import numpy as np
 from . import losses
 from .losses import SphericalStats, _as_labels, _dense_grad, _row_stats
 
-# rows per block in the passes over core: 512 x 128 doubles is 512 KiB
+# rows per block in the passes over W and Delta: 512 x 128 doubles is 512 KiB
 BLOCK_ROWS = 512
 # a singular value of the mixer below FOLD_CUT * sigma_max has collapsed: at
 # each threshold crossing of a D = 5000, d = 128 stream of rectified inputs
@@ -124,6 +136,8 @@ BLOCK_DIV = 8
 # min(1, |1 - 2*lr*bq*|h|^2|) over its rows: a later row's terms at the
 # block's start would cancel to that degree
 BLOCK_SHRINK = 1 / 16
+# the mixer's condition estimate above which a step folds or rebases
+COND_THRESHOLD = 1e5
 
 
 class StepPartials(NamedTuple):
@@ -139,37 +153,41 @@ class StepPartials(NamedTuple):
 
 
 class _Journal:
-    """A factored layer's open snapshot: copies of its d-sized arrays, and
-    the undo journal of ``core`` since.  Each row written is saved once,
-    before its first write, and marked in ``saved``; once all of ``core`` is
-    rewritten, ``full`` is the snapshot-time ``core`` and no row is saved."""
+    """A factored layer's open snapshot: copies of its d-sized arrays and of
+    the row store's p, the store's slot count T, and the undo journal of
+    Delta since.  Each slot below T is saved once, before its first write,
+    and marked in ``saved``; a slot from T on is new since, and ``restore``
+    drops it.  Once all of Delta is rewritten, ``full`` is the
+    snapshot-time Delta and no row is saved."""
 
-    def __init__(self, small: dict, D: int):
-        self.small = small
-        self.saved = np.zeros(D, dtype=bool)
+    def __init__(self, small: dict, p: np.ndarray, T: int):
+        self.small, self.p, self.T = small, p, T
+        self.saved = np.zeros(T, dtype=bool)
         self.rows, self.vals = [], []
         self.full = None
 
-    def save(self, core: np.ndarray, c: np.ndarray):
-        """Save the rows c of ``core`` not yet saved, before they are written."""
+    def save(self, delta: np.ndarray, s: np.ndarray):
+        """Save the slots s of ``delta`` not yet saved, before they are
+        written; new slots and the -1 of a row never written are not."""
         if self.full is None:
-            new = c[~self.saved[c]]
+            s = s[(s >= 0) & (s < self.T)]
+            new = s[~self.saved[s]]
             if len(new):
                 new = np.unique(new)
                 self.saved[new] = True
                 self.rows.append(new)
-                self.vals.append(core[new])
+                self.vals.append(delta[new])
 
-    def undo(self, core: np.ndarray) -> np.ndarray:
-        """``core`` with its saved rows written back, in place."""
+    def undo(self, delta: np.ndarray) -> np.ndarray:
+        """``delta`` with its saved rows written back, in place."""
         for rows, vals in zip(self.rows, self.vals):
-            core[rows] = vals
-        return core
+            delta[rows] = vals
+        return delta
 
-    def take_full(self, core: np.ndarray):
-        """Keep ``core``, which is about to be replaced, with its saved rows
-        written back, as the full copy."""
-        self.full = self.undo(core)
+    def take_full(self, delta: np.ndarray):
+        """Keep ``delta``, which is about to be replaced, with its saved
+        rows written back, as the full copy."""
+        self.full = self.undo(delta)
         self.saved, self.rows, self.vals = None, [], []
 
 
@@ -182,7 +200,7 @@ class _StepContext(NamedTuple):
     R: np.ndarray  # rows c of the represented matrix W
     HQ: np.ndarray  # H W'W
     v: np.ndarray  # W'1
-    R0: np.ndarray  # R at the pending block's start, (core[c] + u)A
+    R0: np.ndarray  # R at the pending block's start, (C[c] + u)A
     HQ0: np.ndarray  # H @ gram, HQ at the block's start
     ZW: np.ndarray | None  # H [H~; PW]', with a block pending
 
@@ -250,15 +268,20 @@ def _as_weights(W, copy: bool) -> np.ndarray:
     return W.copy() if copy else W
 
 
+def _as_bias(D: int, bias) -> np.ndarray:
+    """``bias`` as a fresh array of D finite reals, or ValueError."""
+    b = np.array(bias, dtype=np.float64)
+    if b.shape != (D,) or not np.all(np.isfinite(b)):
+        raise ValueError(f"bias must be {D} finite reals")
+    return b
+
+
 def _bias_weights(D: int, d: int, bias) -> np.ndarray:
     """A fresh D x d zero matrix with ``bias`` in its last column; with no
     bias its zero pages are left unwritten."""
     W = np.zeros((D, d))
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (D,) or not np.all(np.isfinite(bias)):
-            raise ValueError(f"bias must be {D} finite reals")
-        W[:, -1] = bias
+        W[:, -1] = _as_bias(D, bias)
     return W
 
 
@@ -292,12 +315,11 @@ def nesterov_step(params: np.ndarray, velocity: np.ndarray, grad: np.ndarray,
     params -= lr * grad
 
 
-def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float, right=None):
+def _dense_sgd_step(W: np.ndarray, H, c, a, bq, g, lr: float):
     """W <- W - lr*dO'H in place, O(D*d*m), dO being the dense gradient of
-    the rows of H W' at the pre-step W (a simultaneous update); with
-    ``right``, W <- W - lr*dO'right."""
+    the rows of H W' at the pre-step W (a simultaneous update)."""
     dO = _dense_grad(H @ W.T, c, a, bq, g)
-    for rows, G in _blocked_products(dO, H if right is None else right):
+    for rows, G in _blocked_products(dO, H):
         G *= lr
         W[rows] -= G
 
@@ -310,6 +332,7 @@ class DenseOutputLayer:
         # train_step's Nesterov velocity of W: zero pages, left unwritten
         # (so not resident) until the first step
         self.velocity = np.zeros(self.W.shape)
+        self._open = None  # the open snapshot, if any
 
     @classmethod
     def zeros(cls, D: int, d: int, bias=None) -> "DenseOutputLayer":
@@ -354,16 +377,235 @@ class DenseOutputLayer:
         return _as_rows(H, self.W.shape[1]) @ self.W.T
 
     def snapshot(self) -> np.ndarray:
-        """A copy of W."""
-        return self.W.copy()
+        """A copy of W, the layer's open snapshot until the next snapshot or
+        restore."""
+        self._open = self.W.copy()
+        return self._open
 
     def restore(self, snapshot: np.ndarray):
-        """Return to the state of ``snapshot``, taking ownership of it.
-        ValueError for the array the layer already owns: a snapshot
-        restored before, which later steps may have written."""
-        if snapshot is self.W:
-            raise ValueError("snapshot already restored: the layer owns it")
+        """Return to the state of ``snapshot``, the layer's last, taking
+        ownership of it: a snapshot is restored at most once.  ValueError
+        for a snapshot superseded by a later one or already restored, which
+        later steps may have written, as on the factored layer."""
+        if snapshot is not self._open:
+            raise ValueError("not the layer's open snapshot: superseded or already restored")
+        self._open = None
         self.W = snapshot
+
+
+class _RowStore:
+    """The core C of a factored layer, kept as the rows that training
+    wrote: C = b p' + Delta, with b zero on the written rows.
+
+    ``b`` holds the D biases and ``p`` is a shared d-vector, the last
+    coordinate e at construction: a row never written is b_k p.
+    ``delta[:T]`` holds the T written rows whole, one slot each; ``slot``
+    maps a class to its slot, -1 for a row never written, and ``written``
+    a slot to its class.  ``delta`` has one spare row past its slots, which
+    the slot -1 reads, and doubles when its slots are full.  S, the
+    product I + U C of the pending folds' factors, is deferred on the
+    written rows: ``tag`` counts the folds each slot has taken, and
+    ``rows`` brings the rows it reads up to date; p takes each fold at
+    once.  ``journal`` is the layer's open snapshot, if any."""
+
+    def __init__(self, b: np.ndarray, delta: np.ndarray, T: int):
+        """b, and the slots of ``delta``, whose first T rows are those of
+        the classes 0 to T - 1 and whose last row is zero."""
+        (self.D,), self.d = b.shape, delta.shape[1]
+        self.b, self.delta, self.T = b, delta, T
+        self.p = np.zeros(self.d)
+        self.p[-1] = 1.0
+        self.written = np.arange(len(delta) - 1)
+        self.slot = np.full(self.D, -1, dtype=np.intp)
+        self.slot[:T] = self.written[:T]
+        self.journal = None
+        self._no_pending()
+
+    @classmethod
+    def dense(cls, W: np.ndarray) -> "_RowStore":
+        """The store of a general (D, d) matrix W: every row written, T = D."""
+        D, d = W.shape
+        return cls(np.zeros(D), np.concatenate([W, np.zeros((1, d))]), D)
+
+    @classmethod
+    def biased(cls, D: int, d: int, bias) -> "_RowStore":
+        """The store of the D x d matrix zero but for a last column ``bias``
+        (zero when None): b = bias and no row written."""
+        b = np.zeros(D) if bias is None else _as_bias(D, bias)
+        return cls(b, np.zeros((1, d)), 0)
+
+    def _no_pending(self):
+        """No fold pending: every written row is up to date."""
+        self.pending = 0  # folds recorded since the last rebase
+        self.tag = np.zeros(len(self.delta), dtype=np.int32)
+        # the pending factors' product I + U C; row t of the fold mask is 1 at
+        # the columns of U that folds after the t-th recorded, else 0
+        self.fold_U, self.fold_C = np.empty((self.d, 0)), np.empty((0, self.d))
+        self.fold_mask = np.empty((1, 0))
+
+    def rows(self, c: np.ndarray) -> np.ndarray:
+        """Rows c of the core, a new (m, d) array: the written ones are
+        brought up to date with the pending folds first, which writes them
+        (saved to the journal first), and a row never written is b_c p."""
+        s = self.slot[c]
+        X = self.delta[s]  # a copy; a row never written reads the spare row
+        if self.pending and len(c):
+            tags = self.tag[s]
+            if tags.min() < self.pending:  # rows that are current take zeros
+                if self.journal is not None:
+                    self.journal.save(self.delta, s)
+                self.delta[s] = self._with_pending(X, tags)
+                self.tag[s] = self.pending
+        if self.T < self.D:
+            never = s < 0
+            X[never] = self.b[c[never], None] * self.p
+        return X
+
+    def write(self, c: np.ndarray, values: np.ndarray):
+        """Rows c of the core, brought up to date, take ``values`` (m, d),
+        the rows of a repeated class one value.  A row written for the
+        first time takes a new slot; the others are saved to the journal
+        first."""
+        s = self.slot[c]
+        if self.T < self.D and s.min() < 0:
+            s = self._new_slots(np.unique(c[s < 0]), c)
+        if self.journal is not None:
+            self.journal.save(self.delta, s)
+        self.delta[s] = values
+
+    def _new_slots(self, new: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Slots from T on for the classes ``new``, at the pending folds'
+        tag, after doubling ``delta`` when they do not fit; returns the
+        slots of c."""
+        T, n = self.T, len(new)
+        if T + n >= len(self.delta):
+            cap = max(2 * (len(self.delta) - 1), T + n)
+            delta, tag = np.zeros((cap + 1, self.d)), np.full(cap + 1, self.pending, np.int32)
+            written = np.empty(cap, dtype=np.intp)
+            delta[:T], tag[:T], written[:T] = self.delta[:T], self.tag[:T], self.written[:T]
+            self.delta, self.tag, self.written = delta, tag, written
+        self.written[T:T + n] = new
+        self.slot[new] = np.arange(T, T + n)
+        self.tag[T:T + n] = self.pending
+        self.T = T + n
+        return self.slot[c]
+
+    def _with_pending(self, X: np.ndarray, tags: np.ndarray) -> np.ndarray:
+        """Written rows X, which have taken ``tags`` folds each, times the
+        factors they lack, in place: X S_t, S_t = I + U_t C_t being the
+        product of the factors after the t-th.  U_t C_t is U C with the
+        columns of U (and rows of C) of the first t folds left out, so
+        masking X U by row t of the fold mask does it."""
+        XU = np.dot(X, self.fold_U)
+        XU *= self.fold_mask[tags]
+        X += np.dot(XU, self.fold_C)
+        return X
+
+    def fold(self, Uk: np.ndarray, R: np.ndarray) -> int:
+        """Record a fold's factor M = I + U_k R, pending on every written
+        row, and apply it to p at once; returns the pending rank.  The
+        pending factors are kept as one U C: U holds each factor's U_k and
+        C its R times the factors after it, so that the product of all of
+        them is I + U C."""
+        self.p = self.p + (self.p @ Uk) @ R
+        C = self.fold_C
+        self.pending += 1
+        self.fold_U = np.hstack([self.fold_U, Uk])
+        self.fold_C = np.vstack([C + (C @ Uk) @ R, R])
+        # the new columns come after every earlier fold; no column after this one
+        mask = self.fold_mask
+        self.fold_mask = np.vstack([np.hstack([mask, np.ones((self.pending, Uk.shape[1]))]),
+                                    np.zeros(self.fold_U.shape[1])])
+        return self.fold_U.shape[1]
+
+    def _times_SA(self, A: np.ndarray):
+        """(slots, X S A) over the written rows X, S being the product of
+        the pending folds: blocks of BLOCK_ROWS slots by S A, in one reused
+        buffer, and last the rows that have taken some fold, on their own,
+        computed before the first block is yielded.  O(T*d^2)."""
+        T = self.T
+        SA = A + self.fold_U @ (self.fold_C @ A)
+        fixed = np.flatnonzero(self.tag[:T])
+        fixed_SA = self._with_pending(self.delta[fixed], self.tag[fixed]) @ A
+        buf = np.empty((min(BLOCK_ROWS, T), self.d))
+        for lo in range(0, T, BLOCK_ROWS):
+            rows = slice(lo, min(lo + BLOCK_ROWS, T))
+            yield rows, np.matmul(self.delta[rows], SA, out=buf[:rows.stop - lo])
+        yield fixed, fixed_SA
+
+    def rebase(self, A: np.ndarray):
+        """Written rows X <- X S A and p <- p A, leaving no fold pending, in
+        O(T*d^2).  While the journal saves rows, the new rows go into a
+        fresh array, and the old one, its saved rows written back, becomes
+        the journal's full copy."""
+        delta, j = self.delta, self.journal
+        out = delta if j is None or j.full is not None else np.zeros_like(delta)
+        for rows, XSA in self._times_SA(A):
+            out[rows] = XSA
+        if out is not delta:
+            j.take_full(delta)
+        self.delta, self.p = out, self.p @ A
+        self._no_pending()
+
+    def caches(self, u: np.ndarray):
+        """(W'W, W'1) of W = C + 1u', the mixer being I and no fold pending,
+        at full precision, in O(T*d^2 + D): the written rows in one (T, d)
+        array, the rest, b_k p + u, through the 2 x 2 Gram matrix of (p, u)
+        weighted by the sums of their b_k^2, b_k and 1."""
+        W = self.delta[:self.T] + u
+        gram, colsum = W.T @ W, W.sum(axis=0)
+        if self.T < self.D:
+            b = self.b[self.slot < 0]
+            V = np.stack([self.p, u])
+            M = np.array([[np.dot(b, b), b.sum()], [b.sum(), len(b)]])
+            gram += V.T @ M @ V
+            colsum += M[1] @ V
+        return gram, colsum
+
+    def weights(self, out: np.ndarray, u: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """W = (C S + 1u')A written into ``out``, (D, d), with no other D x d
+        array: with a row never written, every row takes b_k (p A) + u A
+        first; then the written rows X take X S A + u A.  Writes no state."""
+        uA = u @ A
+        if self.T < self.D:
+            np.multiply(self.b[:, None], self.p @ A, out=out)
+            out += uA
+        for rows, XSA in self._times_SA(A):
+            XSA += uA
+            out[self.written[rows]] = XSA
+        return out
+
+    def logits(self, G: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """H W' for G = H A', (n, D), with no fold pending: G X' + G u for
+        the T written rows X, through one product over them, and
+        b_k (G p) + G u for the rest.  Every row never written has its
+        logit by the same float expression, so two such rows with equal b
+        tie exactly, the target's among them."""
+        alpha, beta = G @ self.p, G @ u
+        O = np.multiply.outer(alpha, self.b)
+        O[:, self.written[:self.T]] = G @ self.delta[:self.T].T
+        O += beta[:, None]
+        return O
+
+    def snapshot(self, small: dict) -> _Journal:
+        """Open a journal that keeps ``small``, p and T, replacing an
+        earlier one; no fold may be pending."""
+        self.journal = _Journal(small, self.p.copy(), self.T)
+        return self.journal
+
+    def restore(self, j: _Journal) -> dict:
+        """Back to the open journal ``j``'s state: its saved rows written
+        back into Delta, or its full copy taken, the slots new since
+        dropped, p and T taken over and no fold pending.  Returns the
+        journal's ``small``.  ValueError for any other journal."""
+        if self.journal is None or j is not self.journal:
+            raise ValueError("not the layer's open snapshot: superseded or already restored")
+        self.journal = None
+        self.delta = j.undo(self.delta) if j.full is None else j.full
+        self.slot[self.written[j.T:self.T]] = -1
+        self.T, self.p = j.T, j.p
+        self._no_pending()
+        return j.small
 
 
 class FactoredOutputLayer:
@@ -388,19 +630,32 @@ class FactoredOutputLayer:
     (None before one).
     """
 
-    def __init__(self, W0: np.ndarray, *, cond_threshold: float = 1e5,
-                 copy: bool = True, _caches=None):
+    def __init__(self, W0: np.ndarray, *, cond_threshold: float = COND_THRESHOLD):
         # ||A|| ||A^-1|| is at least 1, so any threshold below 1 folds at
         # every step; NaN, which would switch folds off, is refused before
         # W0 is copied and its caches formed
         self.cond_threshold = float(cond_threshold)
         if not self.cond_threshold >= 0.0:
             raise ValueError(f"cond_threshold must be >= 0, got {cond_threshold}")
-        # _caches: the (W0'W0, W0'1) of a W0 whose caches its builder knows
-        # in closed form (``zeros``), which skips their O(D*d^2) product
-        # and the pass over W0
-        W0 = _as_weights(W0, copy) if _caches is None else W0
-        self.D, self.d = W0.shape
+        W0 = _as_weights(W0, copy=False)
+        self._start(_RowStore.dense(W0), (W0.T @ W0, W0.sum(axis=0)))
+
+    @classmethod
+    def zeros(cls, D: int, d: int, bias=None) -> "FactoredOutputLayer":
+        """The layer whose D x d weights are zero but for a last column
+        ``bias`` (zero when None): b = bias, p = e, the last coordinate,
+        and no row written, in O(D + d^2), with the caches
+        W'W = (b.b) e e' and W'1 = (sum b) e of the store's closed form."""
+        layer = cls.__new__(cls)
+        layer.cond_threshold = COND_THRESHOLD
+        layer._start(_RowStore.biased(D, d, bias))
+        return layer
+
+    def _start(self, rows: _RowStore, caches=None):
+        """Take the row store ``rows`` with an identity mixer, a zero
+        offset, an empty block, and the caches given or the store's."""
+        self._rows = rows
+        self.D, self.d = rows.D, rows.d
         self.block_cap = cap = max(1, self.d // BLOCK_DIV)
         # the pending block's slots, zero but for its t rows (see _append):
         # L = [X^; H~; PW], B H_b, P'P, (la, lg, sigma) and the classes
@@ -412,8 +667,7 @@ class FactoredOutputLayer:
         self._coef = np.zeros((3, cap))
         self._la, self._lg, self._sigma = self._coef
         self._cb = np.zeros(cap, dtype=np.int64)
-        self._journal = None  # the open snapshot, if any
-        self._reset(W0, _caches)
+        self._reset(np.zeros(self.d), caches)
         self._buf = np.empty((self.d, self.d))  # the flush's d x d product
         self.op_count = 0
         self.rebase_count = 0
@@ -421,23 +675,10 @@ class FactoredOutputLayer:
         self.q_clamps = 0
         self.last_drift = None
 
-    @classmethod
-    def zeros(cls, D: int, d: int, bias=None) -> "FactoredOutputLayer":
-        """The layer whose D x d weights are zero but for a last column
-        ``bias`` (zero when None), with its caches in closed form, in
-        O(D + d^2): with e the last coordinate, W'W = (b.b) e e' and
-        W'1 = (sum b) e; no product, and with no bias no pass over core."""
-        W = _bias_weights(D, d, bias)
-        gram, colsum = np.zeros((d, d)), np.zeros(d)
-        if bias is not None:
-            b = W[:, -1]
-            gram[-1, -1], colsum[-1] = np.dot(b, b), b.sum()
-        return cls(W, copy=False, _caches=(gram, colsum))
-
     def _context(self, key, H: np.ndarray, c: np.ndarray) -> _StepContext:
-        """The context of a step on validated (H, c).  The rows of core,
+        """The context of a step on validated (H, c).  The rows of the core,
         brought up to date with the pending folds first, give the rows
-        R0 = (core[c] + u)A and H Q at the block's start, (m, d) each,
+        R0 = (C[c] + u)A and H Q at the block's start, (m, d) each,
         which the caller counts in ``op_count``: (2 d^2 + d) per row.  With
         a block pending, W = W0 - P T H_b (see ``_append``) gives the rows
         of the represented matrix from them, H~ = T H_b and o = W h:
@@ -445,14 +686,7 @@ class FactoredOutputLayer:
         W'o = H Q - (H H~')(PW - P'P H~) - (H PW')H~, with PW = P'W0, and
         W'1 = v - H~'P'1; these corrections count themselves, O(k d) per
         row."""
-        X = self.core[c]  # a copy, updated in place
-        if self._pending and len(c):
-            tags = self._tag[c]
-            if tags.min() < self._pending:  # rows that are current take zeros
-                if self._journal is not None:
-                    self._journal.save(self.core, c)
-                self.core[c] = self._with_pending(X, tags)
-                self._tag[c] = self._pending
+        X = self._rows.rows(c)
         R0, HQ0 = np.dot(X + self.offset, self.mixer), np.dot(H, self.gram)
         if not self._t:
             return _StepContext(key, c, R0, HQ0, self.colsum, R0, HQ0, None)
@@ -465,17 +699,6 @@ class FactoredOutputLayer:
         self.op_count += len(c) * (6 * k * self.d + 3 * k + 2 * self.d) + k * self.d
         return _StepContext(key, c, R0 - np.dot(Pc, self._Ht), HQ0 - np.dot(ZW, L[:2 * k]),
                             self.colsum - np.dot(self._sigma, self._Ht), R0, HQ0, ZW)
-
-    def _with_pending(self, X: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        """Rows X of core, which have taken ``tags`` folds each, times the
-        factors they lack, in place: X S_t, S_t = I + U_t C_t being the
-        product of the factors after the t-th.  U_t C_t is U C with the
-        columns of U (and rows of C) of the first t folds left out, so
-        masking X U by row t of the fold mask does it."""
-        XU = np.dot(X, self._fold_U)
-        XU *= self._fold_mask[tags]
-        X += np.dot(XU, self._fold_C)
-        return X
 
     def _as_step(self, p: StepPartials):
         """(H, context, a, bq, g, one) of ``p``.  When p has the (h, c)
@@ -511,10 +734,10 @@ class FactoredOutputLayer:
         """``forward_stats``' (s, q, o_c), by its body, after a flush of
         the pending block and a rebase when folds are pending, as
         ``logits``; otherwise it writes no layer state: no ``op_count``,
-        ``q_clamps``, step context, ``core`` rows or tags.  For evaluation."""
+        ``q_clamps``, step context, rows or tags.  For evaluation."""
         H, c, one = _as_batch(h, c, self.D, self.d)
         self._flush()
-        if self._pending:
+        if self._rows.pending:
             self.rebase()
         s, q, o_c = self._moments(H, self._context(None, H, c))
         return _stats(s, np.maximum(q, 0.0), o_c, one)
@@ -636,7 +859,7 @@ class FactoredOutputLayer:
         The W Hl'B Hr term goes into the mixer, A <- A(I - Hl'BHr), and
         its inverse by the Woodbury identity through the t x t matrix
         K = I - Hr Hl'B.  The 1la' and E_c diag(lg) terms, times Hr, go
-        into the offset and into rows c of ``core`` in pre-mixer
+        into the offset and into rows c of the core in pre-mixer
         coordinates, Hr times the new inverse, K^-1 Hr A^-1; a repeated
         class's row takes its summed terms.  Q takes Q - X'Hr - Hr'X with
         X = PW - P'P Hr / 2, and v takes v - Hr'sigma.  Five products are
@@ -652,13 +875,15 @@ class FactoredOutputLayer:
             K_inv = np.linalg.inv(K)
         except np.linalg.LinAlgError:
             K_inv = None
+        rows = self._rows
         if K_inv is None or not np.abs(K_inv).max() < 1e12:
-            # the mixer update is (numerically) singular: apply P Hr to the
-            # represented matrix and make that the core, a rebase with the
-            # update folded in
-            W = self._rewritten()
-            _dense_sgd_step(W, BH, c, la, np.full(m, 0.5), lg, 1.0, right=Hr)
-            self._reset(W)
+            # the mixer update is (numerically) singular: W <- W(I - Hl'BHr)
+            # - 1(la Hr) - E_c diag(lg) Hr as a rebase onto the mixer
+            # A(I - Hl'BHr), after which the offset and rows c take the rest
+            A = self.mixer - np.dot(np.dot(self.mixer, BH.T), Hr)
+            rows.rebase(A)
+            rows.write(c, rows.rows(c) - np.dot((c[:, None] == c) * lg, Hr))
+            self._reset(self.offset @ A - np.dot(la, Hr))
             self.rebase_count += 1
             return
 
@@ -686,9 +911,7 @@ class FactoredOutputLayer:
         self.offset -= np.dot(la, G)
         # each row of c takes its class's summed terms, so the rows of a
         # repeated class are written with the same value
-        if self._journal is not None:
-            self._journal.save(self.core, c)
-        self.core[c] = self.core[c] - np.dot((c[:, None] == c) * lg, G)
+        rows.write(c, rows.rows(c) - np.dot((c[:, None] == c) * lg, G))
         self.op_count += m * (5 * d * d + 3 * m * d + m * m + 6 * d) + 6 * d * d
         self._drop_block()
 
@@ -727,15 +950,14 @@ class FactoredOutputLayer:
 
         With A = U S V' and U_k, S_k the k directions whose singular value
         is below FOLD_CUT * sigma_max, M = I + U_k R with R = (S_k - I) U_k'
-        gives W = (core M + 1 (M u)') (M^-1 A), so the fold sets u <- M u
+        gives W = (C M + 1 (M u)') (M^-1 A), so the fold sets u <- M u
         and A <- M^-1 A = A + U_k (I - S_k) V_k', whose inverse comes from
-        the same SVD with S_k set to 1, and records M as pending on every
-        row of core.  W, Q and v are unchanged in exact arithmetic, so the
-        caches are kept.  The pending factors are kept as one U C: U holds
-        each factor's U_k and C its R times the factors after it, so that
-        the product of all of them is I + U C.  A pending rank above
-        FOLD_MAX_RANK * d takes a rebase.  A pending block is flushed
-        first.  O(d^3), or O(D*d^2) with the rebase.
+        the same SVD with S_k set to 1, and records M with the row store,
+        which applies it to p at once and defers it on every written row.
+        W, Q and v are unchanged in exact arithmetic, so the caches are
+        kept.  A pending rank above FOLD_MAX_RANK * d takes a rebase.  A
+        pending block is flushed first.  O(d^3), or O(T*d^2 + D) with the
+        rebase.
         """
         self._flush()
         self._ctx = None
@@ -746,31 +968,23 @@ class FactoredOutputLayer:
             self.rebase()
             return
         Uk, Sk = U[:, cut], sig[cut]
-        R = (Sk - 1.0)[:, None] * Uk.T  # core M = core + (core U_k) R
+        R = (Sk - 1.0)[:, None] * Uk.T  # C M = C + (C U_k) R
         self.offset = self.offset + (self.offset @ Uk) @ R
         self.mixer = self.mixer + (Uk * (1.0 - Sk)) @ Vt[cut]
         sig[cut] = 1.0
         self.mixer_inv = (Vt.T / sig) @ U.T
-        C = self._fold_C
-        self._pending += 1
-        self._fold_U = np.hstack([self._fold_U, Uk])
-        self._fold_C = np.vstack([C + (C @ Uk) @ R, R])
-        # the new columns come after every earlier fold; no column after this one
-        mask = self._fold_mask
-        self._fold_mask = np.vstack([np.hstack([mask, np.ones((self._pending, k))]),
-                                     np.zeros(self._fold_U.shape[1])])
         self.fold_count += 1
-        if self._fold_U.shape[1] > FOLD_MAX_RANK * self.d:
+        if self._rows.fold(Uk, R) > FOLD_MAX_RANK * self.d:
             self.rebase()
 
     def rebase(self):
-        """Flush the pending block, then make (core S + 1u')A the core, in
-        place, S being the product of the pending folds, with an identity
-        mixer, a zero offset and no fold pending.
+        """Flush the pending block, then make the mixer the identity: the
+        row store takes p <- p A and Delta <- Delta S A, S being the
+        product of the pending folds, and the offset u <- u A.
 
         The represented matrix is unchanged; the caches are recomputed at
         full precision, and ``last_drift`` records how far the ones they
-        replace had drifted.  O(D*d^2), run once: a flush that rebased,
+        replace had drifted.  O(T*d^2 + D), run once: a flush that rebased,
         through a fold or the singular-update fallback, is the rebase.
         """
         rebases = self.rebase_count
@@ -778,114 +992,72 @@ class FactoredOutputLayer:
         if self.rebase_count > rebases:
             return
         gram, colsum = self.gram, self.colsum
-        self._reset(self._rewritten())
+        self._rows.rebase(self.mixer)
+        self._reset(self.offset @ self.mixer)
         self.last_drift = (_rel_diff(gram, self.gram), _rel_diff(colsum, self.colsum))
         self.rebase_count += 1
 
-    def _weights(self, out: np.ndarray) -> np.ndarray:
-        """W = (core S + 1u')A written into ``out`` one block of rows at a
-        time, so no other D x d array is formed; ``out`` may be ``core``.
-        S = I + U C is the product of the pending folds, which rows that
-        have taken none lack, so they take core (S A) + 1 (u'A); the rows
-        that have taken some are computed on their own.  Writes no state."""
-        A, fixed = self.mixer, np.flatnonzero(self._tag)
-        SA = A + self._fold_U @ (self._fold_C @ A)
-        uA = self.offset @ A
-        W_fixed = (self._with_pending(self.core[fixed], self._tag[fixed]) + self.offset) @ A
-        for lo in range(0, self.D, BLOCK_ROWS):
-            rows = slice(lo, lo + BLOCK_ROWS)
-            np.matmul(self.core[rows], SA, out=out[rows])
-            out[rows] += uA
-        out[fixed] = W_fixed
-        return out
-
-    def _rewritten(self) -> np.ndarray:
-        """W = (core S + 1u')A, to be the new core: written over ``core``,
-        or, while the journal saves rows, into a fresh array, the old
-        ``core`` becoming the journal's full copy."""
-        j = self._journal
-        if j is None or j.full is not None:
-            return self._weights(out=self.core)
-        W = self._weights(out=np.empty((self.D, self.d)))
-        j.take_full(self.core)
-        return W
-
-    def _reset(self, W: np.ndarray, caches=None):
-        """Represent W as the core itself, with the caches (W'W, W'1) given
-        or computed from it at full precision; takes ownership of W.
-        O(D*d^2), or O(d^2) with the caches given.  Drops the pending block."""
+    def _reset(self, offset: np.ndarray, caches=None):
+        """An identity mixer and the offset ``offset`` over the row store as
+        it stands, no block pending, and the caches (W'W, W'1) given or
+        the store's, at full precision, in O(T*d^2 + D)."""
         self._drop_block()
-        self.core = W
         self.mixer = np.eye(self.d)
         self.mixer_inv = np.eye(self.d)
-        self.offset = np.zeros(self.d)
-        self.gram, self.colsum = (W.T @ W, W.sum(axis=0)) if caches is None else caches
-        self._no_pending()
+        self.offset = offset
+        self.gram, self.colsum = self._rows.caches(offset) if caches is None else caches
 
-    def _no_pending(self):
-        """No fold pending: every row of core is up to date."""
-        self._pending = 0  # folds recorded since the last rebase
-        self._tag = np.zeros(self.D, dtype=np.int32)  # the folds each row has taken
-        # the pending factors' product I + U C; row t of the fold mask is 1 at
-        # the columns of U that folds after the t-th recorded, else 0
-        self._fold_U, self._fold_C = np.empty((self.d, 0)), np.empty((0, self.d))
-        self._fold_mask = np.empty((1, 0))
-
-    # the arrays that define the layer: the representation and its caches
-    _STATE = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum")
+    # the layer's d-sized arrays: its mixer, offset and caches
+    _STATE = ("mixer", "mixer_inv", "offset", "gram", "colsum")
 
     def logits(self, H: np.ndarray) -> np.ndarray:
-        """O = H W' for the rows of H, (n, D), as (H A') core' + (H A' u) 1':
-        O(n*d^2 + n*d*D) with no D x d temporary, after a flush of the
-        pending block and a rebase when folds are pending.  Evaluation, so
-        not counted in ``op_count``."""
+        """O = H W' for the rows of H, (n, D), after a flush of the pending
+        block and a rebase when folds are pending.  With G = H A', the T
+        written rows take G Delta' + G u, one product over them, and every
+        other row b_k (G p) + G u, the value its logit had in the product
+        over all D rows, so an untouched row's logit keeps its bits:
+        O(n*d^2 + n*T*d + n*D), with no D x d array.  Evaluation, so not
+        counted in ``op_count``."""
         H = _as_rows(H, self.d)
         self._flush()
-        if self._pending:
+        if self._rows.pending:
             self.rebase()
-        G = H @ self.mixer.T
-        O = G @ self.core.T
-        O += (G @ self.offset)[:, None]
-        return O
+        return self._rows.logits(H @ self.mixer.T, self.offset)
 
     def snapshot(self) -> _Journal:
         """The layer's state, for ``restore``, after a flush of the pending
         block and a rebase when folds are pending: copies of the d-sized
-        arrays, and an undo journal of ``core`` that replaces the one of an
-        earlier snapshot.  O(d^2 + D), or O(D*d^2) with the rebase.
+        arrays and of p, and an undo journal of the row store that
+        replaces the one of an earlier snapshot.  O(d^2 + T), or
+        O(T*d^2 + D) with the rebase.
 
-        Until the next snapshot or restore, every write to rows of ``core``
-        first saves each row's present value once.  A rebase or the
-        singular-update fallback with the journal open writes the new core
-        into a fresh array and keeps the old one, its saved rows written
-        back, as one full copy: the only case that copies D x d."""
+        Until the next snapshot or restore, every write to a written row
+        first saves the row's present value once, and a row written for
+        the first time takes a new slot.  A rebase or the singular-update
+        fallback with the journal open writes the new Delta into a fresh
+        array and keeps the old one, its saved rows written back, as one
+        full copy: the only case that copies Delta."""
         self._flush()
-        if self._pending:
+        if self._rows.pending:
             self.rebase()
-        self._journal = _Journal({name: getattr(self, name).copy()
-                                  for name in self._STATE if name != "core"}, self.D)
-        return self._journal
+        return self._rows.snapshot({name: getattr(self, name).copy() for name in self._STATE})
 
     def restore(self, snapshot: _Journal):
         """Return to the state of ``snapshot``, the layer's last, which is
-        restored at most once: its saved rows are written back into
-        ``core``, or its full copy becomes ``core``, and its d-sized arrays
-        are taken over, in O(rows written * d + d^2).  The pending block and
-        the pending folds are dropped.  ValueError for a snapshot superseded
-        by a later one or already restored, whose state is gone."""
-        j = self._journal
-        if j is None or snapshot is not j:
-            raise ValueError("not the layer's open snapshot: superseded or already restored")
-        self._journal = None
+        restored at most once: its saved rows are written back, or its
+        full copy taken, the rows first written since are dropped, and its
+        d-sized arrays are taken over, in O(rows written * d + d^2).  The
+        pending block and the pending folds are dropped.  ValueError for a
+        snapshot superseded by a later one or already restored, whose
+        state is gone."""
+        small = self._rows.restore(snapshot)
         self._drop_block()
-        self.core = j.undo(self.core) if j.full is None else j.full
-        for name, x in j.small.items():
+        for name, x in small.items():
             setattr(self, name, x)
-        self._no_pending()
 
     def materialize(self) -> DenseOutputLayer:
         """Dense copy of the represented matrix, after a flush of the pending
         block; for tests and export only."""
         self._flush()
-        return DenseOutputLayer(self._weights(out=np.empty((self.D, self.d))), copy=False)
-
+        W = self._rows.weights(np.empty((self.D, self.d)), self.offset, self.mixer)
+        return DenseOutputLayer(W, copy=False)

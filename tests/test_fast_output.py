@@ -11,6 +11,7 @@ from sphloss.fast_output import (
     StepPartials,
 )
 from sphloss.losses import LOSSES, LossParams, _dense_grad, batch_loss_grad
+from sphloss.trainer import output_init
 
 from conftest import traced_peak
 
@@ -263,15 +264,31 @@ class TestSgdStep:
                 call()
 
 
+def layer_state(fac):
+    """Copies of the arrays that define a factored layer: its d-sized
+    ``_STATE`` arrays, and its row store's p, written rows, slot index,
+    tags and pending fold factors."""
+    rows = fac._rows
+    return {**{k: getattr(fac, k).copy() for k in fac._STATE},
+            "p": rows.p.copy(), "delta": rows.delta[:rows.T].copy(), "slot": rows.slot.copy(),
+            "tag": rows.tag[:rows.T].copy(), "fold_U": rows.fold_U.copy(),
+            "fold_C": rows.fold_C.copy(), "fold_mask": rows.fold_mask.copy()}
+
+
+def tags(fac, c):
+    """The folds that rows c of a factored layer's core have taken, read
+    through its row store."""
+    return fac._rows.tag[fac._rows.slot[c]]
+
+
 def state_copy(layer):
     """A copy of the layer's state after a snapshot, which flushes and,
-    with folds pending, rebases: the dense layer's snapshot, or copies of
-    the factored layer's ``_STATE`` arrays, since its snapshot holds no
-    ``core``."""
+    with folds pending, rebases: the dense layer's snapshot, or the
+    factored layer's ``layer_state``, since its snapshot holds no rows."""
     snap = layer.snapshot()
     if isinstance(layer, DenseOutputLayer):
         return snap
-    return {k: getattr(layer, k).copy() for k in layer._STATE}
+    return layer_state(layer)
 
 
 def states_equal(a, b):
@@ -436,7 +453,7 @@ class TestRowAndMaterialize:
             p = StepPartials(a=0.1, bq=0.05, g=-0.4, c=0, h=rng.normal(size=d))
             fac.sgd_step(p, lr=0.05)
             den.sgd_step(p, lr=0.05)
-        assert np.array_equal(fac.core[1:], W0[1:])
+        assert np.array_equal(fac._rows.rows(np.arange(1, D)), W0[1:])
         W = fac.materialize().W
         for c in range(1, 5):
             np.testing.assert_allclose(W[c], den.W[c], rtol=1e-8)
@@ -490,16 +507,16 @@ class TestLogitsAndSnapshot:
         for _ in range(5):
             fac.sgd_step(random_batch(rng, D, d, 6), lr=0.05)
         snap = fac.snapshot()
-        kept = {k: getattr(fac, k).copy() for k in fac._STATE}
+        kept = layer_state(fac)
         W, gram, colsum = fac.materialize().W, fac.gram.copy(), fac.colsum.copy()
         for _ in range(5):
             fac.sgd_step(random_batch(rng, D, d, 6), lr=0.05)
         fac.rebase()
         assert not np.array_equal(fac.materialize().W, W)
         assert all(np.array_equal(snap.small[k], kept[k]) for k in snap.small)
-        assert np.array_equal(snap.full, kept["core"])
+        assert np.array_equal(snap.full[:snap.T], kept["delta"])
         fac.restore(snap)
-        assert all(np.array_equal(getattr(fac, k), kept[k]) for k in kept)
+        assert all(np.array_equal(v, kept[k]) for k, v in layer_state(fac).items())
         assert np.array_equal(fac.materialize().W, W)
         assert np.array_equal(fac.gram, gram) and np.array_equal(fac.colsum, colsum)
 
@@ -517,7 +534,7 @@ class TestLogitsAndSnapshot:
             fac.sgd_step(random_batch(rng, D, d, 6), lr)
         den = DenseOutputLayer(fac.materialize().W)
         snaps = fac.snapshot(), den.snapshot()
-        kept = {k: getattr(fac, k).copy() for k in fac._STATE}
+        kept = layer_state(fac)
         W = fac.materialize().W
         for _ in range(2):
             p = random_batch(rng, D, d, 6)
@@ -531,9 +548,9 @@ class TestLogitsAndSnapshot:
             collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, d)))
             fac._fold()
             p = random_batch(rng, D, d, 6)
-            assert not np.any(fac._tag[p.c])
+            assert not np.any(tags(fac, p.c))
             fac.sgd_step(p, lr)
-            assert fac._pending == 1 and np.all(fac._tag[p.c] == 1)
+            assert fac._rows.pending == 1 and np.all(tags(fac, p.c) == 1)
         elif after == "rebase":
             fac.rebase()
             fac.sgd_step(random_batch(rng, D, d, 6), lr)
@@ -550,9 +567,9 @@ class TestLogitsAndSnapshot:
         assert not np.array_equal(fac.materialize().W, W)
         fac.restore(snaps[0])
         den.restore(snaps[1])
-        assert all(getattr(fac, k).tobytes() == kept[k].tobytes() for k in kept)
+        assert all(v.tobytes() == kept[k].tobytes() for k, v in layer_state(fac).items())
         assert fac.materialize().W.tobytes() == W.tobytes()
-        assert fac._t == 0 and not fac._pending and not np.any(fac._tag)
+        assert fac._t == 0 and not fac._rows.pending and not np.any(fac._rows.tag)
         for m in (1, 1, 6, 1):
             p = random_batch(rng, D, d, m)
             fac.sgd_step(p, lr)
@@ -563,24 +580,33 @@ class TestLogitsAndSnapshot:
                              ids=["dense", "factored"])
     def test_restore_refuses_a_snapshot_it_cannot_reinstate(self, layer):
         # a snapshot restored once, then stepped past, is gone; so is a
-        # factored snapshot that a later one superseded
+        # snapshot that a later one superseded, and one restored before a
+        # later snapshot was taken and restored
         rng = np.random.default_rng(131)
         D, d = 50, 6
         lay = layer(rng.normal(scale=0.1, size=(D, d)))
+        weights = (lambda: lay.materialize().W) if layer is FactoredOutputLayer else (
+            lambda: lay.W.copy())
         snap = lay.snapshot()
         lay.restore(snap)
         lay.sgd_step(random_batch(rng, D, d, 4), lr=0.05)
-        W = lay.materialize().W if layer is FactoredOutputLayer else lay.W.copy()
+        W = weights()
         with pytest.raises(ValueError, match="restored"):
             lay.restore(snap)
-        if layer is FactoredOutputLayer:
-            old, new = lay.snapshot(), lay.snapshot()
-            with pytest.raises(ValueError, match="superseded"):
-                lay.restore(old)
-            lay.restore(new)
-            assert np.array_equal(lay.materialize().W, W)
-        else:
-            assert np.array_equal(lay.W, W)
+        old, new = lay.snapshot(), lay.snapshot()
+        with pytest.raises(ValueError, match="superseded"):
+            lay.restore(old)
+        lay.restore(new)
+        assert np.array_equal(weights(), W)
+        s1 = lay.snapshot()
+        lay.restore(s1)
+        lay.sgd_step(random_batch(rng, D, d, 4), lr=0.05)
+        s2 = lay.snapshot()
+        lay.restore(s2)
+        W = weights()
+        with pytest.raises(ValueError, match="restored"):
+            lay.restore(s1)
+        assert np.array_equal(weights(), W)
 
     def test_snapshot_and_restore_allocate_no_copy_of_core(self):
         # D = 1e5, d = 65: a snapshot, five m = 100 batches and a restore
@@ -599,6 +625,25 @@ class TestLogitsAndSnapshot:
 
         assert traced_peak(snapshot_steps_restore) < 0.05 * D * d * 8
         assert (fac.fold_count, fac.rebase_count) == (0, 0)
+
+    def test_zero_layer_allocates_only_the_rows_written(self):
+        # D = 1e6, d = 129: the layer and 100 batches of m = 100 allocate
+        # the biases, the slot index and the rows written, not a D x d array
+        D, d = 10**6, 129
+        rng = np.random.default_rng(133)
+        batches = [random_batch(rng, D, d, 100) for _ in range(100)]
+        batches = [p._replace(h=p.h / np.sqrt(d)) for p in batches]
+        layers = []
+
+        def build_and_step():
+            layers.append(FactoredOutputLayer.zeros(D, d))
+            for p in batches:
+                layers[0].sgd_step(p, lr=0.05)
+
+        assert traced_peak(build_and_step) < 0.05 * D * d * 8
+        fac = layers[0]
+        assert (fac.fold_count, fac.rebase_count) == (0, 0)
+        assert fac._rows.T == len(np.unique(np.concatenate([p.c for p in batches])))
 
 
 class TestRebase:
@@ -684,13 +729,13 @@ class TestRebase:
 def assert_caches_exact(fac):
     """No fold is pending and the caches are the represented matrix's own
     W'W and W'1, as a rebase leaves them."""
-    assert not fac._pending
+    assert not fac._rows.pending
     W = fac.materialize().W
     assert rel_fro(fac.gram, W.T @ W) < 1e-15
     assert rel_fro(fac.colsum, W.sum(axis=0)) < 1e-15
 
 
-def collapse(fac, rng, means, lr=0.1):
+def collapse(fac, rng, means, lr=0.1, den=None):
     """ReLU-like steps around the rows of ``means`` in turn until the mixer's
     condition estimate passes 1e8.  Each step has 2*lr*bq*h'h = 0.9, so it
     shrinks the mixer about tenfold along its h; the rows share one mean
@@ -698,13 +743,16 @@ def collapse(fac, rng, means, lr=0.1):
     and the rows they move hold 1/sigma_min-sized terms, whose rounding is
     the representation's own error, about eps * cond * lr * |a|.  Each
     step is flushed as it is taken, so that the loop reads the mixer it
-    left and stops at the step that crosses."""
+    left and stops at the step that crosses.  ``den``, a dense layer, takes
+    the same steps."""
     t = 0
     while cond_estimate(fac) <= 1e8:
         h = np.maximum(means[t % len(means)] + 0.05 * rng.normal(size=fac.d), 0.0)
         a, g = rng.uniform(-1e-4, 1e-4, size=2)
-        fac.sgd_step(StepPartials(a=a, bq=0.45 / (lr * (h @ h)), g=g,
-                                  c=int(rng.integers(fac.D)), h=h), lr=lr)
+        p = StepPartials(a=a, bq=0.45 / (lr * (h @ h)), g=g, c=int(rng.integers(fac.D)), h=h)
+        fac.sgd_step(p, lr=lr)
+        if den is not None:
+            den.sgd_step(p, lr=lr)
         fac._flush()
         t += 1
 
@@ -887,8 +935,8 @@ class TestDeferredFolds:
         fac._fold()
         den = DenseOutputLayer(fac.materialize().W)
         self.step(fac, den, random_batch(rng, 20, d, 3))  # rows < 20 take tag 2
-        assert (fac.fold_count, fac.rebase_count, fac._pending) == (2, 0, 2)
-        assert set(fac._tag[:40]) == {0, 1, 2}
+        assert (fac.fold_count, fac.rebase_count, fac._rows.pending) == (2, 0, 2)
+        assert set(tags(fac, np.arange(40))) == {0, 1, 2}
         return fac, den, rng
 
     def step(self, fac, den, p):
@@ -905,11 +953,11 @@ class TestDeferredFolds:
     def step_at_every_tag(self, fac, den, rng):
         """One step, in lockstep, on 9 rows with repeated classes, whose
         rows of core are at tags 0, 1 and 2; it brings them to tag 2."""
-        by_tag = [int(np.flatnonzero(fac._tag[:40] == t)[0]) for t in (0, 1, 2)]
+        by_tag = [int(np.flatnonzero(tags(fac, np.arange(40)) == t)[0]) for t in (0, 1, 2)]
         c = np.array(by_tag * 3)
         self.step(fac, den, StepPartials(*rng.uniform(-0.5, 0.5, size=(3, 9)), c=c,
                                          h=np.maximum(rng.normal(size=(9, fac.d)), 0.0)))
-        assert set(fac._tag[c]) == {2}
+        assert set(tags(fac, c)) == {2}
         self.assert_lockstep(fac, den)
 
     def test_repeated_classes_at_different_tags_in_one_block(self):
@@ -926,7 +974,7 @@ class TestDeferredFolds:
         d = 32  # the pending rank cap, d/8 = 4, holds all 3
         means = np.hstack([np.kron(np.eye(2), np.ones(5)), np.zeros((2, d - 10))])
         fac, den, rng = self.pending_pair(89, d, means)
-        assert fac._fold_mask.sum(axis=1).tolist() == [3, 1, 0]
+        assert fac._rows.fold_mask.sum(axis=1).tolist() == [3, 1, 0]
         self.step_at_every_tag(fac, den, rng)
 
     def test_across_logits(self):
@@ -949,10 +997,10 @@ class TestDeferredFolds:
             self.step(fac, den, random_batch(rng, self.D, self.d, 4))
         collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)))
         fac._fold()
-        assert fac._pending == 1
+        assert fac._rows.pending == 1
         fac.restore(snaps[0])
         den.restore(snaps[1])
-        assert not fac._pending and not np.any(fac._tag)
+        assert not fac._rows.pending and not np.any(fac._rows.tag)
         assert np.array_equal(fac.materialize().W, kept)
         for _ in range(5):
             self.step(fac, den, random_batch(rng, self.D, self.d, 4))
@@ -986,7 +1034,7 @@ class TestDeferredFolds:
         H, c = np.zeros((0, self.d)), np.zeros(0, dtype=np.int64)
         assert fac.forward_stats(H, c).s.shape == (0,)
         fac.sgd_step(StepPartials(a=np.zeros(0), bq=np.zeros(0), g=np.zeros(0), c=c, h=H), 0.1)
-        assert fac._pending == 2
+        assert fac._rows.pending == 2
         self.assert_lockstep(fac, den)
 
     def test_read_stats_rebases_then_reads_forward_stats(self):
@@ -994,17 +1042,16 @@ class TestDeferredFolds:
         # it reads forward_stats' (s, q, o_c) and writes nothing, not even
         # over the step context that forward_stats started
         fac, den, rng = self.pending_pair(88)
-        by_tag = [int(np.flatnonzero(fac._tag[:40] == t)[0]) for t in (0, 1, 2)]
+        by_tag = [int(np.flatnonzero(tags(fac, np.arange(40)) == t)[0]) for t in (0, 1, 2)]
         H, c = rng.normal(size=(9, self.d)), np.array(by_tag * 3)
         for g, w in zip(fac.read_stats(H, c), den.forward_stats(H, c)):
             assert rel_fro(g, w) < 1e-8
-        assert (fac._pending, fac.rebase_count) == (0, 1)
+        assert (fac._rows.pending, fac.rebase_count) == (0, 1)
         fac.forward_stats(rng.normal(size=(4, self.d)), np.arange(4))
-        names = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum", "_tag")
-        kept = {name: getattr(fac, name).copy() for name in names}
+        kept = layer_state(fac)
         counts, ctx = (fac.op_count, fac.q_clamps, fac.rebase_count), fac._ctx
         got = fac.read_stats(H, c)
-        assert all(np.array_equal(getattr(fac, name), kept[name]) for name in names)
+        assert all(np.array_equal(v, kept[k]) for k, v in layer_state(fac).items())
         assert (fac.op_count, fac.q_clamps, fac.rebase_count) == counts
         assert fac._ctx is ctx
         for g, w in zip(got, fac.forward_stats(H, c)):
@@ -1012,12 +1059,10 @@ class TestDeferredFolds:
 
     def test_materialize_writes_no_state(self):
         fac, _, _ = self.pending_pair(86)
-        names = ("core", "mixer", "mixer_inv", "offset", "gram", "colsum",
-                 "_tag", "_fold_U", "_fold_C", "_fold_mask")
-        kept = {name: getattr(fac, name).copy() for name in names}
+        kept = layer_state(fac)
         fac.materialize()
-        assert all(np.array_equal(getattr(fac, name), kept[name]) for name in names)
-        assert (fac._pending, fac.rebase_count) == (2, 0)
+        assert all(np.array_equal(v, kept[k]) for k, v in layer_state(fac).items())
+        assert (fac._rows.pending, fac.rebase_count) == (2, 0)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_long_stream_stays_within_the_exactness_gate(self, seed):
@@ -1168,6 +1213,95 @@ class TestPendingBlock:
             self.step(fac, den, p)
             assert fac._t == pending
         assert_matches(fac, den)
+
+
+class TestZeroInitializedLayer:
+    # the MLP's output layer, zero but for a last column b, stores only the
+    # rows that steps write; in lockstep with the dense layer from the same
+    # [0 | b], at b = 0 and at log_taylor prior biases, on steps whose
+    # classes are mostly below 60 of 300, so most rows are never written
+    D, d, lr = 300, 32, 0.05
+
+    def pair(self, bias, seed):
+        rng = np.random.default_rng(seed)
+        b = None
+        if bias == "prior":
+            y = rng.integers(0, 60, size=500)
+            b = output_init(self.D, np.bincount(y, minlength=self.D) / 500, "log_taylor",
+                            n_examples=500)
+        return (FactoredOutputLayer.zeros(self.D, self.d, b),
+                DenseOutputLayer.zeros(self.D, self.d, b), rng)
+
+    def batch(self, rng, m, classes=60):
+        """m rows [h, 1], |h| near 1, whose classes below ``classes`` repeat
+        and whose every fifth partial row is zero."""
+        p = random_batch(rng, classes, self.d, m)
+        h = p.h / np.sqrt(self.d)
+        h[:, -1] = 1.0
+        return p._replace(h=h)
+
+    def step(self, fac, den, p, tol=1e-10):
+        """(s, q, o_c) and dL/dh against the dense layer's, then the step."""
+        for got, want in zip(fac.forward_stats(p.h, p.c), den.forward_stats(p.h, p.c)):
+            assert rel_fro(got, want) < tol
+        assert rel_fro(fac.backward_h(p), den.backward_h(p)) < tol
+        fac.sgd_step(p, self.lr)
+        den.sgd_step(p, self.lr)
+
+    def check(self, fac, den, rng, tol=1e-10):
+        """The matrix, the caches and the logits against the dense layer."""
+        assert_matches(fac, den, tol)
+        X = np.hstack([rng.normal(size=(7, self.d - 1)), np.ones((7, 1))])
+        assert rel_fro(fac.logits(X), den.logits(X)) < tol
+
+    @pytest.mark.parametrize("bias", ["zero", "prior"])
+    def test_lockstep_with_the_dense_layer(self, bias):
+        fac, den, rng = self.pair(bias, 140)
+        for _ in range(5):
+            self.step(fac, den, self.batch(rng, 6))
+        assert 0 < fac._rows.T < 60
+        self.check(fac, den, rng)
+        # single examples leave a block pending, which logits flushes
+        for _ in range(fac.block_cap + 2):
+            self.step(fac, den, self.batch(rng, 1))
+        assert fac._t == 2
+        self.check(fac, den, rng)
+        # snapshot -> steps that write rows for the first time, a rebase,
+        # which copies the written rows, and more such steps -> restore
+        snaps, T, W = (fac.snapshot(), den.snapshot()), fac._rows.T, fac.materialize().W
+        for i in range(4):
+            if i == 2:
+                fac.rebase()
+            self.step(fac, den, self.batch(rng, 6, classes=self.D))
+        assert fac._rows.T > T and snaps[0].full is not None
+        fac.restore(snaps[0])
+        den.restore(snaps[1])
+        assert fac._rows.T == T == np.count_nonzero(fac._rows.slot >= 0)
+        assert fac.materialize().W.tobytes() == W.tobytes()
+        for _ in range(3):
+            self.step(fac, den, self.batch(rng, 6))
+        # a rebase keeps the offset
+        fac.rebase()
+        assert fac.rebase_count == 2 and np.any(fac.offset)
+        self.check(fac, den, rng)
+        # a fold, pending on the written rows, which steps over every class
+        # bring up to date; logits then rebase (TestFold's tolerance)
+        fac.cond_threshold = np.inf
+        collapse(fac, rng, rng.uniform(0.5, 1.5, size=(1, self.d)), den=den)
+        fac._fold()
+        assert (fac.fold_count, fac.rebase_count, fac._rows.pending) == (1, 2, 1)
+        for _ in range(3):
+            self.step(fac, den, self.batch(rng, 6, classes=self.D), tol=1e-8)
+        self.check(fac, den, rng, tol=1e-8)
+        assert fac.rebase_count == 3 and fac._rows.T < self.D
+        # 2*lr*bq*|h|^2 = 1: the singular-K fallback
+        p = self.batch(rng, 1)
+        p = p._replace(bq=np.array([1.0 / (2.0 * self.lr * float(p.h[0] @ p.h[0]))]))
+        self.step(fac, den, p, tol=1e-8)
+        assert fac.rebase_count == 4
+        for _ in range(fac.block_cap + 1):
+            self.step(fac, den, self.batch(rng, 1), tol=1e-8)
+        self.check(fac, den, rng, tol=1e-8)
 
 
 def backward_ops(layer, p):

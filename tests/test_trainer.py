@@ -377,8 +377,13 @@ class TestEvaluate:
         O = np.array(data.draw(st.lists(st.integers(-10, 10), min_size=n * D,
                                         max_size=n * D))).reshape(n, D) / 4.0
         y = np.array(data.draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n)))
-        # groups of n <= 8 rows: one row at a time, or vectorized below 1 row
-        group = data.draw(st.sampled_from([trainer.RANK_ROW_GROUP, 0]))
+        # groups of n <= 8 rows: one row at a time, or vectorized below 1
+        # row; or the rows repeated into one group of more than
+        # RANK_ROW_GROUP rows, vectorized as the trainer has it
+        group = data.draw(st.sampled_from([trainer.RANK_ROW_GROUP, 0, None]))
+        if group is None:
+            group, reps = trainer.RANK_ROW_GROUP, trainer.RANK_ROW_GROUP // n + 1
+            O, y, n = np.tile(O, (reps, 1)), np.tile(y, reps), n * reps
         with mock.patch.object(trainer, "RANK_ROW_GROUP", group):
             _, err, top10, _ = evaluate(self.rows_of(O), np.arange(n)[:, None], y, kind)
         order = np.argsort(-batch_scores(kind, O), axis=1, kind="stable")
@@ -475,7 +480,7 @@ def factored_mlp_with_folds_pending():
     vels = [np.zeros_like(p) for p in model.params()]
     for lo in range(0, 300, 10):
         trainer._train_batch(model, Xtr[lo:lo + 10], ytr[lo:lo + 10], cfg, 0.1, vels)
-    assert (model.out._pending, model.out.rebase_count) == (4, 0)
+    assert (model.out._rows.pending, model.out.rebase_count) == (4, 0)
     return model, X, y
 
 
@@ -496,7 +501,7 @@ class TestEvaluateFactored:
             model.out.restore(snap)
         for kind in SPHERICAL_LOSSES:
             fac, ref = copy.deepcopy(model), copy.deepcopy(model)
-            assert bool(fac.out._pending) == (state == "folds pending")
+            assert bool(fac.out._rows.pending) == (state == "folds pending")
             cached = evaluate(fac, X, y, kind)
             logits = evaluate(ref.forward, X, y, kind)
             assert cached[1:3] == logits[1:3], kind
@@ -507,6 +512,43 @@ class TestEvaluateFactored:
         dense.out = model.out.materialize()
         for kind in SPHERICAL_LOSSES:
             assert evaluate(dense, X, y, kind) == evaluate(dense.forward, X, y, kind)
+
+    @pytest.mark.parametrize("prior", [False, True], ids=["zero-bias", "prior-bias"])
+    def test_ranks_are_those_of_the_materialized_weights(self, prior):
+        # a trained zero-initialized factored MLP: its logits form the rows
+        # never written apart from the written ones, and must rank each
+        # target as the dense weights do, bitwise.  Training writes the
+        # rows of 8 classes of 200; half the targets are among the rows
+        # never written, which tie (all at b = 0, each class absent from
+        # training at its floor prior otherwise), so that the ties below c
+        # decide their ranks, and half among the written ones
+        D, n = 200, 200
+        ds = data.synthetic_categorical(D=8, input_dim=8, N=300 + 2 * n, seed=4, separation=2.0)
+        classes = np.random.default_rng(4).choice(D, 8, replace=False)
+        splits = tuple((s.features, classes[s.labels]) for s in
+                       data.random_split(ds, data.SplitSpec(300, n, n, seed=4)))
+        cfg = TrainConfig(loss_kind="log_taylor", output_layer="factored", batch_size=50,
+                          max_epochs=3, seed=4, prior_bias_init=prior)
+        model = train(MLPSpec(8, (16,), D), cfg, splits).model
+        slot = model.out._rows.slot
+        written, never = np.flatnonzero(slot >= 0), np.flatnonzero(slot < 0)
+        assert np.array_equal(written, np.sort(classes))
+        rng = np.random.default_rng(5)
+        X = splits[2][0]
+        y = np.concatenate([rng.choice(never, n // 2), rng.choice(written, n - n // 2)])
+        rec = losses.loss_record("log_taylor")
+        K = rec.key(model.forward(X))
+        key_c = K[np.arange(n), y]
+        tied_below = [np.count_nonzero(K[i, :c] == key_c[i]) for i, c in enumerate(y)]
+        strict = np.count_nonzero(K > key_c[:, None], axis=1)
+        assert np.count_nonzero((strict < 10) & (np.array(tied_below) > 0)) > n // 4
+        W = model.out.materialize().W
+        want = trainer._target_rank(trainer._with_bias(model.hidden(X)[-1]) @ W.T, y, rec,
+                                    np.empty((n, D)))
+        got = trainer._target_rank(model.forward(X), y, rec, np.empty((n, D)))
+        assert np.array_equal(np.minimum(got, 10), np.minimum(want, 10))
+        _, err, top10, _ = evaluate(model, X, y, "log_taylor")
+        assert (err, top10) == (np.count_nonzero(want > 0) / n, np.count_nonzero(want >= 10) / n)
 
     def test_spherical_kind_never_scores_the_logits(self, monkeypatch):
         model, X, y = factored_mlp_with_folds_pending()
